@@ -2,8 +2,10 @@
 
 The package constructs the non-expandable cross-bifix-free sets CBFS(q, n),
 counts them exactly, generates the classic zero-run baseline sets they are
-compared against, and verifies every claimed property by independent brute
-force at desk scale.
+compared against, and verifies every claimed property. The exported
+verifiers come from ``verify``, which joins prefix and suffix indexes; the
+independent brute-force scans in ``oracle`` are the reference the tests hold
+them to.
 """
 
 from .baseline import ZeroRunAvoidanceTable, construct_baseline_set, f_count, s_max, s_star
@@ -31,9 +33,8 @@ from .oracle import (
     brute_motzkin_count,
     enumerate_bifix_free,
     verify_count_agreement,
-    verify_cross_bifix_free_set,
-    verify_non_expandable,
 )
+from .verify import verify_cross_bifix_free_set, verify_non_expandable
 from .words import (
     CrossBifix,
     HeightProfile,

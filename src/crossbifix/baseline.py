@@ -52,7 +52,9 @@ _TABLES: dict[tuple[int, int], ZeroRunAvoidanceTable] = {}
 
 def f_count(k: int, q: int, n: int) -> int:
     """Number of words in Z_q^n avoiding k consecutive zeros."""
-    table = _TABLES.setdefault((k, q), ZeroRunAvoidanceTable(k, q))
+    table = _TABLES.get((k, q))
+    if table is None:
+        table = _TABLES.setdefault((k, q), ZeroRunAvoidanceTable(k, q))
     return table.count(n)
 
 

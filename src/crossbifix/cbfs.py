@@ -128,7 +128,8 @@ def construct_A(q: int, n: int) -> CodeSet:
     half = n // 2
     out = []
     for i in range(half + 1):
-        assert n - i >= 2
+        if n - i < 2:
+            raise RuntimeError(f"family A: elevated suffix of length {n - i} < 2 at n={n}, i={i}")
         exclude_elevated_alpha = n % 2 == 0 and i == half
         for alpha in generate_motzkin(colors, i):
             if exclude_elevated_alpha and is_elevated(alpha):
@@ -157,7 +158,8 @@ def construct_B(q: int, n: int) -> CodeSet:
     rise = Word((RISE,), q)
     out = []
     for i in range(n // 2):
-        assert n - i - 1 >= 2
+        if n - i - 1 < 2:
+            raise RuntimeError(f"family B: elevated suffix of length {n - i - 1} < 2 at n={n}, i={i}")
         for alpha in generate_motzkin(colors, i):
             for beta in generate_elevated(colors, n - i - 1):
                 out.append((rise + alpha + beta, "B"))
@@ -214,7 +216,8 @@ def construct_cbfs(q: int, n: int) -> CodeSet:
         tagged.extend(zip(part.words, part.provenance))
     union = CodeSet.build(q, n, tagged)
     # The three families end at heights 0, +1, -1, so the union is disjoint.
-    assert len(union) == len(tagged)
+    if len(union) != len(tagged):
+        raise RuntimeError(f"families A, B and C overlap at q={q}, n={n}")
     return union
 
 

@@ -25,7 +25,8 @@ from .cbfs import (
     count_cbfs,
 )
 from .motzkin import generate_elevated, generate_motzkin, motzkin_count
-from .oracle import enumerate_bifix_free, verify_cross_bifix_free_set, verify_non_expandable
+from .oracle import enumerate_bifix_free
+from .verify import verify_cross_bifix_free_set, verify_non_expandable
 
 DEFAULT_LIMIT = 10_000_000
 

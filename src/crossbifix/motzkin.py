@@ -53,7 +53,9 @@ def motzkin_count(colors: int, n: int) -> int:
     """Number of Motzkin words of length n with the given level-color count."""
     if colors < 0:
         raise ValueError(f"color count must be non-negative, got {colors}")
-    table = _TABLES.setdefault(colors, MotzkinCountTable(colors))
+    table = _TABLES.get(colors)
+    if table is None:
+        table = _TABLES.setdefault(colors, MotzkinCountTable(colors))
     return table.count(n)
 
 

@@ -62,8 +62,11 @@ class Word:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not isinstance(self.q, int) or not 2 <= self.q <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q!r}")
+        q = self.q
         for s in self.symbols:
-            if not isinstance(s, int) or not 0 <= s < self.q:
+            # bool subclasses int but is no symbol; testing type() first lets
+            # plain ints, the common case, skip both isinstance calls.
+            if (type(s) is not int and (isinstance(s, bool) or not isinstance(s, int))) or not 0 <= s < q:
                 raise ValueError(f"symbol {s!r} outside alphabet of size {self.q}")
 
     @classmethod

@@ -57,6 +57,18 @@ def test_f_count_domain_errors():
         f_count(2, 3, -1)
 
 
+def test_f_count_reuses_its_memo_table(monkeypatch):
+    import crossbifix.baseline as baseline
+
+    f_count(3, 7, 2)
+
+    def refuse(run_length, q):
+        raise AssertionError("a memo table was built for a warm key")
+
+    monkeypatch.setattr(baseline, "ZeroRunAvoidanceTable", refuse)
+    assert f_count(3, 7, 5) == naive_zero_run_count(3, 7, 5)
+
+
 def test_baseline_set_small():
     built = construct_baseline_set(2, 3, 4)
     assert [x.to_text() for x in built] == ["0011", "0012", "0021", "0022"]

@@ -155,6 +155,14 @@ def test_domain_errors():
             bad_call()
 
 
+def test_union_overlap_is_a_runtime_error(monkeypatch):
+    import crossbifix.cbfs as cbfs
+
+    monkeypatch.setattr(cbfs, "construct_C", construct_A)
+    with pytest.raises(RuntimeError, match="overlap"):
+        construct_cbfs(3, 5)
+
+
 def test_code_set_build_sorts_and_dedupes():
     a, b = Word.from_text("120", 3), Word.from_text("110", 3)
     built = CodeSet.build(3, 3, [(a, "A"), (b, "B"), (a, "C")])

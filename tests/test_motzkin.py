@@ -57,6 +57,18 @@ def test_color_count_must_be_non_negative():
         list(generate_motzkin(-1, 2))
 
 
+def test_count_reuses_its_memo_table(monkeypatch):
+    import crossbifix.motzkin as motzkin
+
+    motzkin_count(5, 3)
+
+    def refuse(colors):
+        raise AssertionError("a memo table was built for a warm key")
+
+    monkeypatch.setattr(motzkin, "MotzkinCountTable", refuse)
+    assert motzkin_count(5, 4) == 777
+
+
 def test_zero_colors_specializes_to_catalan():
     for m in range(9):
         assert motzkin_count(0, 2 * m) == comb(2 * m, m) // (m + 1)

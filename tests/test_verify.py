@@ -1,0 +1,165 @@
+"""Cross-checks of the indexed verifier against the brute-force oracle.
+
+Reports must agree in full, witness for witness, apart from the measured
+wall time. Past the oracle's reach the fast path is checked on its own.
+"""
+
+import inspect
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossbifix import oracle, verify
+from crossbifix.cbfs import CodeSet, construct_cbfs
+from crossbifix.cli import main
+from crossbifix.words import Word
+
+PAIRWISE_SIZES = [(3, n) for n in range(3, 10)] + [(4, n) for n in range(3, 8)]
+NON_EXPANDABLE_SIZES = [(3, n) for n in range(3, 8)] + [(4, n) for n in range(3, 6)]
+
+
+def comparable(report):
+    data = report.to_json_dict()
+    del data["stats"]["wall_time_s"]
+    return data
+
+
+def assert_same_reports(code_set):
+    for name in ("verify_cross_bifix_free_set", "verify_non_expandable"):
+        fast = getattr(verify, name)(code_set)
+        brute = getattr(oracle, name)(code_set)
+        assert comparable(fast) == comparable(brute), name
+
+
+def code_set_of(texts, q):
+    return CodeSet.build(q, len(texts[0]), [(Word.from_text(t, q), "external") for t in texts])
+
+
+@pytest.mark.parametrize("q, n", PAIRWISE_SIZES)
+def test_pairwise_matches_oracle_on_cbfs(q, n):
+    code_set = construct_cbfs(q, n)
+    fast = verify.verify_cross_bifix_free_set(code_set)
+    assert comparable(fast) == comparable(oracle.verify_cross_bifix_free_set(code_set))
+    assert fast.ok
+
+
+@pytest.mark.parametrize("q, n", NON_EXPANDABLE_SIZES)
+def test_non_expandable_matches_oracle_on_cbfs(q, n):
+    code_set = construct_cbfs(q, n)
+    fast = verify.verify_non_expandable(code_set)
+    assert comparable(fast) == comparable(oracle.verify_non_expandable(code_set))
+    assert fast.ok and fast.error is None
+
+
+def test_mutation_check_matches_oracle():
+    cbfs = construct_cbfs(3, 5)
+    for member in cbfs:
+        mutated = cbfs.without(member)
+        fast = verify.verify_non_expandable(mutated)
+        assert comparable(fast) == comparable(oracle.verify_non_expandable(mutated))
+        assert not fast.ok
+
+
+@pytest.mark.parametrize(
+    "texts, q",
+    [
+        (["100", "110", "210"], 3),  # two violating pairs
+        (["111001100", "110011010"], 2),  # one pair, witness 1100
+        (["101"], 2),  # not bifix-free
+        (["1100"], 3),  # a singleton is expandable
+        (["0110", "1000", "1001", "1101"], 2),  # one member has a border
+    ],
+)
+def test_hand_picked_sets_match_oracle(texts, q):
+    assert_same_reports(code_set_of(texts, q))
+
+
+def test_empty_set_matches_oracle():
+    assert_same_reports(CodeSet(3, 4, (), ()))
+
+
+def test_domain_errors_match_oracle():
+    for bad in (CodeSet(1, 3, (), ()), CodeSet(3, 0, (), ())):
+        messages = []
+        for module in (verify, oracle):
+            with pytest.raises(ValueError) as err:
+                module.verify_non_expandable(bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_space_guard_matches_oracle():
+    for module in (verify, oracle):
+        with pytest.raises(ValueError, match="above the cap of 10"):
+            module.verify_non_expandable(construct_cbfs(3, 4), max_space=10)
+
+
+@st.composite
+def small_sets(draw):
+    """Random small sets, mostly neither bifix-free nor cross-bifix-free,
+    and random subsets of CBFS, which pass both preconditions and are
+    mostly expandable."""
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 4))
+        n = draw(st.integers(2, 6))
+        word = st.tuples(*[st.integers(0, q - 1)] * n)
+        words = draw(st.lists(word, min_size=1, max_size=12))
+    else:
+        q = draw(st.integers(3, 4))
+        n = draw(st.integers(3, 6))
+        members = construct_cbfs(q, n).words
+        words = [w.symbols for w in draw(st.lists(st.sampled_from(members), min_size=1, max_size=12))]
+    return CodeSet.build(q, n, [(Word(w, q), "external") for w in words])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_sets())
+def test_random_small_sets_match_oracle(code_set):
+    assert_same_reports(code_set)
+
+
+def test_fast_path_past_the_oracle_range():
+    cbfs = construct_cbfs(3, 10)
+    report = verify.verify_non_expandable(cbfs)
+    assert report.ok and report.error is None
+    assert len(report.witnesses) == report.stats["candidates_checked"]
+    dropped = cbfs.words[len(cbfs) // 2]
+    report = verify.verify_non_expandable(cbfs.without(dropped))
+    assert not report.ok and report.error is None
+    assert dropped.to_text() in [w["candidate"] for w in report.witnesses if w["blocking"] is None]
+
+    big = construct_cbfs(4, 10)
+    report = verify.verify_cross_bifix_free_set(big)
+    assert report.ok and report.witnesses == ()
+    assert report.stats["pairs_checked"] == len(big) * (len(big) - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "texts, q, mode, code",
+    [
+        ([w.to_text() for w in construct_cbfs(3, 5)], 3, "nonexpandable", 0),
+        ([w.to_text() for w in construct_cbfs(3, 5).words[1:]], 3, "nonexpandable", 1),
+        (["100", "110", "210"], 3, "set", 1),
+        (["100", "110", "210"], 3, "nonexpandable", 2),
+    ],
+)
+def test_cli_prints_the_oracle_report(tmp_path, capsys, texts, q, mode, code):
+    path = tmp_path / "words.txt"
+    path.write_text("".join(t + "\n" for t in reversed(texts)))
+    assert main(["verify", "--in", str(path), "--q", str(q), "--mode", mode]) == code
+    printed = json.loads(capsys.readouterr().out)
+    del printed["stats"]["wall_time_s"]
+    code_set = code_set_of(texts, q)
+    if mode == "set":
+        expected = oracle.verify_cross_bifix_free_set(code_set)
+    else:
+        expected = oracle.verify_non_expandable(code_set)
+    assert printed == comparable(expected)
+
+
+def test_oracle_does_not_use_the_fast_path():
+    lines = inspect.getsource(oracle).splitlines()
+    imports = [line for line in lines if line.startswith(("import ", "from "))]
+    assert imports and not any("verify" in line for line in imports)

@@ -160,6 +160,8 @@ def test_word_construction_and_validation():
         Word((0,), 1)
     with pytest.raises(ValueError):
         Word((0,), (1 << 16) + 1)
+    with pytest.raises(ValueError):
+        Word((True, False), 2)  # bool subclasses int but is no symbol
     big = Word((65535,), 1 << 16)
     assert big.symbols == (65535,)
 
