@@ -19,6 +19,7 @@ from .cbfs import (
     count_B,
     count_C,
     count_cbfs,
+    iter_cbfs,
 )
 from .motzkin import (
     MotzkinCountTable,
@@ -79,6 +80,7 @@ __all__ = [
     "is_bifix_free",
     "is_elevated",
     "is_motzkin_word",
+    "iter_cbfs",
     "motzkin_count",
     "s_max",
     "s_star",

@@ -11,19 +11,24 @@ q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
 * family C (ends at height -1): a Motzkin word of length n - 1 with no
   ground-level elevated factor of length >= ceil(n / 2), then a fall step.
 
-Counting never materializes words; construction streams per-i blocks and
-merges them into canonical order at the end.
+Counting never materializes words. Generation walks each family as one
+pruned depth-first search over path states (``motzkin.lex_paths``), which
+yields plain symbol tuples already in lexicographic order, and ``iter_cbfs``
+merges the three streams into canonical order as they are produced. ``Word``
+and ``CodeSet`` values are built only by the ``construct_*`` wrappers.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator
 
-from .motzkin import generate_elevated, generate_motzkin, has_ground_elevated_factor, motzkin_count
-from .words import FALL, RISE, Word, format_word_lines, is_elevated, parse_word_lines
+from .motzkin import lex_paths, motzkin_count
+from .words import RISE, Word, format_symbols, format_word_lines, parse_word_lines
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
 
@@ -62,6 +67,18 @@ class CodeSet:
         words = tuple(item[0] for item in ordered)
         tags = tuple(item[1] for item in ordered)
         return cls(q, n, words, tags)
+
+    @classmethod
+    def from_ordered(cls, q: int, n: int, tagged_symbols: Iterable[tuple[tuple[int, ...], str]]) -> "CodeSet":
+        """Wrap a stream of (symbols, tag) pairs that is already in canonical
+        order. Nothing is sorted; the constructor still rejects a stream out
+        of order or with a repeat."""
+        words = []
+        tags = []
+        for symbols, tag in tagged_symbols:
+            words.append(Word(symbols, q))
+            tags.append(tag)
+        return cls(q, n, tuple(words), tuple(tags))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -120,23 +137,60 @@ def _require_domain(q: int, n: int) -> None:
         raise ValueError(f"construction needs word length n >= 3, got {n}")
 
 
+def _family(q: int, n: int, name: str) -> Iterator[tuple[int, ...]]:
+    """The words of one family as symbol tuples, in lexicographic order."""
+    half = n // 2
+    if name == "A":
+        # A Motzkin path whose last visit to height 0 before the end is at
+        # some i <= n // 2, so it stays at height >= 1 after n // 2. For even
+        # n, a first return at n / 2 means two same-length elevated halves.
+        floor = [0] * (half + 1) + [1] * (n - half - 1) + [0]
+        return lex_paths(q, (), floor, skip_first_return=half if n % 2 == 0 else None)
+    if name == "B":
+        # A rise, then the same shape one level up, with its last visit to
+        # height 1 at or before n // 2.
+        floor = [1] * (half + 1) + [2] * (n - half - 1) + [1]
+        return lex_paths(q, (RISE,), floor)
+    # C: a Motzkin path of length n - 1 whose ground arches are all shorter
+    # than ceil(n / 2), then a fall to height -1.
+    return lex_paths(q, (), [0] * n + [-1], max_arch=(n + 1) // 2 - 1)
+
+
+def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int, ...], str]]:
+    """Stream CBFS(q, n), or the union of the named families, as
+    ``(symbols, family)`` pairs in canonical (lexicographic) order.
+
+    The family streams are merged on their symbol tuples; comparing text
+    would misorder words for q > 10. The merge holds one word per family,
+    so memory stays flat however large the set.
+    """
+    _require_domain(q, n)
+    if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):
+        raise ValueError(f"families must be distinct letters of 'ABC', got {families!r}")
+    streams = [zip(_family(q, n, name), repeat(name)) for name in families]
+    return _strictly_increasing(q, n, heapq.merge(*streams))
+
+
+def _strictly_increasing(
+    q: int, n: int, items: Iterator[tuple[tuple[int, ...], str]]
+) -> Iterator[tuple[tuple[int, ...], str]]:
+    # The families end at heights 0, +1 and -1, so they cannot share a word;
+    # a repeat or an out-of-order word means a walk is wrong.
+    prev: tuple[int, ...] = ()
+    for item in items:
+        if not prev < item[0]:
+            raise RuntimeError(
+                f"families A, B and C overlap at q={q}, n={n}: "
+                f"{format_symbols(item[0], q)!r} does not follow {format_symbols(prev, q)!r}"
+            )
+        prev = item[0]
+        yield item
+
+
 def construct_A(q: int, n: int) -> CodeSet:
     """Family A: alpha beta with alpha Motzkin of length i <= n // 2 and
     beta elevated of length n - i, minus the two-elevated-halves words."""
-    _require_domain(q, n)
-    colors = q - 2
-    half = n // 2
-    out = []
-    for i in range(half + 1):
-        if n - i < 2:
-            raise RuntimeError(f"family A: elevated suffix of length {n - i} < 2 at n={n}, i={i}")
-        exclude_elevated_alpha = n % 2 == 0 and i == half
-        for alpha in generate_motzkin(colors, i):
-            if exclude_elevated_alpha and is_elevated(alpha):
-                continue
-            for beta in generate_elevated(colors, n - i):
-                out.append((alpha + beta, "A"))
-    return CodeSet.build(q, n, out)
+    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "A"))
 
 
 def count_A(q: int, n: int) -> int:
@@ -153,17 +207,7 @@ def count_A(q: int, n: int) -> int:
 def construct_B(q: int, n: int) -> CodeSet:
     """Family B: a rise step, then alpha Motzkin of length i <= n // 2 - 1,
     then beta elevated of length n - i - 1."""
-    _require_domain(q, n)
-    colors = q - 2
-    rise = Word((RISE,), q)
-    out = []
-    for i in range(n // 2):
-        if n - i - 1 < 2:
-            raise RuntimeError(f"family B: elevated suffix of length {n - i - 1} < 2 at n={n}, i={i}")
-        for alpha in generate_motzkin(colors, i):
-            for beta in generate_elevated(colors, n - i - 1):
-                out.append((rise + alpha + beta, "B"))
-    return CodeSet.build(q, n, out)
+    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "B"))
 
 
 def count_B(q: int, n: int) -> int:
@@ -176,15 +220,7 @@ def count_B(q: int, n: int) -> int:
 def construct_C(q: int, n: int) -> CodeSet:
     """Family C: gamma 0 with gamma a Motzkin word of length n - 1 avoiding
     ground-level elevated factors of length >= ceil(n / 2)."""
-    _require_domain(q, n)
-    colors = q - 2
-    threshold = (n + 1) // 2
-    out = []
-    for gamma in generate_motzkin(colors, n - 1):
-        if has_ground_elevated_factor(gamma, threshold):
-            continue
-        out.append((Word(gamma.symbols + (FALL,), q), "C"))
-    return CodeSet.build(q, n, out)
+    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "C"))
 
 
 def count_C(q: int, n: int) -> int:
@@ -210,15 +246,7 @@ def count_C(q: int, n: int) -> int:
 def construct_cbfs(q: int, n: int) -> CodeSet:
     """The full set: disjoint union of families A, B and C, canonically
     ordered and provenance-tagged."""
-    _require_domain(q, n)
-    tagged = []
-    for part in (construct_A(q, n), construct_B(q, n), construct_C(q, n)):
-        tagged.extend(zip(part.words, part.provenance))
-    union = CodeSet.build(q, n, tagged)
-    # The three families end at heights 0, +1, -1, so the union is disjoint.
-    if len(union) != len(tagged):
-        raise RuntimeError(f"families A, B and C overlap at q={q}, n={n}")
-    return union
+    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "ABC"))
 
 
 def count_cbfs(q: int, n: int) -> int:

@@ -11,27 +11,21 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 
 from .baseline import construct_baseline_set, s_max, s_star
-from .cbfs import (
-    CodeSet,
-    construct_A,
-    construct_B,
-    construct_C,
-    construct_cbfs,
-    count_A,
-    count_B,
-    count_C,
-    count_cbfs,
-)
-from .motzkin import generate_elevated, generate_motzkin, motzkin_count
+from .cbfs import CodeSet, count_A, count_B, count_C, count_cbfs, iter_cbfs
+from .motzkin import elevated_paths, motzkin_count, motzkin_paths
 from .oracle import enumerate_bifix_free
 from .verify import verify_cross_bifix_free_set, verify_non_expandable
+from .words import format_symbol_lines
 
 DEFAULT_LIMIT = 10_000_000
+# Words formatted and written per write call by `gen`.
+GEN_CHUNK = 8192
 
 _COUNTERS = {"cbfs": count_cbfs, "A": count_A, "B": count_B, "C": count_C}
-_CONSTRUCTORS = {"cbfs": construct_cbfs, "A": construct_A, "B": construct_B, "C": construct_C}
 
 
 @dataclass(frozen=True)
@@ -132,30 +126,40 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _gen_words(args):
+def _gen_stream(args):
+    """Check --limit for a `gen` request, then return the alphabet size,
+    the word length and the (symbols, tag) stream in canonical order. No
+    word is produced before the check passes."""
     q, n = args.q, args.n
-    if args.set in _CONSTRUCTORS:
+    if args.set in _COUNTERS:
         expected = _COUNTERS[args.set](q, n)
         if expected > args.limit:
             raise ValueError(
                 f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}"
             )
-        return _CONSTRUCTORS[args.set](q, n)
+        return q, n, iter_cbfs(q, n, "ABC" if args.set == "cbfs" else args.set)
     colors = args.colors if args.colors is not None else q - 2
     if args.set == "motzkin":
         expected = motzkin_count(colors, n)
         if expected > args.limit:
             raise ValueError(f"{expected} words exceed --limit {args.limit}")
-        return CodeSet.build(colors + 2, n, ((w, "external") for w in generate_motzkin(colors, n)))
+        return colors + 2, n, zip(motzkin_paths(colors, n), repeat("external"))
     if args.set == "elevated":
         expected = motzkin_count(colors, n - 2) if n >= 2 else 0
         if expected > args.limit:
             raise ValueError(f"{expected} words exceed --limit {args.limit}")
-        return CodeSet.build(colors + 2, n, ((w, "external") for w in generate_elevated(colors, n)))
-    # bifixfree: the scan itself is exponential, so cap the whole space
+        return colors + 2, n, zip(elevated_paths(colors, n), repeat("external"))
+    # bifixfree: the scan itself is exponential, so cap the whole space.
+    # The list is built here so that a domain error comes before any output.
     if q**n > args.limit:
         raise ValueError(f"word space {q}^{n} exceeds --limit {args.limit}")
-    return CodeSet.build(q, n, ((w, "external") for w in enumerate_bifix_free(q, n)))
+    return q, n, [(w.symbols, "external") for w in enumerate_bifix_free(q, n)]
+
+
+def _write_word_lines(fh, q: int, stream) -> None:
+    symbols = map(itemgetter(0), stream)
+    while chunk := list(islice(symbols, GEN_CHUNK)):
+        fh.write(format_symbol_lines(chunk, q))
 
 
 def _emit_code_set(code_set: CodeSet, fmt: str, out_path: str | None) -> int:
@@ -167,7 +171,16 @@ def _emit_code_set(code_set: CodeSet, fmt: str, out_path: str | None) -> int:
 
 
 def _cmd_gen(args) -> int:
-    return _emit_code_set(_gen_words(args), args.format, args.out)
+    q, n, stream = _gen_stream(args)
+    if args.format == "json":
+        _write_output(CodeSet.from_ordered(q, n, stream).to_json(), args.out)
+        return 0
+    if args.out in (None, "-"):
+        _write_word_lines(sys.stdout, q, stream)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _write_word_lines(fh, q, stream)
+    return 0
 
 
 def _cmd_baseline_gen(args) -> int:

@@ -8,6 +8,7 @@ without dipping below the x-axis.
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 from typing import Iterator
 
 from .words import FALL, RISE, Word, is_motzkin_word, symbol_step
@@ -59,56 +60,119 @@ def motzkin_count(colors: int, n: int) -> int:
     return table.count(n)
 
 
-def _closable(height: int, remaining: int, colors: int) -> bool:
-    # Can a path at this height return to 0 in `remaining` steps without
-    # going negative? Level steps absorb any parity slack when colors > 0.
-    if height < 0 or height > remaining:
-        return False
-    return colors > 0 or (remaining - height) % 2 == 0
+def lex_paths(
+    q: int,
+    prefix: tuple[int, ...],
+    floor: list[int],
+    max_arch: int | None = None,
+    skip_first_return: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield, in lexicographic order, the symbol tuples over {0, ..., q-1}
+    that start with ``prefix`` and whose paths satisfy these bounds:
 
+    * the word has length ``len(floor) - 1`` and ends at height ``floor[-1]``,
+    * after p symbols (p > len(prefix)) the height is at least ``floor[p]``
+      and at most ``floor[-1]`` plus the steps left,
+    * with ``max_arch``, every stretch above height 0 between two visits
+      to height 0 lasts at most ``max_arch`` steps,
+    * with ``skip_first_return``, the path does not first come back to
+      height 0 at that position.
 
-def generate_motzkin(colors: int, n: int) -> Iterator[Word]:
-    """Yield every Motzkin word of the given length exactly once, in
-    lexicographic order.
-
-    The recursion picks the first symbol of the remaining suffix among the
-    choices that can still be completed to a word ending at height 0.
+    The walk is a depth-first search over (position, height, last visit to
+    height 0) that tries the fall, the rise and then the level colors, so
+    words come out in order. A branch is cut as soon as its height leaves
+    the bounds, or an open arch could no longer close within ``max_arch``.
+    With the floors this package uses, every prefix kept extends to a
+    word. Each call yields fresh tuples and holds one path in memory.
     """
+    n = len(floor) - 1
+    final = floor[n]
+    start = len(prefix)
+    if start > n:
+        raise ValueError(f"prefix of length {start} is longer than the word, {n}")
+    heights = list(accumulate(map(symbol_step, prefix), initial=0))
+    height = heights[-1]
+    ground = max(p for p, h in enumerate(heights) if h == 0)
+    if q == 2 and (n - start - height + final) % 2:
+        return  # without level steps every step changes the parity
+    if start == n:
+        if height == final:
+            yield tuple(prefix)
+        return
+    arch = n + 1 + abs(final) if max_arch is None else max_arch  # never binds when None
+    no_return = -1 if skip_first_return is None else skip_first_return
+    top = final + n
+    levels = range(2, q)
+    levels_desc = range(q - 1, 1, -1)
+    buf = list(prefix) + [0] * (n - start)
+    last = n - 1
+    # Pending nodes (position, symbol placed at position - 1, height, last
+    # visit to 0), pushed in reverse order so they pop in lexicographic
+    # order. The children of a node at the last position are emitted
+    # directly rather than pushed.
+    stack = [(start, -1, height, ground)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        p, s, h, g = pop()
+        if s >= 0:
+            buf[p - 1] = s
+        np = p + 1
+        low = floor[np]
+        cap = min(top - np, g + arch - np)
+        if p == last:
+            if low <= h - 1 <= cap and not (np == no_return and h == 1 and g == 0):
+                buf[p] = FALL
+                yield tuple(buf)
+            if low <= h + 1 <= cap:
+                buf[p] = RISE
+                yield tuple(buf)
+            if low <= h <= cap:
+                for color in levels:
+                    buf[p] = color
+                    yield tuple(buf)
+            continue
+        if low <= h <= cap:
+            ng = np if h == 0 else g
+            for color in levels_desc:
+                push((np, color, h, ng))
+        if low <= h + 1 <= cap:
+            push((np, RISE, h + 1, g))
+        if low <= h - 1 <= cap and not (np == no_return and h == 1 and g == 0):
+            push((np, FALL, h - 1, np if h == 1 else g))
+
+
+def motzkin_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The symbol tuples of ``generate_motzkin(colors, n)``, same order."""
     if colors < 0:
         raise ValueError(f"color count must be non-negative, got {colors}")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
+    return lex_paths(colors + 2, (), [0] * (n + 1))
+
+
+def elevated_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The symbol tuples of ``generate_elevated(colors, n)``, same order:
+    a rise, a path staying at height >= 1, and a fall back to 0."""
+    if colors < 0:
+        raise ValueError(f"color count must be non-negative, got {colors}")
+    if n < 2:
+        return iter(())
+    return lex_paths(colors + 2, (RISE,), [0] + [1] * (n - 1) + [0])
+
+
+def generate_motzkin(colors: int, n: int) -> Iterator[Word]:
+    """Yield every Motzkin word of the given length exactly once, in
+    lexicographic order."""
     q = colors + 2
-    buf = [0] * n
-
-    def emit(pos: int, height: int) -> Iterator[Word]:
-        if pos == n:
-            yield Word(tuple(buf), q)
-            return
-        remaining = n - pos - 1
-        if height > 0 and _closable(height - 1, remaining, colors):
-            buf[pos] = FALL
-            yield from emit(pos + 1, height - 1)
-        if _closable(height + 1, remaining, colors):
-            buf[pos] = RISE
-            yield from emit(pos + 1, height + 1)
-        if colors and _closable(height, remaining, colors):
-            for color in range(2, q):
-                buf[pos] = color
-                yield from emit(pos + 1, height)
-
-    return emit(0, 0)
+    return (Word(symbols, q) for symbols in motzkin_paths(colors, n))
 
 
 def generate_elevated(colors: int, n: int) -> Iterator[Word]:
     """Yield the elevated Motzkin words 1 alpha 0 of length n, in
     lexicographic order. Lengths below 2 admit no elevated word, so the
     stream is empty."""
-    if n < 2:
-        return
     q = colors + 2
-    for alpha in generate_motzkin(colors, n - 2):
-        yield Word((RISE,) + alpha.symbols + (FALL,), q)
+    return (Word(symbols, q) for symbols in elevated_paths(colors, n))
 
 
 def has_ground_elevated_factor(word: Word, min_len: int) -> bool:

@@ -231,5 +231,22 @@ def parse_word_lines(text: str, q: int) -> list[Word]:
     return [Word.from_text(line, q) for line in text.splitlines() if line.strip()]
 
 
+# Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def format_symbol_lines(rows: Sequence[Sequence[int]], q: int) -> str:
+    """The word-per-line text of symbol tuples over an alphabet of size q,
+    in the same form as ``format_symbols``. For q <= 10 the whole block is
+    joined as bytes and translated to digits in one pass."""
+    if not rows:
+        return ""
+    if q <= 10:
+        return (b"\n".join(map(bytes, rows)) + b"\n").translate(_DIGITS).decode("ascii")
+    return "".join(format_symbols(row, q) + "\n" for row in rows)
+
+
 def format_word_lines(words: Sequence[Word]) -> str:
-    return "".join(w.to_text() + "\n" for w in words)
+    if not words:
+        return ""
+    return format_symbol_lines([w.symbols for w in words], words[0].q)

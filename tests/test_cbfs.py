@@ -15,6 +15,7 @@ from crossbifix.cbfs import (
     count_B,
     count_C,
     count_cbfs,
+    iter_cbfs,
 )
 from crossbifix.words import Word, height_profile, is_bifix_free, is_elevated
 
@@ -138,6 +139,37 @@ def test_families_match_brute_force_definitions():
             assert {x.symbols for x in construct_B(q, n)} == fam_b
             assert {x.symbols for x in construct_C(q, n)} == fam_c
             assert not (fam_a & fam_b) and not (fam_a & fam_c) and not (fam_b & fam_c)
+            tagged = [(x, "A") for x in fam_a] + [(x, "B") for x in fam_b] + [(x, "C") for x in fam_c]
+            assert list(iter_cbfs(q, n)) == sorted(tagged)
+
+
+# Largest n per q streamed in full below, each taking about a second or less.
+STREAM_SIZES = {3: 13, 4: 11, 5: 9, 6: 8}
+
+
+def test_stream_is_strictly_increasing_and_has_the_counted_length():
+    for q, n_max in STREAM_SIZES.items():
+        for n in range(3, n_max + 1):
+            per_family = {"A": 0, "B": 0, "C": 0}
+            prev = ()
+            for symbols, tag in iter_cbfs(q, n):
+                assert prev < symbols and len(symbols) == n
+                prev = symbols
+                per_family[tag] += 1
+            assert per_family == {"A": count_A(q, n), "B": count_B(q, n), "C": count_C(q, n)}, (q, n)
+            assert sum(per_family.values()) == count_cbfs(q, n)
+
+
+def test_stream_of_chosen_families():
+    for q, n in ((3, 6), (4, 5), (12, 4)):
+        union = list(iter_cbfs(q, n))
+        for families in ("A", "B", "C", "AC", "BA"):
+            assert list(iter_cbfs(q, n, families)) == [item for item in union if item[1] in families]
+    for bad in ("", "D", "AA", "abc"):
+        with pytest.raises(ValueError):
+            iter_cbfs(3, 5, bad)
+    with pytest.raises(ValueError):
+        iter_cbfs(2, 5)
 
 
 def test_domain_errors():
@@ -158,9 +190,14 @@ def test_domain_errors():
 def test_union_overlap_is_a_runtime_error(monkeypatch):
     import crossbifix.cbfs as cbfs
 
-    monkeypatch.setattr(cbfs, "construct_C", construct_A)
+    # Family C's walk is swapped for family A's, so the merge sees every
+    # word of A twice.
+    family = cbfs._family
+    monkeypatch.setattr(cbfs, "_family", lambda q, n, name: family(q, n, "A" if name == "C" else name))
     with pytest.raises(RuntimeError, match="overlap"):
         construct_cbfs(3, 5)
+    with pytest.raises(RuntimeError, match="overlap"):
+        list(iter_cbfs(3, 5))
 
 
 def test_code_set_build_sorts_and_dedupes():

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
+import itertools
 import json
 
 import pytest
 
+from crossbifix import cbfs, words
+from crossbifix.cbfs import construct_A, construct_B, construct_C, construct_cbfs, count_cbfs
 from crossbifix.cli import main
+from crossbifix.words import format_symbols
 
 
 def run(capsys, *argv):
@@ -78,6 +83,91 @@ def test_gen_other_families(capsys):
 def test_gen_limit_guard(capsys):
     code, _, err = run(capsys, "gen", "--q", "6", "--n", "16", "--set", "cbfs", "--limit", "1000")
     assert code == 2 and "--limit" in err
+
+
+def gen_reference(q, n, tagged):
+    """The text and JSON bytes a canonically ordered CodeSet serializes to,
+    one word at a time, for (symbols, tag) pairs in any order."""
+    items = sorted(tagged)
+    lines = [format_symbols(symbols, q) for symbols, _ in items]
+    data = {"q": q, "n": n, "provenance": [tag for _, tag in items], "words": lines}
+    return "".join(line + "\n" for line in lines), json.dumps(data, indent=2) + "\n"
+
+
+def brute_paths(q, n, start, end):
+    # words whose path starts and ends at height 0, stays >= 0 and, for
+    # elevated words, stays >= 1 strictly inside
+    out = []
+    for symbols in itertools.product(range(q), repeat=n):
+        heights = list(itertools.accumulate((1 if s == 1 else -1 if s == 0 else 0 for s in symbols), initial=0))
+        if heights[-1] == 0 and min(heights) >= 0 and all(h >= start for h in heights[1:end]):
+            out.append((symbols, "external"))
+    return out
+
+
+def test_gen_streams_the_bytes_of_the_code_set(capsys):
+    constructors = {"cbfs": construct_cbfs, "A": construct_A, "B": construct_B, "C": construct_C}
+    for q, n_max in ((3, 7), (4, 6), (10, 4), (11, 4)):
+        for n in range(3, n_max + 1):
+            references = {}
+            for name, build in constructors.items():
+                code_set = build(q, n)
+                references[name] = gen_reference(q, n, zip((w.symbols for w in code_set), code_set.provenance))
+            references["motzkin"] = gen_reference(q, n, brute_paths(q, n, 0, 0))
+            references["elevated"] = gen_reference(q, n, brute_paths(q, n, 1, n))
+            for name, (text, json_text) in references.items():
+                args = ("gen", "--q", str(q), "--n", str(n), "--set", name)
+                assert run(capsys, *args) == (0, text, ""), (q, n, name)
+                assert run(capsys, *args, "--format", "json") == (0, json_text, ""), (q, n, name)
+
+
+def test_gen_text_builds_no_word_or_code_set(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built on the text path")
+
+    monkeypatch.setattr(words.Word, "__post_init__", refuse)
+    monkeypatch.setattr(cbfs.CodeSet, "__post_init__", refuse)
+    for name in ("cbfs", "A", "B", "C", "motzkin", "elevated"):
+        code, out, _ = run(capsys, "gen", "--q", "4", "--n", "6", "--set", name)
+        assert code == 0 and out
+
+
+def test_gen_wide_alphabet_lines_follow_symbol_order(capsys):
+    code, out, _ = run(capsys, "gen", "--q", "12", "--n", "5")
+    assert code == 0
+    lines = out.splitlines()
+    symbols = [tuple(int(x) for x in line.split(",")) for line in lines]
+    assert len(lines) == count_cbfs(12, 5)
+    assert all(a < b for a, b in zip(symbols, symbols[1:]))
+    assert sorted(lines) != lines  # text order would differ: "10,..." < "2,..."
+
+
+def test_gen_matches_the_benchmark_digests(capsys):
+    # sha256 digests the benchmark records for its generate and verify workloads
+    for args, digest in (
+        (("--q", "3", "--n", "9"), "0efda5e1fb54f7db7082e9e2cd4bf4903c5e68b2bf0bed798e6ee4a22fadcb40"),
+        (("--q", "4", "--n", "11", "--set", "cbfs"), "aab53003b1313fe52633a2c7350ed4ecc6f55e8d2712476edb5d91c0d976dd48"),
+    ):
+        code, out, _ = run(capsys, "gen", *args)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gen_refusal_writes_no_file(tmp_path, capsys):
+    refusals = [
+        (("--q", "3", "--n", "9", "--set", name, "--limit", "3"), "--limit")
+        for name in ("cbfs", "A", "motzkin", "elevated", "bifixfree")
+    ]
+    refusals += [
+        (("--q", "2", "--n", "5", "--set", "cbfs"), "q >= 3"),
+        (("--q", "3", "--n", "0", "--set", "bifixfree"), "length"),
+        (("--q", "3", "--n", "4", "--set", "motzkin", "--colors", "-1"), "color count"),
+    ]
+    for i, (args, message) in enumerate(refusals):
+        for fmt in ("text", "json"):
+            target = tmp_path / f"{i}.{fmt}"
+            code, out, err = run(capsys, "gen", *args, "--format", fmt, "--out", str(target))
+            assert code == 2 and out == "" and message in err, (args, err)
+            assert not target.exists()
 
 
 def test_gen_to_file(tmp_path, capsys):

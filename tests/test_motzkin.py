@@ -10,6 +10,7 @@ from crossbifix.motzkin import (
     generate_elevated,
     generate_motzkin,
     has_ground_elevated_factor,
+    lex_paths,
     motzkin_count,
 )
 from crossbifix.words import Word, is_elevated, is_motzkin_word
@@ -86,6 +87,10 @@ def test_generate_small_sets():
     assert list(generate_motzkin(0, 3)) == []
     assert [x.to_text() for x in generate_motzkin(1, 3)] == ["102", "120", "210", "222"]
     assert list(generate_motzkin(2, 0)) == [Word((), 4)]
+    # without level colors an odd length has no word; the walk must see
+    # that at once instead of searching every prefix
+    assert list(generate_motzkin(0, 301)) == []
+    assert list(generate_elevated(0, 301)) == []
 
 
 def test_generation_is_lexicographic_complete_and_valid():
@@ -119,6 +124,45 @@ def test_generate_elevated():
             assert emitted == sorted(emitted)
             for x in emitted:
                 assert is_elevated(x)
+
+
+def brute_lex_paths(q, prefix, floor, max_arch=None, skip_first_return=None):
+    n = len(floor) - 1
+    out = []
+    for symbols in itertools.product(range(q), repeat=n):
+        if symbols[: len(prefix)] != prefix:
+            continue
+        heights = [0]
+        for s in symbols:
+            heights.append(heights[-1] + (1 if s == 1 else -1 if s == 0 else 0))
+        if heights[-1] != floor[-1] or any(heights[p] < floor[p] for p in range(len(prefix) + 1, n + 1)):
+            continue
+        ground = [p for p, h in enumerate(heights) if h == 0]
+        if max_arch is not None and any(b - a > max_arch for a, b in zip(ground, ground[1:])):
+            continue
+        if skip_first_return is not None and len(ground) > 1 and ground[1] == skip_first_return:
+            continue
+        out.append(symbols)
+    return out
+
+
+def test_lex_paths_matches_its_definition():
+    shapes = [
+        ((), [0] * 7, None, None),
+        ((), [0, 0, 0, 1, 1, 1, 0], None, 3),
+        ((), [0, 0, 0, 0, 1, 1, 0], None, 6),  # first return at the very end
+        ((), [0] * 6 + [-1], 2, None),
+        ((), [0] * 7, 3, 2),
+        ((1,), [1, 1, 1, 2, 2, 2, 1], None, None),
+        ((1, 0), [0] * 7, 2, None),  # the arch bound counts from the prefix's return
+        ((1, 2), [0, 1, 1, 1, 1, 1, 0], None, None),
+    ]
+    for q in (2, 3, 4):
+        for prefix, floor, max_arch, skip in shapes:
+            got = list(lex_paths(q, prefix, floor, max_arch=max_arch, skip_first_return=skip))
+            assert got == brute_lex_paths(q, prefix, floor, max_arch, skip), (q, prefix, floor, max_arch, skip)
+    with pytest.raises(ValueError):
+        list(lex_paths(3, (1, 0, 1), [0, 0]))
 
 
 def test_ground_elevated_factor_examples():

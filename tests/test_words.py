@@ -193,3 +193,10 @@ def test_word_lines_round_trip():
     assert text == "1100\n2220\n"
     assert parse_word_lines(text, 3) == items
     assert parse_word_lines("\n 1100 \n\n2220\n", 3) == items
+    # digits up to q = 10, commas above; the block form matches the one-word form
+    for q in (2, 3, 10, 11, 16):
+        block = [Word(tuple(s % q for s in (9, 0, 1, 15)), q), Word((1, 1, 0, 0), q)]
+        assert format_word_lines(block) == "".join(x.to_text() + "\n" for x in block)
+    assert format_word_lines([Word((9, 0, 1), 10)]) == "901\n"
+    assert format_word_lines([Word((9, 0, 10), 11)]) == "9,0,10\n"
+    assert format_word_lines([]) == ""
