@@ -20,9 +20,9 @@ from .words import Word
 class ZeroRunAvoidanceTable:
     """Memoized exact counts F(n) of words in Z_q^n with no factor 0^k.
 
-    F(n) = q^n for 0 <= n < k, and F(n) = (q-1) * (F(n-1) + ... + F(n-k))
-    for n >= k, classifying words by the position of the first non-zero
-    symbol. The run length k here is unrelated to the Motzkin color count.
+    F(n) = q^n for n < k, F(k) = q^k - 1 and F(n) = q F(n-1) - (q-1) F(n-k-1) for n > k:
+    two windows of F(n) = (q-1) (F(n-1) + ... + F(n-k)), which splits words at their first
+    non-zero symbol, differ by that much. The run length k is not the Motzkin color count.
     """
 
     def __init__(self, run_length: int, q: int):
@@ -40,10 +40,10 @@ class ZeroRunAvoidanceTable:
             raise ValueError(f"length must be non-negative, got {n}")
         if n >= len(self._values):
             with self._lock:
-                v = self._values
+                q, k, v = self.q, self.run_length, self._values
                 while len(v) <= n:
                     m = len(v)
-                    v.append((self.q - 1) * sum(v[m - l] for l in range(1, self.run_length + 1)))
+                    v.append(q * v[m - 1] - ((q - 1) * v[m - k - 1] if m > k else 1))
         return self._values[n]
 
 

@@ -97,8 +97,8 @@ class CodeSet:
         """A copy with one member removed (used by mutation checks)."""
         if word not in self:
             raise ValueError(f"{word.to_text()!r} is not a member")
-        pairs = [(w, t) for w, t in zip(self.words, self.provenance) if w.symbols != word.symbols]
-        return CodeSet.build(self.q, self.n, pairs)
+        kept = [(w, t) for w, t in zip(self.words, self.provenance) if w.symbols != word.symbols]
+        return CodeSet(self.q, self.n, tuple(w for w, _ in kept), tuple(t for _, t in kept))
 
     def to_text(self) -> str:
         return format_word_lines(self.words)
@@ -228,18 +228,15 @@ def count_C(q: int, n: int) -> int:
     elevated factor of length j >= ceil(n / 2).
 
     Two such factors cannot coexist (their lengths would sum past n - 1),
-    so the subtracted double sum counts each excluded word exactly once.
+    so the sum over j counts each excluded word once. For each j the pairs (u, v) number
+    sum_i M(i) M(m-i) = M(m+2) - k M(m+1) with m = n-1-j: a Motzkin word of length m+2
+    that does not start with a level step is a rise, u, the matching fall, then v.
     """
     _require_domain(q, n)
-    colors = q - 2
-    total = motzkin_count(colors, n - 1)
+    k = q - 2
+    total = motzkin_count(k, n - 1)
     for j in range((n + 1) // 2, n):
-        for i in range(n - j):
-            total -= (
-                motzkin_count(colors, i)
-                * motzkin_count(colors, j - 2)
-                * motzkin_count(colors, n - 1 - i - j)
-            )
+        total -= motzkin_count(k, j - 2) * (motzkin_count(k, n + 1 - j) - k * motzkin_count(k, n - j))
     return total
 
 

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
@@ -112,17 +113,36 @@ def _write_output(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+@contextmanager
+def _exact_int_output():
+    """Lift Python's cap on int-to-str conversion (4300 digits by default,
+    where the interpreter has one) so that exact counts print in full, and
+    restore it afterwards. The cap stays in force while input is parsed."""
+    get_cap = getattr(sys, "get_int_max_str_digits", None)
+    if get_cap is None:
+        yield
+        return
+    cap = get_cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _cmd_count(args) -> int:
+    suffix = ""
     if args.set in ("S", "Sstar"):
         best = s_max if args.set == "S" else s_star
         value, k = best(args.n, args.q)
-        print(f"{value} k={k}")
-        return 0
-    if args.set == "motzkin":
+        suffix = f" k={k}"
+    elif args.set == "motzkin":
         colors = args.colors if args.colors is not None else args.q - 2
-        print(motzkin_count(colors, args.n))
-        return 0
-    print(_COUNTERS[args.set](args.q, args.n))
+        value = motzkin_count(colors, args.n)
+    else:
+        value = _COUNTERS[args.set](args.q, args.n)
+    with _exact_int_output():
+        print(f"{value}{suffix}")
     return 0
 
 
@@ -207,10 +227,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     table = build_size_table(args.q, args.n, args.compare)
-    if args.format == "json":
-        _write_output(json.dumps(table.to_json_dict(bold=args.bold), indent=2) + "\n", args.out)
-    else:
-        _write_output(table.to_csv(bold=args.bold), args.out)
+    with _exact_int_output():
+        if args.format == "json":
+            text = json.dumps(table.to_json_dict(bold=args.bold), indent=2) + "\n"
+        else:
+            text = table.to_csv(bold=args.bold)
+    _write_output(text, args.out)
     return 0
 
 

@@ -17,13 +17,11 @@ from .words import FALL, RISE, Word, is_motzkin_word, symbol_step
 class MotzkinCountTable:
     """Memoized exact counts of k-colored Motzkin words by length.
 
-    Values satisfy count(0) = 1, count(1) = k and
+    Values satisfy count(0) = 1, count(1) = k and, for m >= 2, the P-recurrence
 
-        count(n + 1) = k * count(n) + sum(count(i) * count(n - 1 - i)
-                                          for i in range(n))
+        (m + 2) count(m) = k (2m + 1) count(m - 1) + (4 - k^2) (m - 1) count(m - 2)
 
-    where the sum splits a word starting with a rise step at its matching
-    fall step. Counts are Python integers, hence exact at any size, and
+    whose division is exact. Counts are Python integers, hence exact at any size, and
     count(m) == 0 for m < 0 so that downstream cardinality formulas evaluate
     cleanly at small lengths.
     """
@@ -40,10 +38,13 @@ class MotzkinCountTable:
             return 0
         if n >= len(self._values):
             with self._lock:
-                v = self._values
+                k, v = self.colors, self._values
                 while len(v) <= n:
-                    m = len(v) - 1
-                    v.append(self.colors * v[m] + sum(v[i] * v[m - 1 - i] for i in range(m)))
+                    m = len(v)
+                    value, rest = divmod(k * (2 * m + 1) * v[m - 1] + (4 - k * k) * (m - 1) * v[m - 2], m + 2)
+                    if rest:
+                        raise RuntimeError(f"inexact Motzkin recurrence at k={k}, m={m}")
+                    v.append(value)
         return self._values[n]
 
 

@@ -48,6 +48,21 @@ def test_f_count_matches_enumeration():
                 assert f_count(k, q, n) == naive_zero_run_count(k, q, n)
 
 
+def window_sum_counts(k, q, n_max):
+    # reference: the k-term window recurrence, which splits words at their first non-zero symbol
+    v = [q**i for i in range(k)]
+    while len(v) <= n_max:
+        m = len(v)
+        v.append((q - 1) * sum(v[m - l] for l in range(1, k + 1)))
+    return v[: n_max + 1]
+
+
+def test_f_count_matches_the_window_sum():
+    for k in range(1, 15):
+        for q in range(2, 8):
+            assert [f_count(k, q, n) for n in range(201)] == window_sum_counts(k, q, 200), (k, q)
+
+
 def test_f_count_domain_errors():
     with pytest.raises(ValueError):
         ZeroRunAvoidanceTable(0, 3)

@@ -17,6 +17,7 @@ from crossbifix.cbfs import (
     count_cbfs,
     iter_cbfs,
 )
+from crossbifix.motzkin import motzkin_count
 from crossbifix.words import Word, height_profile, is_bifix_free, is_elevated
 
 
@@ -76,6 +77,22 @@ def test_counts_agree_with_construction():
             assert len(construct_B(q, n)) == count_B(q, n)
             assert len(construct_C(q, n)) == count_C(q, n)
             assert count_cbfs(q, n) == count_A(q, n) + count_B(q, n) + count_C(q, n)
+
+
+def double_sum_count_C(q, n):
+    # reference: the double sum over the factor length j and the length i of u
+    colors = q - 2
+    total = motzkin_count(colors, n - 1)
+    for j in range((n + 1) // 2, n):
+        for i in range(n - j):
+            total -= motzkin_count(colors, i) * motzkin_count(colors, j - 2) * motzkin_count(colors, n - 1 - i - j)
+    return total
+
+
+def test_count_C_matches_the_double_sum():
+    for q in range(3, 9):
+        for n in range(3, 120):
+            assert count_C(q, n) == double_sum_count_C(q, n), (q, n)
 
 
 def test_members_start_nonzero_end_zero_and_are_bifix_free():
@@ -223,14 +240,21 @@ def test_code_set_invariants_are_enforced():
         CodeSet(3, 3, (a,), ("A", "B"))  # tag count mismatch
 
 
-def test_code_set_membership_and_removal():
+def test_code_set_membership_and_removal(monkeypatch):
     cbfs = construct_cbfs(3, 4)
     member = Word.from_text("2220", 3)
     assert member in cbfs
     assert Word.from_text("1010", 3) not in cbfs
+
+    def refuse(*args):
+        raise AssertionError("an ordered set was sorted again")
+
+    monkeypatch.setattr(CodeSet, "build", refuse)
     smaller = cbfs.without(member)
     assert member not in smaller
     assert len(smaller) == len(cbfs) - 1
+    assert texts(smaller) == ["1100", "1120", "1210", "1220", "2120", "2210"]
+    assert smaller.provenance == ("A", "B", "B", "A", "A", "A")
     with pytest.raises(ValueError):
         smaller.without(member)
 

@@ -5,10 +5,12 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 
 import pytest
 
 from crossbifix import cbfs, words
+from crossbifix.baseline import s_max
 from crossbifix.cbfs import construct_A, construct_B, construct_C, construct_cbfs, count_cbfs
 from crossbifix.cli import main
 from crossbifix.words import format_symbols
@@ -34,6 +36,29 @@ def test_count_families_and_motzkin(capsys):
     assert code == 0 and out == "1\n"
     code, out, _ = run(capsys, "count", "--q", "4", "--n", "3", "--set", "motzkin")
     assert code == 0 and out == "14\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap")
+def test_exact_values_print_past_the_int_digit_cap(capsys):
+    saved = sys.get_int_max_str_digits()
+    cap = 4300  # Python's default
+    q = 10**40  # table cells of about 4400 digits at n = 110
+    sys.set_int_max_str_digits(cap)
+    try:
+        count_out = run(capsys, "count", "--q", "3", "--n", "10000")
+        csv_out = run(capsys, "table", "--q", str(q), "--n", "110")
+        json_out = run(capsys, "table", "--q", str(q), "--n", "110", "--format", "json")
+        assert sys.get_int_max_str_digits() == cap  # lifted for the output only
+        expected = count_cbfs(3, 10000)
+        row = {"n": 110, f"cbfs_q{q}": count_cbfs(q, 110), f"cmp_q{q}": s_max(110, q)[0]}
+        sys.set_int_max_str_digits(0)
+        assert count_out == (0, f"{expected}\n", "")
+        assert len(str(expected)) > cap
+        assert csv_out == (0, f"n,cbfs_q{q},cmp_q{q}\n110,{row[f'cbfs_q{q}']},{row[f'cmp_q{q}']}\n", "")
+        assert len(str(row[f"cbfs_q{q}"])) > cap
+        assert json_out[0] == 0 and json.loads(json_out[1])["rows"] == [row]
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_count_baseline_maxima(capsys):

@@ -70,6 +70,28 @@ def test_count_reuses_its_memo_table(monkeypatch):
     assert motzkin_count(5, 4) == 777
 
 
+def convolution_counts(colors, n_max):
+    # reference: the quadratic convolution recurrence. A non-empty word
+    # starts with a level step, or with a rise matched by a fall, which
+    # splits it into two shorter words
+    v = [1, colors]
+    for m in range(1, n_max):
+        v.append(colors * v[m] + sum(v[i] * v[m - 1 - i] for i in range(m)))
+    return v[: n_max + 1]
+
+
+def test_counts_match_the_convolution_recurrence():
+    for colors in range(8):
+        assert [motzkin_count(colors, n) for n in range(301)] == convolution_counts(colors, 300), colors
+
+
+def test_inexact_recurrence_step_is_a_runtime_error():
+    table = MotzkinCountTable(1)
+    table._values[1] = 2  # a wrong M(1): 4 M(2) = 5 * 2 + 3 * 1 has no integer solution
+    with pytest.raises(RuntimeError):
+        table.count(2)
+
+
 def test_zero_colors_specializes_to_catalan():
     for m in range(9):
         assert motzkin_count(0, 2 * m) == comb(2 * m, m) // (m + 1)
