@@ -153,21 +153,22 @@ def _gen_stream(args):
     q, n = args.q, args.n
     if args.set in _COUNTERS:
         expected = _COUNTERS[args.set](q, n)
-        if expected > args.limit:
-            raise ValueError(
-                f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}"
-            )
+        with _exact_int_output():
+            if expected > args.limit:
+                raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
         return q, n, iter_cbfs(q, n, "ABC" if args.set == "cbfs" else args.set)
     colors = args.colors if args.colors is not None else q - 2
     if args.set == "motzkin":
         expected = motzkin_count(colors, n)
-        if expected > args.limit:
-            raise ValueError(f"{expected} words exceed --limit {args.limit}")
+        with _exact_int_output():
+            if expected > args.limit:
+                raise ValueError(f"{expected} words exceed --limit {args.limit}")
         return colors + 2, n, zip(motzkin_paths(colors, n), repeat("external"))
     if args.set == "elevated":
         expected = motzkin_count(colors, n - 2) if n >= 2 else 0
-        if expected > args.limit:
-            raise ValueError(f"{expected} words exceed --limit {args.limit}")
+        with _exact_int_output():
+            if expected > args.limit:
+                raise ValueError(f"{expected} words exceed --limit {args.limit}")
         return colors + 2, n, zip(elevated_paths(colors, n), repeat("external"))
     # bifixfree: the scan itself is exponential, so cap the whole space.
     # The list is built here so that a domain error comes before any output.
@@ -218,7 +219,7 @@ def _cmd_verify(args) -> int:
     if args.mode == "set":
         report = verify_cross_bifix_free_set(code_set)
     else:
-        report = verify_non_expandable(code_set, max_space=args.limit)
+        report = verify_non_expandable(code_set, max_space=args.limit, all_witnesses=args.all_witnesses)
     sys.stdout.write(report.to_json())
     if report.error is not None:
         return 2
@@ -284,6 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None, help="word length (default: inferred)")
     p_verify.add_argument("--mode", default="set", choices=("set", "nonexpandable"))
     p_verify.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="cap on the q^n candidate space")
+    p_verify.add_argument(
+        "--all-witnesses",
+        action="store_true",
+        help="nonexpandable mode: list every candidate with its blocking witness, not only the unblocked ones",
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", help="emit size comparison tables")

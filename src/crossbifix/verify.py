@@ -10,12 +10,13 @@ therefore join members and candidates on prefix and suffix codes, one length
 at a time, instead of comparing every pair of words.
 
 The reports are the ones the brute scans in ``oracle`` produce, witness for
-witness; the tests hold the two side by side.
+witness, except that the non-expandability report lists only unblocked
+candidates unless every witness is asked for; the tests hold the two side by
+side.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from bisect import bisect_left
 
@@ -86,14 +87,47 @@ def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
     return VerificationReport("cross-bifix-set", not witnesses, tuple(witnesses), stats)
 
 
-def verify_non_expandable(code_set: CodeSet, max_space: int = DEFAULT_MAX_SPACE) -> VerificationReport:
+def count_bifix_free(q: int, n: int) -> int:
+    """Number of bifix-free (unbordered) words in Z_q^n, by the recurrence
+    U(1) = q, U(2m + 1) = q U(2m), U(2m) = q U(2m - 1) - U(m)."""
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
+    if n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
+    u = [0, q]
+    for m in range(2, n + 1):
+        u.append(q * u[m - 1] - (0 if m % 2 else u[m // 2]))
+    return u[n]
+
+
+def _symbols(code: int, q: int, n: int) -> tuple[int, ...]:
+    """The length-n word with base-q code ``code``."""
+    symbols = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, symbols[i] = divmod(code, q)
+    return tuple(symbols)
+
+
+def verify_non_expandable(
+    code_set: CodeSet, max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
+) -> VerificationReport:
     """Check that no outside bifix-free word can join the set.
 
     Preconditions (members bifix-free, set cross-bifix-free) are verified
     first; their failure is reported as an error, not as expandability.
-    Every outside bifix-free candidate, in lexicographic order, gets one
-    witness: its cross-bifix with the first member in canonical order that
-    blocks it, or nulls when no member does, which fails the check.
+    A candidate is blocked exactly when one of its proper prefixes is a
+    suffix of a member or one of its proper suffixes is a prefix of a
+    member. The candidates are walked depth first over their prefixes, in
+    lexicographic order, and a prefix that is a member's suffix blocks every
+    word below it.
+
+    By default that subtree is cut, and the report lists only the unblocked
+    candidates, each with null witness fields; any of them fails the check.
+    With ``all_witnesses`` nothing is cut and every outside bifix-free
+    candidate gets one witness: its cross-bifix with the first member in
+    canonical order that blocks it, or nulls. That report is the one
+    ``oracle.verify_non_expandable`` gives. In both modes
+    ``candidates_checked`` counts the candidates covered, U_q(n) - |S|.
     """
     t0 = time.perf_counter()
     q, n = code_set.q, code_set.n
@@ -121,54 +155,70 @@ def verify_non_expandable(code_set: CodeSet, max_space: int = DEFAULT_MAX_SPACE)
         )
 
     _check_space(q**n, max_space, "non-expandability")
-    # The candidate space Z_q^n needs the domain oracle.enumerate_bifix_free checks.
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
+    candidates = count_bifix_free(q, n) - len(code_set)
     words = code_set.words
     codes = _codes(code_set)
-    texts = [w.to_text() for w in words]
-    # Per length l: q**(n-l) and q**l, then the smallest member index with a
-    # given length-l suffix, and with a given length-l prefix.
-    index = []
+    unblocked = len(words)  # an index past every member
+    # Per length l = 1..n-1: the smallest member index with a given length-l
+    # suffix, for the walk, and q**(n-l), q**l and the smallest member index
+    # with a given length-l prefix, for the candidates' tails.
+    by_suffix = [{}]
+    tails = []
     for length in range(1, n):
         shift, mod = q ** (n - length), q**length
-        by_suffix, by_prefix = {}, {}
+        suffixes, prefixes = {}, {}
         for i, code in enumerate(codes):
-            by_suffix.setdefault(code % mod, i)
-            by_prefix.setdefault(code // shift, i)
-        index.append((shift, mod, by_suffix, by_prefix))
+            suffixes.setdefault(code % mod, i)
+            prefixes.setdefault(code // shift, i)
+        by_suffix.append(suffixes)
+        tails.append((shift, mod, prefixes))
     members = set(codes)
-    unblocked = len(words)  # an index past every member
     witnesses = []
-    candidates = 0
     ok = True
-    for code, symbols in enumerate(itertools.product(range(q), repeat=n)):
-        if code in members:
+    # Entries: a prefix code, its length, and the smallest member index with
+    # a suffix equal to one of the prefix's own prefixes (``unblocked`` if
+    # none). Children are pushed last first, so they come off in order.
+    stack = [(0, 0, unblocked)]
+    while stack:
+        prefix, length, blocking = stack.pop()
+        base = prefix * q
+        if length < n - 1:
+            suffixes = by_suffix[length + 1]
+            for code in range(base + q - 1, base - 1, -1):
+                hit = suffixes.get(code, unblocked)
+                if hit == unblocked:
+                    stack.append((code, length + 1, blocking))
+                elif all_witnesses:
+                    stack.append((code, length + 1, min(hit, blocking)))
             continue
-        blocking = unblocked
-        for shift, mod, by_suffix, by_prefix in index:
-            head, tail = code // shift, code % mod
-            if head == tail:
-                break  # a border: the candidate is not bifix-free
-            blocking = min(blocking, by_suffix.get(head, unblocked), by_prefix.get(tail, unblocked))
-        else:
-            candidates += 1
-            candidate = Word(symbols, q)
-            if blocking == unblocked:
-                ok = False
-                witnesses.append(
-                    {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
-                )
+        for code in range(base, base + q):
+            if code in members:
                 continue
-            hit = cross_bifix(candidate, words[blocking])
-            witnesses.append(
-                {
-                    "candidate": candidate.to_text(),
-                    "cross_bifix": hit.word.to_text(),
-                    "blocking": texts[blocking],
-                    "prefix_of": hit.prefix_of,
-                }
-            )
+            first = blocking
+            for shift, mod, prefixes in tails:
+                tail = code % mod
+                if code // shift == tail:
+                    break  # a border: the word is not bifix-free
+                hit = prefixes.get(tail, unblocked)
+                if hit < first:
+                    first = hit
+                    if not all_witnesses:
+                        break  # blocked, and only unblocked words are listed
+            else:
+                candidate = Word(_symbols(code, q, n), q)
+                if first == unblocked:
+                    ok = False
+                    witnesses.append(
+                        {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
+                    )
+                elif all_witnesses:
+                    hit = cross_bifix(candidate, words[first])
+                    witnesses.append(
+                        {
+                            "candidate": candidate.to_text(),
+                            "cross_bifix": hit.word.to_text(),
+                            "blocking": words[first].to_text(),
+                            "prefix_of": hit.prefix_of,
+                        }
+                    )
     return report(ok, witnesses, pairwise.stats["pairs_checked"], candidates)

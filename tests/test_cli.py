@@ -13,6 +13,7 @@ from crossbifix import cbfs, words
 from crossbifix.baseline import s_max
 from crossbifix.cbfs import construct_A, construct_B, construct_C, construct_cbfs, count_cbfs
 from crossbifix.cli import main
+from crossbifix.motzkin import motzkin_count
 from crossbifix.words import format_symbols
 
 
@@ -193,6 +194,33 @@ def test_gen_refusal_writes_no_file(tmp_path, capsys):
             code, out, err = run(capsys, "gen", *args, "--format", fmt, "--out", str(target))
             assert code == 2 and out == "" and message in err, (args, err)
             assert not target.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap")
+def test_gen_refusal_prints_counts_past_the_int_digit_cap(tmp_path, capsys):
+    saved = sys.get_int_max_str_digits()
+    cap = 4300  # Python's default
+    big_q = 10**40  # a cbfs count of about 4400 digits at n = 110
+    cases = [
+        (("--q", "1000", "--n", "1500", "--set", "motzkin"), motzkin_count(998, 1500)),
+        (("--q", "1000", "--n", "1500", "--set", "elevated"), motzkin_count(998, 1498)),
+        (("--q", str(big_q), "--n", "110", "--set", "cbfs"), count_cbfs(big_q, 110)),
+    ]
+    sys.set_int_max_str_digits(cap)
+    try:
+        printed = []
+        for i, (args, _) in enumerate(cases):
+            target = tmp_path / f"{i}.txt"
+            printed.append(run(capsys, "gen", *args, "--limit", "10", "--out", str(target)))
+            assert not target.exists()
+        assert sys.get_int_max_str_digits() == cap  # lifted for the message only
+        sys.set_int_max_str_digits(0)
+        for (code, out, err), (args, expected) in zip(printed, cases):
+            assert code == 2 and out == "", args
+            assert len(str(expected)) > cap
+            assert err.startswith("error: ") and f" {expected} words" in err and "--limit 10" in err, args
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_gen_to_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Cross-checks of the indexed verifier against the brute-force oracle.
 
 Reports must agree in full, witness for witness, apart from the measured
-wall time. Past the oracle's reach the fast path is checked on its own.
+wall time. The default non-expandability report is the oracle's with the
+blocked candidates left out; with ``all_witnesses`` it is the oracle's
+report. Past the oracle's reach the fast path is checked on its own.
 """
 
 import inspect
@@ -26,11 +28,28 @@ def comparable(report):
     return data
 
 
+def unblocked_only(data):
+    """The oracle's report as the default mode gives it: witnesses filtered
+    to the candidates nothing blocks, everything else unchanged."""
+    return {**data, "witnesses": [w for w in data["witnesses"] if w["blocking"] is None]}
+
+
+def assert_same_non_expandable_reports(code_set):
+    """Both report modes against the oracle; returns the default report."""
+    brute = comparable(oracle.verify_non_expandable(code_set))
+    every = verify.verify_non_expandable(code_set, all_witnesses=True)
+    assert comparable(every) == brute
+    if brute["error"] is None:
+        assert len(every.witnesses) == every.stats["candidates_checked"]
+    fast = verify.verify_non_expandable(code_set)
+    assert comparable(fast) == unblocked_only(brute)
+    return fast
+
+
 def assert_same_reports(code_set):
-    for name in ("verify_cross_bifix_free_set", "verify_non_expandable"):
-        fast = getattr(verify, name)(code_set)
-        brute = getattr(oracle, name)(code_set)
-        assert comparable(fast) == comparable(brute), name
+    fast = verify.verify_cross_bifix_free_set(code_set)
+    assert comparable(fast) == comparable(oracle.verify_cross_bifix_free_set(code_set))
+    assert_same_non_expandable_reports(code_set)
 
 
 def code_set_of(texts, q):
@@ -47,19 +66,16 @@ def test_pairwise_matches_oracle_on_cbfs(q, n):
 
 @pytest.mark.parametrize("q, n", NON_EXPANDABLE_SIZES)
 def test_non_expandable_matches_oracle_on_cbfs(q, n):
-    code_set = construct_cbfs(q, n)
-    fast = verify.verify_non_expandable(code_set)
-    assert comparable(fast) == comparable(oracle.verify_non_expandable(code_set))
-    assert fast.ok and fast.error is None
+    fast = assert_same_non_expandable_reports(construct_cbfs(q, n))
+    assert fast.ok and fast.error is None and fast.witnesses == ()
 
 
 def test_mutation_check_matches_oracle():
     cbfs = construct_cbfs(3, 5)
     for member in cbfs:
-        mutated = cbfs.without(member)
-        fast = verify.verify_non_expandable(mutated)
-        assert comparable(fast) == comparable(oracle.verify_non_expandable(mutated))
+        fast = assert_same_non_expandable_reports(cbfs.without(member))
         assert not fast.ok
+        assert member.to_text() in [w["candidate"] for w in fast.witnesses]
 
 
 @pytest.mark.parametrize(
@@ -122,13 +138,26 @@ def test_random_small_sets_match_oracle(code_set):
 
 def test_fast_path_past_the_oracle_range():
     cbfs = construct_cbfs(3, 10)
-    report = verify.verify_non_expandable(cbfs)
+    report = verify.verify_non_expandable(cbfs, all_witnesses=True)
     assert report.ok and report.error is None
     assert len(report.witnesses) == report.stats["candidates_checked"]
     dropped = cbfs.words[len(cbfs) // 2]
-    report = verify.verify_non_expandable(cbfs.without(dropped))
+    report = verify.verify_non_expandable(cbfs.without(dropped), all_witnesses=True)
     assert not report.ok and report.error is None
     assert dropped.to_text() in [w["candidate"] for w in report.witnesses if w["blocking"] is None]
+
+    for q, n in [(3, 10), (3, 12), (4, 10)]:
+        cbfs = construct_cbfs(q, n)
+        candidates = verify.count_bifix_free(q, n) - len(cbfs)
+        report = verify.verify_non_expandable(cbfs)
+        assert report.ok and report.error is None and report.witnesses == ()
+        assert report.stats["candidates_checked"] == candidates
+        dropped = cbfs.words[len(cbfs) // 3]
+        report = verify.verify_non_expandable(cbfs.without(dropped))
+        assert not report.ok and report.error is None
+        assert all(w["blocking"] is None for w in report.witnesses)
+        assert dropped.to_text() in [w["candidate"] for w in report.witnesses]
+        assert report.stats["candidates_checked"] == candidates + 1
 
     big = construct_cbfs(4, 10)
     report = verify.verify_cross_bifix_free_set(big)
@@ -148,7 +177,8 @@ def test_fast_path_past_the_oracle_range():
 def test_cli_prints_the_oracle_report(tmp_path, capsys, texts, q, mode, code):
     path = tmp_path / "words.txt"
     path.write_text("".join(t + "\n" for t in reversed(texts)))
-    assert main(["verify", "--in", str(path), "--q", str(q), "--mode", mode]) == code
+    argv = ["verify", "--in", str(path), "--q", str(q), "--mode", mode]
+    assert main(argv + (["--all-witnesses"] if mode == "nonexpandable" else [])) == code
     printed = json.loads(capsys.readouterr().out)
     del printed["stats"]["wall_time_s"]
     code_set = code_set_of(texts, q)
@@ -157,6 +187,47 @@ def test_cli_prints_the_oracle_report(tmp_path, capsys, texts, q, mode, code):
     else:
         expected = oracle.verify_non_expandable(code_set)
     assert printed == comparable(expected)
+
+
+@pytest.mark.parametrize(
+    "texts, code",
+    [
+        ([w.to_text() for w in construct_cbfs(3, 5)], 0),
+        ([w.to_text() for w in construct_cbfs(3, 5).words[1:]], 1),
+        (["1100"], 1),
+        (["100", "110", "210"], 2),
+    ],
+)
+def test_cli_prints_the_unblocked_candidates_by_default(tmp_path, capsys, texts, code):
+    path = tmp_path / "words.txt"
+    path.write_text("".join(t + "\n" for t in reversed(texts)))
+    assert main(["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable"]) == code
+    printed = json.loads(capsys.readouterr().out)
+    assert list(printed) == ["kind", "ok", "witnesses", "stats", "error"]
+    del printed["stats"]["wall_time_s"]
+    assert printed == unblocked_only(comparable(oracle.verify_non_expandable(code_set_of(texts, 3))))
+
+
+# Brute enumerations of Z_q^n stay at or below this many words.
+BRUTE_SCAN_CAP = 100_000
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_bifix_free_count_matches_enumeration(q):
+    n = 1
+    while q**n <= BRUTE_SCAN_CAP:
+        assert verify.count_bifix_free(q, n) == sum(1 for _ in oracle.enumerate_bifix_free(q, n)), n
+        n += 1
+    assert n > 7
+
+
+def test_bifix_free_count_domain_errors():
+    for q, n in [(1, 3), (3, 0)]:
+        with pytest.raises(ValueError) as fast:
+            verify.count_bifix_free(q, n)
+        with pytest.raises(ValueError) as brute:
+            next(oracle.enumerate_bifix_free(q, n))
+        assert str(fast.value) == str(brute.value)
 
 
 def test_oracle_does_not_use_the_fast_path():
