@@ -8,7 +8,7 @@ independent brute-force scans in ``oracle`` are the reference the tests hold
 them to.
 """
 
-from .baseline import ZeroRunAvoidanceTable, construct_baseline_set, f_count, s_max, s_star
+from .baseline import best_sizes, construct_baseline_set, f_count, s_max, s_star, zero_run_counts
 from .cbfs import (
     CodeSet,
     construct_A,
@@ -19,14 +19,15 @@ from .cbfs import (
     count_B,
     count_C,
     count_cbfs,
+    family_sizes,
     iter_cbfs,
 )
 from .motzkin import (
-    MotzkinCountTable,
     generate_elevated,
     generate_motzkin,
     has_ground_elevated_factor,
     motzkin_count,
+    motzkin_counts,
 )
 from .oracle import (
     VerificationReport,
@@ -54,10 +55,9 @@ __all__ = [
     "CodeSet",
     "CrossBifix",
     "HeightProfile",
-    "MotzkinCountTable",
     "VerificationReport",
     "Word",
-    "ZeroRunAvoidanceTable",
+    "best_sizes",
     "bifixes",
     "brute_count_words_avoiding_zero_run",
     "brute_motzkin_count",
@@ -73,6 +73,7 @@ __all__ = [
     "cross_bifix",
     "enumerate_bifix_free",
     "f_count",
+    "family_sizes",
     "generate_elevated",
     "generate_motzkin",
     "has_ground_elevated_factor",
@@ -82,9 +83,11 @@ __all__ = [
     "is_motzkin_word",
     "iter_cbfs",
     "motzkin_count",
+    "motzkin_counts",
     "s_max",
     "s_star",
     "verify_count_agreement",
     "verify_cross_bifix_free_set",
     "verify_non_expandable",
+    "zero_run_counts",
 ]

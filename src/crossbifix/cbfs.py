@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .motzkin import lex_paths, motzkin_count
+from .motzkin import lex_paths, motzkin_counts
 from .words import RISE, Word, format_symbols, format_word_lines, parse_word_lines
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
@@ -196,12 +196,7 @@ def construct_A(q: int, n: int) -> CodeSet:
 def count_A(q: int, n: int) -> int:
     """|A(q, n)| = sum_i M(i) M(n-i-2) over 0 <= i <= n // 2, minus
     M(n/2 - 2)^2 when n is even."""
-    _require_domain(q, n)
-    colors = q - 2
-    total = sum(motzkin_count(colors, i) * motzkin_count(colors, n - i - 2) for i in range(n // 2 + 1))
-    if n % 2 == 0:
-        total -= motzkin_count(colors, n // 2 - 2) ** 2
-    return total
+    return family_sizes(q, (n,))[n][0]
 
 
 def construct_B(q: int, n: int) -> CodeSet:
@@ -212,9 +207,7 @@ def construct_B(q: int, n: int) -> CodeSet:
 
 def count_B(q: int, n: int) -> int:
     """|B(q, n)| = sum_i M(i) M(n-i-3) over 0 <= i <= n // 2 - 1."""
-    _require_domain(q, n)
-    colors = q - 2
-    return sum(motzkin_count(colors, i) * motzkin_count(colors, n - i - 3) for i in range(n // 2))
+    return family_sizes(q, (n,))[n][1]
 
 
 def construct_C(q: int, n: int) -> CodeSet:
@@ -228,16 +221,12 @@ def count_C(q: int, n: int) -> int:
     elevated factor of length j >= ceil(n / 2).
 
     Two such factors cannot coexist (their lengths would sum past n - 1),
-    so the sum over j counts each excluded word once. For each j the pairs (u, v) number
-    sum_i M(i) M(m-i) = M(m+2) - k M(m+1) with m = n-1-j: a Motzkin word of length m+2
-    that does not start with a level step is a rise, u, the matching fall, then v.
+    so each excluded word is counted once: sum_j M(j-2) (M(n+1-j) - k M(n-j))
+    over ceil(n/2) <= j <= n-1, where M(m+2) - k M(m+1) counts the pairs
+    (u, v) of total length m (a Motzkin word of length m+2 that does not
+    start with a level step is a rise, u, the matching fall, then v).
     """
-    _require_domain(q, n)
-    k = q - 2
-    total = motzkin_count(k, n - 1)
-    for j in range((n + 1) // 2, n):
-        total -= motzkin_count(k, j - 2) * (motzkin_count(k, n + 1 - j) - k * motzkin_count(k, n - j))
-    return total
+    return family_sizes(q, (n,))[n][2]
 
 
 def construct_cbfs(q: int, n: int) -> CodeSet:
@@ -247,4 +236,64 @@ def construct_cbfs(q: int, n: int) -> CodeSet:
 
 
 def count_cbfs(q: int, n: int) -> int:
-    return count_A(q, n) + count_B(q, n) + count_C(q, n)
+    return sum(family_sizes(q, (n,))[n])
+
+
+def family_sizes(q: int, n_values: Iterable[int]) -> dict[int, tuple[int, int, int]]:
+    """(|A|, |B|, |C|) of CBFS(q, n) for every n in ``n_values``.
+
+    Each family is a few half-range sums H(T; lo..hi) = sum_{t=lo}^{hi}
+    M(t) M(T-t) (``_half_sum``), with t = j - 2 in family C's sum:
+
+    * |A| = H(n-2; 0..n//2) - [n even] M(n/2 - 2)^2
+    * |B| = H(n-3; 0..n//2-1)
+    * |C| = M(n-1) - H(n-1; c-2..n-3) + k H(n-2; c-2..n-3), c = ceil(n/2)
+
+    so every length needs only M near n/2 and near n, all taken from one
+    walk of the Motzkin recurrence.
+    """
+    n_values = tuple(n_values)
+    wanted = set()
+    for n in n_values:
+        _require_domain(q, n)
+        # the indices the formulas read: the edge terms t = 0, 1, both
+        # factors of the terms near T/2, and the Conv(T) values near n
+        wanted.update((0, 1), range(n // 2 - 2, n // 2 + 2), range(n - 2, n + 2))
+    k = q - 2
+    m = motzkin_counts(k, wanted)
+    sizes = {}
+    for n in n_values:
+        c = (n + 1) // 2
+        a = _half_sum(m, k, n - 2, 0, n // 2)
+        if n % 2 == 0:
+            a -= m[n // 2 - 2] ** 2
+        b = _half_sum(m, k, n - 3, 0, n // 2 - 1)
+        sizes[n] = (a, b, m[n - 1] - _half_sum(m, k, n - 1, c - 2, n - 3) + k * _half_sum(m, k, n - 2, c - 2, n - 3))
+    return sizes
+
+
+def _half_sum(m: dict[int, int], k: int, t_sum: int, lo: int, hi: int) -> int:
+    """sum_{t=lo}^{hi} M(t) M(t_sum - t), with M read from ``m``.
+
+    The full sum over 0 <= t <= T (T = t_sum) is Conv(T) = M(T+2) - k M(T+1),
+    and its terms are symmetric under t -> T - t. When the range and its
+    mirror image together cover every t between their edges, adding the
+    two (equal) sums counts Conv(T) once, less the edge terms below
+    e = min(lo, T - hi) and their mirrors, plus once more the terms where
+    range and mirror overlap; those are few and lie near T/2. Otherwise the
+    halves do not meet (small T) and the range is summed directly.
+    """
+    lo, hi = max(lo, 0), min(hi, t_sum)
+    if lo > hi:
+        return 0
+    both_lo, both_hi = max(lo, t_sum - hi), min(hi, t_sum - lo)
+    if both_lo > both_hi + 1:
+        return sum(m[t] * m[t_sum - t] for t in range(lo, hi + 1))
+    edge = min(lo, t_sum - hi)
+    twice = (
+        m[t_sum + 2]
+        - k * m[t_sum + 1]
+        - 2 * sum(m[t] * m[t_sum - t] for t in range(edge))
+        + sum(m[t] * m[t_sum - t] for t in range(both_lo, both_hi + 1))
+    )
+    return twice // 2

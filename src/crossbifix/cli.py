@@ -15,14 +15,17 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 
-from .baseline import construct_baseline_set, s_max, s_star
-from .cbfs import CodeSet, count_A, count_B, count_C, count_cbfs, iter_cbfs
+from .baseline import best_sizes, construct_baseline_set, s_max, s_star
+from .cbfs import CodeSet, count_A, count_B, count_C, count_cbfs, family_sizes, iter_cbfs
 from .motzkin import elevated_paths, motzkin_count, motzkin_paths
 from .oracle import enumerate_bifix_free
 from .verify import verify_cross_bifix_free_set, verify_non_expandable
 from .words import format_symbol_lines
 
 DEFAULT_LIMIT = 10_000_000
+# Largest word length `count` and `table` take by default: their exact
+# counts cost O(n^2) bit operations, seconds per count at this length.
+DEFAULT_LENGTH_LIMIT = 100_000
 # Words formatted and written per write call by `gen`.
 GEN_CHUNK = 8192
 
@@ -81,16 +84,15 @@ class SizeTable:
 
 
 def build_size_table(q_values, n_values, compare: str) -> SizeTable:
-    best = {"S": s_max, "Sstar": s_star}[compare]
+    k_min = {"S": 2, "Sstar": 1}[compare]
     cbfs = {}
     comparator = {}
     for q in q_values:
+        sizes = family_sizes(q, n_values)
+        best = best_sizes(q, n_values, k_min)
         for n in n_values:
-            cbfs[q, n] = count_cbfs(q, n)
-            try:
-                comparator[q, n] = best(n, q)[0]
-            except ValueError:
-                comparator[q, n] = None
+            cbfs[q, n] = sum(sizes[n])
+            comparator[q, n] = best[n][0] if n in best else None
     return SizeTable(compare, tuple(q_values), tuple(n_values), cbfs, comparator)
 
 
@@ -130,7 +132,13 @@ def _exact_int_output():
         sys.set_int_max_str_digits(cap)
 
 
+def _check_length(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"word length n={n} above --limit {limit}")
+
+
 def _cmd_count(args) -> int:
+    _check_length(args.n, args.limit)
     suffix = ""
     if args.set in ("S", "Sstar"):
         best = s_max if args.set == "S" else s_star
@@ -227,6 +235,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _check_length(max(args.n), args.limit)
     table = build_size_table(args.q, args.n, args.compare)
     with _exact_int_output():
         if args.format == "json":
@@ -243,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, count and verify cross-bifix-free word sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    length_help = f"refuse word lengths n above this (default: {DEFAULT_LENGTH_LIMIT})"
 
     p_count = sub.add_parser("count", help="print an exact cardinality")
     p_count.add_argument("--q", type=int, required=True, help="alphabet size")
@@ -254,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which family to count (default: cbfs)",
     )
     p_count.add_argument("--colors", type=int, default=None, help="level colors for --set motzkin (default: q-2)")
+    p_count.add_argument("--limit", type=int, default=DEFAULT_LENGTH_LIMIT, help=length_help)
     p_count.set_defaults(func=_cmd_count)
 
     p_gen = sub.add_parser("gen", help="write a word list in canonical order")
@@ -299,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", default="csv", choices=("csv", "json"))
     p_table.add_argument("--bold", action="store_true", help="add columns marking where cbfs exceeds the comparator")
     p_table.add_argument("--out", default=None)
+    p_table.add_argument("--limit", type=int, default=DEFAULT_LENGTH_LIMIT, help=length_help)
     p_table.set_defaults(func=_cmd_table)
 
     return parser

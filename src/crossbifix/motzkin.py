@@ -7,58 +7,43 @@ without dipping below the x-axis.
 
 from __future__ import annotations
 
-import threading
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .words import FALL, RISE, Word, is_motzkin_word, symbol_step
 
 
-class MotzkinCountTable:
-    """Memoized exact counts of k-colored Motzkin words by length.
+def motzkin_counts(colors: int, lengths: Iterable[int]) -> dict[int, int]:
+    """M(m) for every m in ``lengths``, from one pass of the P-recurrence
 
-    Values satisfy count(0) = 1, count(1) = k and, for m >= 2, the P-recurrence
+        (m + 2) M(m) = k (2m + 1) M(m - 1) + (4 - k^2) (m - 1) M(m - 2)
 
-        (m + 2) count(m) = k (2m + 1) count(m - 1) + (4 - k^2) (m - 1) count(m - 2)
-
-    whose division is exact. Counts are Python integers, hence exact at any size, and
-    count(m) == 0 for m < 0 so that downstream cardinality formulas evaluate
-    cleanly at small lengths.
+    with M(0) = 1, M(1) = k, whose division is exact. The pass keeps only
+    the last two values and the requested ones, so nothing outlives the
+    call. Counts are Python integers, exact at any size, and M(m) = 0 for
+    m < 0 so that the family formulas evaluate cleanly at small lengths.
     """
-
-    def __init__(self, colors: int):
-        if colors < 0:
-            raise ValueError(f"color count must be non-negative, got {colors}")
-        self.colors = colors
-        self._values = [1, colors]
-        self._lock = threading.Lock()
-
-    def count(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n >= len(self._values):
-            with self._lock:
-                k, v = self.colors, self._values
-                while len(v) <= n:
-                    m = len(v)
-                    value, rest = divmod(k * (2 * m + 1) * v[m - 1] + (4 - k * k) * (m - 1) * v[m - 2], m + 2)
-                    if rest:
-                        raise RuntimeError(f"inexact Motzkin recurrence at k={k}, m={m}")
-                    v.append(value)
-        return self._values[n]
+    if colors < 0:
+        raise ValueError(f"color count must be non-negative, got {colors}")
+    return _p_walk(colors, set(lengths), (1, colors))
 
 
-_TABLES: dict[int, MotzkinCountTable] = {}
+def _p_walk(k: int, wanted: set[int], start: tuple[int, int]) -> dict[int, int]:
+    out = {m: 0 if m < 0 else start[m] for m in wanted if m < 2}
+    prev, cur = start  # M(m - 2), M(m - 1) when the loop computes M(m)
+    for m in range(2, max(wanted, default=0) + 1):
+        value, rest = divmod(k * (2 * m + 1) * cur + (4 - k * k) * (m - 1) * prev, m + 2)
+        if rest:
+            raise RuntimeError(f"inexact Motzkin recurrence at k={k}, m={m}")
+        prev, cur = cur, value
+        if m in wanted:
+            out[m] = value
+    return out
 
 
 def motzkin_count(colors: int, n: int) -> int:
     """Number of Motzkin words of length n with the given level-color count."""
-    if colors < 0:
-        raise ValueError(f"color count must be non-negative, got {colors}")
-    table = _TABLES.get(colors)
-    if table is None:
-        table = _TABLES.setdefault(colors, MotzkinCountTable(colors))
-    return table.count(n)
+    return motzkin_counts(colors, (n,))[n]
 
 
 def lex_paths(

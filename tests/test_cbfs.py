@@ -15,9 +15,12 @@ from crossbifix.cbfs import (
     count_B,
     count_C,
     count_cbfs,
+    family_sizes,
     iter_cbfs,
 )
-from crossbifix.motzkin import motzkin_count
+from crossbifix import cbfs
+from crossbifix.cli import main
+from crossbifix.motzkin import motzkin_count, motzkin_counts
 from crossbifix.words import Word, height_profile, is_bifix_free, is_elevated
 
 
@@ -79,20 +82,100 @@ def test_counts_agree_with_construction():
             assert count_cbfs(q, n) == count_A(q, n) + count_B(q, n) + count_C(q, n)
 
 
-def double_sum_count_C(q, n):
-    # reference: the double sum over the factor length j and the length i of u
+def double_sum_count_C(q, n, motzkin):
+    # reference: the double sum over the factor length j and the length i of u,
+    # with M(i) = motzkin[i] and M(i) = 0 for i < 0
     colors = q - 2
-    total = motzkin_count(colors, n - 1)
+
+    def m(i):
+        return motzkin[i] if i >= 0 else 0
+
+    total = m(n - 1)
     for j in range((n + 1) // 2, n):
         for i in range(n - j):
-            total -= motzkin_count(colors, i) * motzkin_count(colors, j - 2) * motzkin_count(colors, n - 1 - i - j)
+            total -= m(i) * m(j - 2) * m(n - 1 - i - j)
     return total
 
 
 def test_count_C_matches_the_double_sum():
     for q in range(3, 9):
+        motzkin = motzkin_counts(q - 2, range(120))
         for n in range(3, 120):
-            assert count_C(q, n) == double_sum_count_C(q, n), (q, n)
+            assert count_C(q, n) == double_sum_count_C(q, n, motzkin), (q, n)
+
+
+def single_sum_counts(q, n, motzkin):
+    # reference: one sum per family, with M(i) = motzkin[i] and M(i) = 0 for i < 0
+    k = q - 2
+
+    def m(i):
+        return motzkin[i] if i >= 0 else 0
+
+    a = sum(m(i) * m(n - i - 2) for i in range(n // 2 + 1))
+    if n % 2 == 0:
+        a -= m(n // 2 - 2) ** 2
+    b = sum(m(i) * m(n - i - 3) for i in range(n // 2))
+    c = m(n - 1)
+    for j in range((n + 1) // 2, n):
+        c -= m(j - 2) * (m(n + 1 - j) - k * m(n - j))
+    return a, b, c
+
+
+def test_counts_match_the_single_sums():
+    n_max = 399
+    for q in (3, 4, 5, 6, 9):
+        motzkin = motzkin_counts(q - 2, range(n_max + 2))
+        expected = {n: single_sum_counts(q, n, motzkin) for n in range(3, n_max + 1)}
+        assert family_sizes(q, range(3, n_max + 1)) == expected, q
+        for n in range(3, n_max + 1):
+            assert (count_A(q, n), count_B(q, n), count_C(q, n)) == expected[n], (q, n)
+            assert count_cbfs(q, n) == sum(expected[n]), (q, n)
+
+
+def test_half_sums_match_the_direct_sums():
+    for k in (0, 1, 2, 4):
+        motzkin = motzkin_counts(k, range(-3, 20))
+        for t_sum in range(-1, 16):
+            for lo in range(-2, t_sum + 3):
+                for hi in range(lo - 1, t_sum + 3):
+                    direct = sum(motzkin[t] * motzkin[t_sum - t] for t in range(max(lo, 0), min(hi, t_sum) + 1))
+                    assert cbfs._half_sum(motzkin, k, t_sum, lo, hi) == direct, (k, t_sum, lo, hi)
+
+
+def test_family_sizes_take_the_direct_sum_only_where_the_halves_do_not_meet(monkeypatch):
+    # every half-range sum the family formulas take, checked against its
+    # direct sum; the halves fail to meet only in family C at n = 3
+    calls = []
+    half_sum = cbfs._half_sum
+
+    def recording(m, k, t_sum, lo, hi):
+        value = half_sum(m, k, t_sum, lo, hi)
+        calls.append((t_sum, lo, hi, value))
+        return value
+
+    monkeypatch.setattr(cbfs, "_half_sum", recording)
+    for q in (3, 4, 5):
+        motzkin = motzkin_counts(q - 2, range(-3, 62))
+        for n in range(3, 60):
+            calls.clear()
+            family_sizes(q, [n])
+            assert len(calls) == 4, (q, n)
+            for t_sum, lo, hi, value in calls:
+                direct = sum(motzkin[t] * motzkin[t_sum - t] for t in range(max(lo, 0), min(hi, t_sum) + 1))
+                assert value == direct, (q, n, t_sum, lo, hi)
+            apart = [
+                (t_sum, lo, hi)
+                for t_sum, lo, hi, _ in calls
+                if max(lo, t_sum - hi) > min(hi, t_sum - max(lo, 0)) + 1
+            ]
+            assert apart == ([(2, 0, 0)] if n == 3 else []), (q, n, apart)
+
+
+def test_count_far_past_the_old_reach(capsys):
+    n, q = 2000, 3
+    assert main(["count", "--q", str(q), "--n", str(n)]) == 0
+    expected = sum(single_sum_counts(q, n, motzkin_counts(q - 2, range(n + 2))))
+    assert capsys.readouterr().out == f"{expected}\n"
 
 
 def test_members_start_nonzero_end_zero_and_are_bifix_free():

@@ -9,10 +9,10 @@ import sys
 
 import pytest
 
-from crossbifix import cbfs, words
-from crossbifix.baseline import s_max
+from crossbifix import baseline, cbfs, motzkin, words
+from crossbifix.baseline import s_max, s_star
 from crossbifix.cbfs import construct_A, construct_B, construct_C, construct_cbfs, count_cbfs
-from crossbifix.cli import main
+from crossbifix.cli import build_size_table, main
 from crossbifix.motzkin import motzkin_count
 from crossbifix.words import format_symbols
 
@@ -325,6 +325,59 @@ def test_table_runs_are_byte_identical(capsys):
     second = run(capsys, "table", "--q", "3..6", "--n", "3..16")
     assert first == second
     assert first[0] == 0
+
+
+def test_size_table_equals_the_per_cell_counts():
+    for q_values, n_values in (([3, 4, 5, 6], list(range(3, 80))), ([7], [57])):
+        for compare, best in (("S", s_max), ("Sstar", s_star)):
+            table = build_size_table(q_values, n_values, compare)
+            for q in q_values:
+                for n in n_values:
+                    assert table.cbfs[q, n] == count_cbfs(q, n), (q, n)
+                    expected = best(n, q)[0] if n - 2 >= (2 if compare == "S" else 1) else None
+                    assert table.comparator[q, n] == expected, (q, n, compare)
+
+
+def test_table_far_past_the_old_reach(capsys):
+    code, out, err = run(capsys, "table", "--q", "3..4", "--n", "3000..3001")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["n"] for row in rows] == ["3000", "3001"]
+    for row in rows:
+        n = int(row["n"])
+        for q in (3, 4):
+            assert row[f"cbfs_q{q}"] == str(count_cbfs(q, n)) and row[f"cmp_q{q}"] == str(s_max(n, q)[0])
+
+
+def refuse_counting(monkeypatch):
+    # every exact count goes through one of these two walks
+    def refuse(*args):
+        raise AssertionError("counting started before the --limit check")
+
+    monkeypatch.setattr(motzkin, "_p_walk", refuse)
+    monkeypatch.setattr(baseline, "zero_run_counts", refuse)
+
+
+def test_count_refuses_lengths_above_the_limit(capsys, monkeypatch):
+    refuse_counting(monkeypatch)
+    for args in (("--n", "100001"), ("--n", "8", "--limit", "7"), ("--n", "100001", "--set", "S")):
+        code, out, err = run(capsys, "count", "--q", "3", *args)
+        n, limit = (args[1], args[3]) if "--limit" in args else (args[1], "100000")
+        assert code == 2 and out == "" and err == f"error: word length n={n} above --limit {limit}\n", args
+    code, out, err = run(capsys, "count", "--q", "4", "--n", "7", "--set", "motzkin", "--limit", "6")
+    assert code == 2 and out == "" and "n=7 above --limit 6" in err
+
+
+def test_table_refuses_lengths_above_the_limit(tmp_path, capsys, monkeypatch):
+    refuse_counting(monkeypatch)
+    for args in (("--n", "3..100001"), ("--n", "5..9", "--limit", "8")):
+        for fmt in ("csv", "json"):
+            target = tmp_path / f"table.{fmt}"
+            code, out, err = run(capsys, "table", "--q", "3..4", *args, "--format", fmt, "--out", str(target))
+            limit = args[3] if "--limit" in args else "100000"
+            assert code == 2 and out == "" and err.startswith("error: "), args
+            assert f"n={args[1].split('..')[1]} above --limit {limit}" in err, (args, err)
+            assert not target.exists()
 
 
 def test_bad_range_is_a_usage_error(capsys):

@@ -5,13 +5,14 @@ from math import comb
 
 import pytest
 
+from crossbifix import motzkin
 from crossbifix.motzkin import (
-    MotzkinCountTable,
     generate_elevated,
     generate_motzkin,
     has_ground_elevated_factor,
     lex_paths,
     motzkin_count,
+    motzkin_counts,
 )
 from crossbifix.words import Word, is_elevated, is_motzkin_word
 
@@ -43,31 +44,35 @@ def test_base_cases_and_small_counts():
 
 
 def test_negative_length_counts_as_zero():
-    table = MotzkinCountTable(2)
-    assert table.count(-1) == 0
-    assert table.count(-7) == 0
+    assert motzkin_count(2, -1) == 0
+    assert motzkin_count(2, -7) == 0
     assert motzkin_count(3, -2) == 0
+    assert motzkin_counts(2, [-7, -1, 0, 3]) == {-7: 0, -1: 0, 0: 1, 3: 14}
 
 
 def test_color_count_must_be_non_negative():
     with pytest.raises(ValueError):
-        MotzkinCountTable(-1)
+        motzkin_count(-1, 0)
     with pytest.raises(ValueError):
         motzkin_count(-1, 4)
+    with pytest.raises(ValueError):
+        motzkin_counts(-1, ())
     with pytest.raises(ValueError):
         list(generate_motzkin(-1, 2))
 
 
-def test_count_reuses_its_memo_table(monkeypatch):
-    import crossbifix.motzkin as motzkin
-
-    motzkin_count(5, 3)
-
-    def refuse(colors):
-        raise AssertionError("a memo table was built for a warm key")
-
-    monkeypatch.setattr(motzkin, "MotzkinCountTable", refuse)
+def test_counting_keeps_no_module_state():
+    before = dict(vars(motzkin))
     assert motzkin_count(5, 4) == 777
+    assert motzkin_counts(5, range(5)) == {0: 1, 1: 5, 2: 26, 3: 140, 4: 777}
+    assert motzkin_count(5, 4) == 777
+    # the same names bound to the same objects, none of them a container a
+    # cache could grow in
+    assert vars(motzkin).keys() == before.keys()
+    assert all(value is before[name] for name, value in vars(motzkin).items())
+    containers = [name for name, value in vars(motzkin).items() if isinstance(value, (dict, list, set))]
+    assert containers == ["__builtins__"]
+    assert not any(hasattr(fn, "cache_info") for fn in (motzkin_count, motzkin_counts, motzkin._p_walk))
 
 
 def convolution_counts(colors, n_max):
@@ -82,14 +87,16 @@ def convolution_counts(colors, n_max):
 
 def test_counts_match_the_convolution_recurrence():
     for colors in range(8):
-        assert [motzkin_count(colors, n) for n in range(301)] == convolution_counts(colors, 300), colors
+        reference = convolution_counts(colors, 300)
+        assert motzkin_counts(colors, range(301)) == dict(enumerate(reference)), colors
+        assert [motzkin_count(colors, n) for n in range(301)] == reference, colors
 
 
 def test_inexact_recurrence_step_is_a_runtime_error():
-    table = MotzkinCountTable(1)
-    table._values[1] = 2  # a wrong M(1): 4 M(2) = 5 * 2 + 3 * 1 has no integer solution
+    # a wrong M(1) among the walk's start values: 4 M(2) = 5 * 2 + 3 * 1 has no integer solution
     with pytest.raises(RuntimeError):
-        table.count(2)
+        motzkin._p_walk(1, {2}, (1, 2))
+    assert motzkin._p_walk(1, {2}, (1, 1)) == {2: 2}
 
 
 def test_zero_colors_specializes_to_catalan():
