@@ -11,24 +11,25 @@ q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
 * family C (ends at height -1): a Motzkin word of length n - 1 with no
   ground-level elevated factor of length >= ceil(n / 2), then a fall step.
 
-Counting never materializes words. Generation walks each family as one
-pruned depth-first search over path states (``motzkin.lex_paths``), which
-yields plain symbol tuples already in lexicographic order, and ``iter_cbfs``
-merges the three streams into canonical order as they are produced. ``Word``
-and ``CodeSet`` values are built only by the ``construct_*`` wrappers.
+Counting never materializes words. Generation is one pruned depth-first
+search over path states (``motzkin.lex_paths``) that walks the chosen
+families together. Each family is a shape (a floor per position, an arch
+bound, a forbidden first return); a node carries the mask of the families
+its prefix still fits, and the final height of a word names its family. So
+the walk yields plain symbol tuples already in canonical order, with no
+merge or re-sort. ``Word`` and ``CodeSet`` values are built only by the
+``construct_*`` wrappers.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Iterator
 
 from .motzkin import lex_paths, motzkin_counts
-from .words import RISE, Word, format_symbols, format_word_lines, parse_word_lines
+from .words import Word, format_word_lines, parse_word_lines
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
 
@@ -137,54 +138,37 @@ def _require_domain(q: int, n: int) -> None:
         raise ValueError(f"construction needs word length n >= 3, got {n}")
 
 
-def _family(q: int, n: int, name: str) -> Iterator[tuple[int, ...]]:
-    """The words of one family as symbol tuples, in lexicographic order."""
+def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
+    """The ``lex_paths`` shape of each family at length n."""
     half = n // 2
-    if name == "A":
+    return {
         # A Motzkin path whose last visit to height 0 before the end is at
         # some i <= n // 2, so it stays at height >= 1 after n // 2. For even
         # n, a first return at n / 2 means two same-length elevated halves.
-        floor = [0] * (half + 1) + [1] * (n - half - 1) + [0]
-        return lex_paths(q, (), floor, skip_first_return=half if n % 2 == 0 else None)
-    if name == "B":
-        # A rise, then the same shape one level up, with its last visit to
-        # height 1 at or before n // 2.
-        floor = [1] * (half + 1) + [2] * (n - half - 1) + [1]
-        return lex_paths(q, (RISE,), floor)
-    # C: a Motzkin path of length n - 1 whose ground arches are all shorter
-    # than ceil(n / 2), then a fall to height -1.
-    return lex_paths(q, (), [0] * n + [-1], max_arch=(n + 1) // 2 - 1)
+        "A": ([0] * (half + 1) + [1] * (n - half - 1) + [0], None, half if n % 2 == 0 else None),
+        # A rise, forced by the floor of 1 after one step, then A's shape
+        # one level up, with its last visit to height 1 at or before n // 2.
+        "B": ([0] + [1] * half + [2] * (n - half - 1) + [1], None, None),
+        # A Motzkin path of length n - 1 whose ground arches are all shorter
+        # than ceil(n / 2), then a fall to height -1.
+        "C": ([0] * n + [-1], (n + 1) // 2 - 1, None),
+    }
 
 
 def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int, ...], str]]:
     """Stream CBFS(q, n), or the union of the named families, as
     ``(symbols, family)`` pairs in canonical (lexicographic) order.
 
-    The family streams are merged on their symbol tuples; comparing text
-    would misorder words for q > 10. The merge holds one word per family,
-    so memory stays flat however large the set.
+    One walk covers every named family: the families end at distinct
+    heights, so the walk tells them apart by where each word ends. Words
+    are ordered as symbol tuples; comparing text would misorder them for
+    q > 10. Memory stays flat however large the set.
     """
     _require_domain(q, n)
     if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):
         raise ValueError(f"families must be distinct letters of 'ABC', got {families!r}")
-    streams = [zip(_family(q, n, name), repeat(name)) for name in families]
-    return _strictly_increasing(q, n, heapq.merge(*streams))
-
-
-def _strictly_increasing(
-    q: int, n: int, items: Iterator[tuple[tuple[int, ...], str]]
-) -> Iterator[tuple[tuple[int, ...], str]]:
-    # The families end at heights 0, +1 and -1, so they cannot share a word;
-    # a repeat or an out-of-order word means a walk is wrong.
-    prev: tuple[int, ...] = ()
-    for item in items:
-        if not prev < item[0]:
-            raise RuntimeError(
-                f"families A, B and C overlap at q={q}, n={n}: "
-                f"{format_symbols(item[0], q)!r} does not follow {format_symbols(prev, q)!r}"
-            )
-        prev = item[0]
-        yield item
+    shapes = _shapes(n)
+    return ((symbols, families[j]) for symbols, j in lex_paths(q, [shapes[name] for name in families]))
 
 
 def construct_A(q: int, n: int) -> CodeSet:

@@ -159,30 +159,27 @@ def _gen_stream(args):
     the word length and the (symbols, tag) stream in canonical order. No
     word is produced before the check passes."""
     q, n = args.q, args.n
+    if args.set == "bifixfree":
+        # The scan itself is exponential, so cap the whole space. The list
+        # is built here so that a domain error comes before any output.
+        if q**n > args.limit:
+            raise ValueError(f"word space {q}^{n} exceeds --limit {args.limit}")
+        return q, n, [(w.symbols, "external") for w in enumerate_bifix_free(q, n)]
     if args.set in _COUNTERS:
         expected = _COUNTERS[args.set](q, n)
-        with _exact_int_output():
-            if expected > args.limit:
-                raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
-        return q, n, iter_cbfs(q, n, "ABC" if args.set == "cbfs" else args.set)
-    colors = args.colors if args.colors is not None else q - 2
-    if args.set == "motzkin":
-        expected = motzkin_count(colors, n)
-        with _exact_int_output():
-            if expected > args.limit:
-                raise ValueError(f"{expected} words exceed --limit {args.limit}")
-        return colors + 2, n, zip(motzkin_paths(colors, n), repeat("external"))
-    if args.set == "elevated":
-        expected = motzkin_count(colors, n - 2) if n >= 2 else 0
-        with _exact_int_output():
-            if expected > args.limit:
-                raise ValueError(f"{expected} words exceed --limit {args.limit}")
-        return colors + 2, n, zip(elevated_paths(colors, n), repeat("external"))
-    # bifixfree: the scan itself is exponential, so cap the whole space.
-    # The list is built here so that a domain error comes before any output.
-    if q**n > args.limit:
-        raise ValueError(f"word space {q}^{n} exceeds --limit {args.limit}")
-    return q, n, [(w.symbols, "external") for w in enumerate_bifix_free(q, n)]
+        stream = iter_cbfs(q, n, "ABC" if args.set == "cbfs" else args.set)
+    else:
+        colors = args.colors if args.colors is not None else q - 2
+        q = colors + 2
+        if args.set == "motzkin":
+            expected, paths = motzkin_count(colors, n), motzkin_paths(colors, n)
+        else:
+            expected, paths = motzkin_count(colors, n - 2), elevated_paths(colors, n)  # 0 for n < 2
+        stream = zip(paths, repeat("external"))
+    with _exact_int_output():
+        if expected > args.limit:
+            raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
+    return q, n, stream
 
 
 def _write_word_lines(fh, q: int, stream) -> None:

@@ -7,8 +7,8 @@ without dipping below the x-axis.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .words import FALL, RISE, Word, is_motzkin_word, symbol_step
 
@@ -47,84 +47,122 @@ def motzkin_count(colors: int, n: int) -> int:
 
 
 def lex_paths(
-    q: int,
-    prefix: tuple[int, ...],
-    floor: list[int],
-    max_arch: int | None = None,
-    skip_first_return: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield, in lexicographic order, the symbol tuples over {0, ..., q-1}
-    that start with ``prefix`` and whose paths satisfy these bounds:
+    q: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield, in lexicographic order, every symbol tuple over {0, ..., q-1}
+    whose path fits one of ``shapes``, paired with the index of that shape.
+
+    A shape ``(floor, max_arch, skip_first_return)`` admits the paths from
+    height 0 that satisfy these bounds:
 
     * the word has length ``len(floor) - 1`` and ends at height ``floor[-1]``,
-    * after p symbols (p > len(prefix)) the height is at least ``floor[p]``
-      and at most ``floor[-1]`` plus the steps left,
+    * after p >= 1 symbols the height is at least ``floor[p]``,
     * with ``max_arch``, every stretch above height 0 between two visits
-      to height 0 lasts at most ``max_arch`` steps,
+      to height 0 lasts at most ``max_arch`` steps; a path that ends above
+      0 counts as closed by falls, so its last stretch is bounded too,
     * with ``skip_first_return``, the path does not first come back to
-      height 0 at that position.
+      height 0 by a fall at that position.
 
-    The walk is a depth-first search over (position, height, last visit to
-    height 0) that tries the fall, the rise and then the level colors, so
-    words come out in order. A branch is cut as soon as its height leaves
-    the bounds, or an open arch could no longer close within ``max_arch``.
+    All shapes must have the same length and distinct final heights, so a
+    word fits at most one of them, the one it ends at; otherwise ValueError
+    is raised before any word is yielded.
+
+    The walk is one depth-first search over (position, height, last visit
+    to height 0, shapes still possible) that tries the fall, the rise and
+    then the level colors, so words come out in order. The shapes still
+    possible are a bit mask; a branch is cut as soon as no shape admits it.
+    Two tables built up front decide that: ``rows[p][h]`` holds the shapes
+    with ``floor[p] <= h <= floor[-1] + n - p`` (the final height is still
+    reachable), and ``arch_ok[d]`` the shapes whose arch bound allows d,
+    the steps since height 0 plus the steps needed to get back there.
     With the floors this package uses, every prefix kept extends to a
-    word. Each call yields fresh tuples and holds one path in memory.
+    word. Each call yields fresh tuples and holds one path in memory, plus
+    tables of about n^2 / 4 small integers.
     """
-    n = len(floor) - 1
-    final = floor[n]
-    start = len(prefix)
-    if start > n:
-        raise ValueError(f"prefix of length {start} is longer than the word, {n}")
-    heights = list(accumulate(map(symbol_step, prefix), initial=0))
-    height = heights[-1]
-    ground = max(p for p, h in enumerate(heights) if h == 0)
-    if q == 2 and (n - start - height + final) % 2:
-        return  # without level steps every step changes the parity
-    if start == n:
-        if height == final:
-            yield tuple(prefix)
+    n = len(shapes[0][0]) - 1
+    finals = [floor[-1] for floor, _, _ in shapes]
+    for j, (floor, _, _) in enumerate(shapes):
+        if len(floor) != n + 1:
+            raise ValueError(f"shape {j} has length {len(floor) - 1}, shape 0 has length {n}")
+        if finals.index(floor[-1]) != j:
+            raise ValueError(f"shapes {finals.index(floor[-1])} and {j} both end at height {floor[-1]}")
+    # without level steps every step changes the parity of the height
+    live = sum(1 << j for j, final in enumerate(finals) if q > 2 or (n - final) % 2 == 0)
+    if n == 0:
+        if 0 in finals:
+            yield (), finals.index(0)
         return
-    arch = n + 1 + abs(final) if max_arch is None else max_arch  # never binds when None
-    no_return = -1 if skip_first_return is None else skip_first_return
-    top = final + n
+    if not live:
+        return  # before building the tables, which grow as n^2
+    low = min(0, *(min(floor) for floor, _, _ in shapes)) - 1  # no child goes lower
+    top = max(0, *finals) + n
+    indexed = list(enumerate(shapes))
+    # rows[p] is read for the children of nodes at p - 1, which are no
+    # higher than p - 1 nor than top - (p - 1).
+    rows = [
+        _masks(low, min(p, top - p + 2), [(1 << j, floor[p], floor[-1] + n - p) for j, (floor, _, _) in indexed])
+        for p in range(n + 1)
+    ]
+    # d is at most top + 2, since a child at p is no higher than top - p + 2
+    arches = [(1 << j, low + 1, top + 2 if arch is None else arch) for j, (_, arch, _) in indexed]
+    arch_ok = _masks(low + 1, top + 2, arches)
+    first_ok = [sum(1 << j for j, (_, _, skip) in indexed if skip != p) for p in range(n + 1)]
     levels = range(2, q)
     levels_desc = range(q - 1, 1, -1)
-    buf = list(prefix) + [0] * (n - start)
+    buf = [0] * n
     last = n - 1
     # Pending nodes (position, symbol placed at position - 1, height, last
-    # visit to 0), pushed in reverse order so they pop in lexicographic
-    # order. The children of a node at the last position are emitted
-    # directly rather than pushed.
-    stack = [(start, -1, height, ground)]
+    # visit to 0, shapes still possible), pushed in reverse order so they
+    # pop in lexicographic order. The root's symbol goes to buf[-1], which
+    # the last position overwrites. The children of a node at the last
+    # position are emitted directly rather than pushed; the one shape left
+    # is the one that ends at their height.
+    stack = [(0, 0, 0, 0, live)]
     pop, push = stack.pop, stack.append
     while stack:
-        p, s, h, g = pop()
-        if s >= 0:
-            buf[p - 1] = s
+        p, s, h, g, live = pop()
+        buf[p - 1] = s
         np = p + 1
-        low = floor[np]
-        cap = min(top - np, g + arch - np)
+        row = rows[np]
+        d = np - g + h
+        down = live & row[h - 1] & arch_ok[d - 1]
+        if h == 1 and g == 0:
+            down &= first_ok[np]
+        up = live & row[h + 1] & arch_ok[d + 1]
+        flat = live & row[h] & arch_ok[d]
         if p == last:
-            if low <= h - 1 <= cap and not (np == no_return and h == 1 and g == 0):
+            if down:
                 buf[p] = FALL
-                yield tuple(buf)
-            if low <= h + 1 <= cap:
+                yield tuple(buf), down.bit_length() - 1
+            if up:
                 buf[p] = RISE
-                yield tuple(buf)
-            if low <= h <= cap:
+                yield tuple(buf), up.bit_length() - 1
+            if flat:
+                j = flat.bit_length() - 1
                 for color in levels:
                     buf[p] = color
-                    yield tuple(buf)
+                    yield tuple(buf), j
             continue
-        if low <= h <= cap:
+        if flat:
             ng = np if h == 0 else g
             for color in levels_desc:
-                push((np, color, h, ng))
-        if low <= h + 1 <= cap:
-            push((np, RISE, h + 1, g))
-        if low <= h - 1 <= cap and not (np == no_return and h == 1 and g == 0):
-            push((np, FALL, h - 1, np if h == 1 else g))
+                push((np, color, h, ng, flat))
+        if up:
+            push((np, RISE, h + 1, g, up))
+        if down:
+            push((np, FALL, h - 1, np if h == 1 else g, down))
+
+
+def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> list[int]:
+    """A list t where, for lo <= v <= hi, t[v] is the OR of the bits b of
+    the spans (b, first, last) with first <= v <= last. Here lo <= 0, and a
+    negative v indexes from the end, as Python does. The list is filled a
+    run of equal masks at a time."""
+    cuts = sorted({lo, hi + 1, *(min(max(v, lo), hi + 1) for _, first, last in spans for v in (first, last + 1))})
+    t: list[int] = []
+    for start, stop in zip(cuts, cuts[1:]):
+        t += [sum(b for b, first, last in spans if first <= start <= last)] * (stop - start)
+    return t[-lo:] + t[:-lo]
 
 
 def motzkin_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -133,17 +171,18 @@ def motzkin_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"color count must be non-negative, got {colors}")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    return lex_paths(colors + 2, (), [0] * (n + 1))
+    return map(itemgetter(0), lex_paths(colors + 2, [([0] * (n + 1), None, None)]))
 
 
 def elevated_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
     """The symbol tuples of ``generate_elevated(colors, n)``, same order:
-    a rise, a path staying at height >= 1, and a fall back to 0."""
+    a rise (forced by the floor of 1 after one step), a path staying at
+    height >= 1, and a fall back to 0."""
     if colors < 0:
         raise ValueError(f"color count must be non-negative, got {colors}")
     if n < 2:
         return iter(())
-    return lex_paths(colors + 2, (RISE,), [0] + [1] * (n - 1) + [0])
+    return map(itemgetter(0), lex_paths(colors + 2, [([0] + [1] * (n - 1) + [0], None, None)]))
 
 
 def generate_motzkin(colors: int, n: int) -> Iterator[Word]:

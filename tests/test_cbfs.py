@@ -287,17 +287,17 @@ def test_domain_errors():
             bad_call()
 
 
-def test_union_overlap_is_a_runtime_error(monkeypatch):
+def test_union_overlap_is_a_value_error(monkeypatch):
     import crossbifix.cbfs as cbfs
 
-    # Family C's walk is swapped for family A's, so the merge sees every
-    # word of A twice.
-    family = cbfs._family
-    monkeypatch.setattr(cbfs, "_family", lambda q, n, name: family(q, n, "A" if name == "C" else name))
-    with pytest.raises(RuntimeError, match="overlap"):
+    # Family C is given family A's shape, so both would claim every word
+    # of A; the walk must refuse before it yields anything.
+    shapes = cbfs._shapes
+    monkeypatch.setattr(cbfs, "_shapes", lambda n: {**shapes(n), "C": shapes(n)["A"]})
+    with pytest.raises(ValueError, match="shapes 0 and 2 both end at height 0"):
         construct_cbfs(3, 5)
-    with pytest.raises(RuntimeError, match="overlap"):
-        list(iter_cbfs(3, 5))
+    with pytest.raises(ValueError, match="shapes 0 and 2 both end at height 0"):
+        next(iter_cbfs(3, 5))
 
 
 def test_code_set_build_sorts_and_dedupes():

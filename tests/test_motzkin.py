@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from crossbifix import motzkin
+from crossbifix.cbfs import _shapes
 from crossbifix.motzkin import (
     generate_elevated,
     generate_motzkin,
@@ -155,43 +156,54 @@ def test_generate_elevated():
                 assert is_elevated(x)
 
 
-def brute_lex_paths(q, prefix, floor, max_arch=None, skip_first_return=None):
-    n = len(floor) - 1
+def brute_lex_paths(q, shapes):
+    n = len(shapes[0][0]) - 1
     out = []
     for symbols in itertools.product(range(q), repeat=n):
-        if symbols[: len(prefix)] != prefix:
-            continue
         heights = [0]
         for s in symbols:
             heights.append(heights[-1] + (1 if s == 1 else -1 if s == 0 else 0))
-        if heights[-1] != floor[-1] or any(heights[p] < floor[p] for p in range(len(prefix) + 1, n + 1)):
-            continue
-        ground = [p for p, h in enumerate(heights) if h == 0]
-        if max_arch is not None and any(b - a > max_arch for a, b in zip(ground, ground[1:])):
-            continue
-        if skip_first_return is not None and len(ground) > 1 and ground[1] == skip_first_return:
-            continue
-        out.append(symbols)
+        for i, (floor, max_arch, skip_first_return) in enumerate(shapes):
+            # a path ending above 0 is read as closed by falls
+            closed = heights + list(range(floor[-1] - 1, -1, -1))
+            ground = [p for p, h in enumerate(closed) if h == 0]
+            if heights[-1] != floor[-1] or any(heights[p] < floor[p] for p in range(1, n + 1)):
+                continue
+            if max_arch is not None and any(b - a > max_arch for a, b in zip(ground, ground[1:])):
+                continue
+            if skip_first_return is not None and len(ground) > 1 and ground[1] == skip_first_return:
+                continue
+            out.append((symbols, i))
     return out
 
 
 def test_lex_paths_matches_its_definition():
-    shapes = [
-        ((), [0] * 7, None, None),
-        ((), [0, 0, 0, 1, 1, 1, 0], None, 3),
-        ((), [0, 0, 0, 0, 1, 1, 0], None, 6),  # first return at the very end
-        ((), [0] * 6 + [-1], 2, None),
-        ((), [0] * 7, 3, 2),
-        ((1,), [1, 1, 1, 2, 2, 2, 1], None, None),
-        ((1, 0), [0] * 7, 2, None),  # the arch bound counts from the prefix's return
-        ((1, 2), [0, 1, 1, 1, 1, 1, 0], None, None),
+    cases = [
+        [([0] * 7, None, None)],
+        [([0, 0, 0, 1, 1, 1, 0], None, 3)],
+        [([0, 0, 0, 0, 1, 1, 0], None, 6)],  # first return at the very end
+        [([0] * 6 + [-1], 2, None)],
+        [([0] * 7, 3, 2)],
+        [([0, 1, 1, 2, 2, 2, 1], None, None)],  # floor[1] = 1 forces a leading rise
+        [([0, 1, 1, 1, 1, 1, 0], None, None)],  # the elevated words
+        # several shapes in one walk, told apart by their final heights
+        [([0] * 7, 3, 2), ([0] * 6 + [-1], 2, None)],
+        [([0, 1, 1, 1, 1, 1, 1], 4, None), ([0] * 7, 4, None)],
     ]
+    for n in range(5, 9):
+        shapes = _shapes(n)
+        cases.append([shapes["A"], shapes["B"], shapes["C"]])
     for q in (2, 3, 4):
-        for prefix, floor, max_arch, skip in shapes:
-            got = list(lex_paths(q, prefix, floor, max_arch=max_arch, skip_first_return=skip))
-            assert got == brute_lex_paths(q, prefix, floor, max_arch, skip), (q, prefix, floor, max_arch, skip)
-    with pytest.raises(ValueError):
-        list(lex_paths(3, (1, 0, 1), [0, 0]))
+        for shapes in cases:
+            assert list(lex_paths(q, shapes)) == brute_lex_paths(q, shapes), (q, shapes)
+    bad = [
+        ([([0] * 5, None, None), ([0, 1, 1, 1, 0], None, None)], "shapes 0 and 1 both end at height 0"),
+        ([([0] * 5, None, None), ([0] * 4 + [-1], 2, None), ([0, 0, 1, 1, -1], None, None)], "shapes 1 and 2"),
+        ([([0] * 5, None, None), ([0] * 4, None, None)], "shape 1 has length 3, shape 0 has length 4"),
+    ]
+    for shapes, message in bad:
+        with pytest.raises(ValueError, match=message):
+            next(lex_paths(3, shapes))
 
 
 def test_ground_elevated_factor_examples():
