@@ -3,14 +3,17 @@
 The package constructs the non-expandable cross-bifix-free sets CBFS(q, n),
 counts them exactly, generates the classic zero-run baseline sets they are
 compared against, and verifies every claimed property. The exported
-verifiers come from ``verify``, which joins prefix and suffix indexes; the
-independent brute-force scans in ``oracle`` are the reference the tests hold
-them to.
+verifiers come from ``verify``, which joins prefix and suffix indexes, and
+whose prefix walk also streams the bifix-free words that ``gen --set
+bifixfree`` writes. The independent brute-force scans in ``oracle`` are only
+the reference the tests hold the fast paths to: neither ``verify`` nor the
+command line imports them.
 """
 
 from .baseline import best_sizes, construct_baseline_set, f_count, s_max, s_star, zero_run_counts
 from .cbfs import (
     CodeSet,
+    VerificationReport,
     construct_A,
     construct_B,
     construct_C,
@@ -30,7 +33,6 @@ from .motzkin import (
     motzkin_counts,
 )
 from .oracle import (
-    VerificationReport,
     brute_count_words_avoiding_zero_run,
     brute_motzkin_count,
     enumerate_bifix_free,

@@ -24,7 +24,7 @@ merge or re-sort. ``Word`` and ``CodeSet`` values are built only by the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -32,6 +32,36 @@ from .motzkin import lex_paths, motzkin_counts
 from .words import Word, format_word_lines, parse_word_lines
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
+# Default cap on the words a verification scan may cover.
+DEFAULT_MAX_SPACE = 10_000_000
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of a verification run, with every witness recorded.
+
+    kind is one of "cross-bifix-set", "non-expandable" or "count-agreement".
+    A non-null error marks a failed precondition rather than a verification
+    verdict.
+    """
+
+    kind: str
+    ok: bool
+    witnesses: tuple[dict, ...]
+    stats: dict = field(default_factory=dict)
+    error: str | None = None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "ok": self.ok,
+            "witnesses": [dict(w) for w in self.witnesses],
+            "stats": dict(self.stats),
+            "error": self.error,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 @dataclass(frozen=True)

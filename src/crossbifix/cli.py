@@ -18,8 +18,7 @@ from operator import itemgetter
 from .baseline import best_sizes, construct_baseline_set, s_max, s_star
 from .cbfs import CodeSet, count_A, count_B, count_C, count_cbfs, family_sizes, iter_cbfs
 from .motzkin import elevated_paths, motzkin_count, motzkin_paths
-from .oracle import enumerate_bifix_free
-from .verify import verify_cross_bifix_free_set, verify_non_expandable
+from .verify import count_bifix_free, iter_bifix_free, verify_cross_bifix_free_set, verify_non_expandable
 from .words import format_symbol_lines
 
 DEFAULT_LIMIT = 10_000_000
@@ -159,15 +158,11 @@ def _gen_stream(args):
     the word length and the (symbols, tag) stream in canonical order. No
     word is produced before the check passes."""
     q, n = args.q, args.n
-    if args.set == "bifixfree":
-        # The scan itself is exponential, so cap the whole space. The list
-        # is built here so that a domain error comes before any output.
-        if q**n > args.limit:
-            raise ValueError(f"word space {q}^{n} exceeds --limit {args.limit}")
-        return q, n, [(w.symbols, "external") for w in enumerate_bifix_free(q, n)]
     if args.set in _COUNTERS:
         expected = _COUNTERS[args.set](q, n)
         stream = iter_cbfs(q, n, "ABC" if args.set == "cbfs" else args.set)
+    elif args.set == "bifixfree":
+        expected, stream = count_bifix_free(q, n), zip(iter_bifix_free(q, n), repeat("external"))
     else:
         colors = args.colors if args.colors is not None else q - 2
         q = colors + 2
@@ -292,7 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", type=int, required=True)
     p_verify.add_argument("--n", type=int, default=None, help="word length (default: inferred)")
     p_verify.add_argument("--mode", default="set", choices=("set", "nonexpandable"))
-    p_verify.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="cap on the q^n candidate space")
+    p_verify.add_argument(
+        "--limit",
+        type=int,
+        default=DEFAULT_LIMIT,
+        help="nonexpandable mode: refuse sets with more outside bifix-free candidates, U_q(n) - |S|, than this",
+    )
     p_verify.add_argument(
         "--all-witnesses",
         action="store_true",

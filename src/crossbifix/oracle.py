@@ -8,42 +8,11 @@ spaces are capped so that exponential scans cannot run by accident.
 from __future__ import annotations
 
 import itertools
-import json
 import time
-from dataclasses import dataclass, field
 
-from .cbfs import CodeSet, construct_A, construct_B, construct_C, count_A, count_B, count_C
+from .cbfs import DEFAULT_MAX_SPACE, CodeSet, VerificationReport
+from .cbfs import construct_A, construct_B, construct_C, count_A, count_B, count_C
 from .words import Word, cross_bifix, is_bifix_free, prefix_function
-
-DEFAULT_MAX_SPACE = 10_000_000
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of a verification run, with every witness recorded.
-
-    kind is one of "cross-bifix-set", "non-expandable" or "count-agreement".
-    A non-null error marks a failed precondition rather than a verification
-    verdict.
-    """
-
-    kind: str
-    ok: bool
-    witnesses: tuple[dict, ...]
-    stats: dict = field(default_factory=dict)
-    error: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ok": self.ok,
-            "witnesses": [dict(w) for w in self.witnesses],
-            "stats": dict(self.stats),
-            "error": self.error,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 def _check_space(space: int, max_space: int, what: str) -> None:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 
-from .cbfs import CodeSet
-from .oracle import DEFAULT_MAX_SPACE, VerificationReport, _check_space
+from .cbfs import DEFAULT_MAX_SPACE, CodeSet, VerificationReport
 from .words import Word, cross_bifix, is_bifix_free
 
 
@@ -108,57 +107,20 @@ def _symbols(code: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(symbols)
 
 
-def verify_non_expandable(
-    code_set: CodeSet, max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
-) -> VerificationReport:
-    """Check that no outside bifix-free word can join the set.
+def _walk(q: int, n: int, codes: list[int], all_witnesses: bool = False):
+    """Yield ``(code, first)`` for the outside bifix-free candidates of
+    Z_q^n in lexicographic order, where ``codes`` are the members' base-q
+    codes in increasing order and ``first`` is the smallest index of a
+    member that blocks the candidate, or ``len(codes)`` if none does.
 
-    Preconditions (members bifix-free, set cross-bifix-free) are verified
-    first; their failure is reported as an error, not as expandability.
     A candidate is blocked exactly when one of its proper prefixes is a
     suffix of a member or one of its proper suffixes is a prefix of a
-    member. The candidates are walked depth first over their prefixes, in
-    lexicographic order, and a prefix that is a member's suffix blocks every
-    word below it.
-
-    By default that subtree is cut, and the report lists only the unblocked
-    candidates, each with null witness fields; any of them fails the check.
-    With ``all_witnesses`` nothing is cut and every outside bifix-free
-    candidate gets one witness: its cross-bifix with the first member in
-    canonical order that blocks it, or nulls. That report is the one
-    ``oracle.verify_non_expandable`` gives. In both modes
-    ``candidates_checked`` counts the candidates covered, U_q(n) - |S|.
+    member. The candidates are walked depth first over their prefixes, and
+    a prefix that is a member's suffix blocks every word below it. By
+    default that subtree is cut and only unblocked candidates are yielded;
+    with ``all_witnesses`` nothing is cut and every candidate is yielded.
     """
-    t0 = time.perf_counter()
-    q, n = code_set.q, code_set.n
-
-    def report(ok, witnesses, pairs, candidates, error=None):
-        stats = {
-            "pairs_checked": pairs,
-            "candidates_checked": candidates,
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
-
-    for member in code_set.words:
-        if not is_bifix_free(member):
-            return report(False, [], 0, 0, error=f"member {member.to_text()!r} is not bifix-free")
-    pairwise = verify_cross_bifix_free_set(code_set)
-    if not pairwise.ok:
-        bad = pairwise.witnesses[0]
-        return report(
-            False,
-            [],
-            pairwise.stats["pairs_checked"],
-            0,
-            error=f"set is not cross-bifix-free: {bad['first']} / {bad['second']} share {bad['cross_bifix']}",
-        )
-
-    _check_space(q**n, max_space, "non-expandability")
-    candidates = count_bifix_free(q, n) - len(code_set)
-    words = code_set.words
-    codes = _codes(code_set)
-    unblocked = len(words)  # an index past every member
+    unblocked = len(codes)  # an index past every member
     # Per length l = 1..n-1: the smallest member index with a given length-l
     # suffix, for the walk, and q**(n-l), q**l and the smallest member index
     # with a given length-l prefix, for the candidates' tails.
@@ -173,8 +135,6 @@ def verify_non_expandable(
         by_suffix.append(suffixes)
         tails.append((shift, mod, prefixes))
     members = set(codes)
-    witnesses = []
-    ok = True
     # Entries: a prefix code, its length, and the smallest member index with
     # a suffix equal to one of the prefix's own prefixes (``unblocked`` if
     # none). Children are pushed last first, so they come off in order.
@@ -205,20 +165,74 @@ def verify_non_expandable(
                     if not all_witnesses:
                         break  # blocked, and only unblocked words are listed
             else:
-                candidate = Word(_symbols(code, q, n), q)
-                if first == unblocked:
-                    ok = False
-                    witnesses.append(
-                        {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
-                    )
-                elif all_witnesses:
-                    hit = cross_bifix(candidate, words[first])
-                    witnesses.append(
-                        {
-                            "candidate": candidate.to_text(),
-                            "cross_bifix": hit.word.to_text(),
-                            "blocking": words[first].to_text(),
-                            "prefix_of": hit.prefix_of,
-                        }
-                    )
+                yield code, first
+
+
+def iter_bifix_free(q: int, n: int):
+    """Stream the bifix-free words of Z_q^n as symbol tuples in
+    lexicographic order: the candidates that an empty set leaves unblocked.
+
+    Domain errors are raised on the call, before the first word.
+    """
+    count_bifix_free(q, n)
+    return (_symbols(code, q, n) for code, _ in _walk(q, n, []))
+
+
+def verify_non_expandable(
+    code_set: CodeSet, max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
+) -> VerificationReport:
+    """Check that no outside bifix-free word can join the set.
+
+    Preconditions (members bifix-free, set cross-bifix-free) are verified
+    first; their failure is reported as an error, not as expandability.
+    The candidates come from the prefix walk ``_walk``, which cuts every
+    subtree below a prefix that is a member's suffix.
+
+    By default the report lists only the unblocked candidates, each with
+    null witness fields; any of them fails the check. With
+    ``all_witnesses`` nothing is cut and every outside bifix-free
+    candidate gets one witness: its cross-bifix with the first member in
+    canonical order that blocks it, or nulls. That report is the one
+    ``oracle.verify_non_expandable`` gives. In both modes
+    ``candidates_checked`` counts the candidates covered, U_q(n) - |S|,
+    and a set with more candidates than ``max_space`` is refused.
+    """
+    t0 = time.perf_counter()
+    q, n = code_set.q, code_set.n
+
+    def report(ok, witnesses, pairs, candidates, error=None):
+        stats = {
+            "pairs_checked": pairs,
+            "candidates_checked": candidates,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
+
+    for member in code_set.words:
+        if not is_bifix_free(member):
+            return report(False, [], 0, 0, error=f"member {member.to_text()!r} is not bifix-free")
+    pairwise = verify_cross_bifix_free_set(code_set)
+    if not pairwise.ok:
+        bad = pairwise.witnesses[0]
+        return report(
+            False,
+            [],
+            pairwise.stats["pairs_checked"],
+            0,
+            error=f"set is not cross-bifix-free: {bad['first']} / {bad['second']} share {bad['cross_bifix']}",
+        )
+
+    candidates = count_bifix_free(q, n) - len(code_set)
+    if candidates > max_space:
+        raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
+    words = code_set.words
+    witnesses = []
+    for code, first in _walk(q, n, _codes(code_set), all_witnesses):
+        candidate = Word(_symbols(code, q, n), q)
+        witness = {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
+        if first < len(words):
+            hit = cross_bifix(candidate, words[first])
+            witness.update(cross_bifix=hit.word.to_text(), blocking=words[first].to_text(), prefix_of=hit.prefix_of)
+        witnesses.append(witness)
+    ok = all(w["blocking"] is not None for w in witnesses)
     return report(ok, witnesses, pairwise.stats["pairs_checked"], candidates)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from crossbifix import baseline, cbfs, motzkin, words
+from crossbifix import baseline, cbfs, motzkin, oracle, words
 from crossbifix.baseline import s_max, s_star
 from crossbifix.cbfs import construct_A, construct_B, construct_C, construct_cbfs, count_cbfs
 from crossbifix.cli import build_size_table, main
@@ -141,6 +141,9 @@ def test_gen_streams_the_bytes_of_the_code_set(capsys):
                 references[name] = gen_reference(q, n, zip((w.symbols for w in code_set), code_set.provenance))
             references["motzkin"] = gen_reference(q, n, brute_paths(q, n, 0, 0))
             references["elevated"] = gen_reference(q, n, brute_paths(q, n, 1, n))
+            references["bifixfree"] = gen_reference(
+                q, n, [(w.symbols, "external") for w in oracle.enumerate_bifix_free(q, n)]
+            )
             for name, (text, json_text) in references.items():
                 args = ("gen", "--q", str(q), "--n", str(n), "--set", name)
                 assert run(capsys, *args) == (0, text, ""), (q, n, name)
@@ -153,7 +156,7 @@ def test_gen_text_builds_no_word_or_code_set(capsys, monkeypatch):
 
     monkeypatch.setattr(words.Word, "__post_init__", refuse)
     monkeypatch.setattr(cbfs.CodeSet, "__post_init__", refuse)
-    for name in ("cbfs", "A", "B", "C", "motzkin", "elevated"):
+    for name in ("cbfs", "A", "B", "C", "motzkin", "elevated", "bifixfree"):
         code, out, _ = run(capsys, "gen", "--q", "4", "--n", "6", "--set", name)
         assert code == 0 and out
 
@@ -194,6 +197,18 @@ def test_gen_refusal_writes_no_file(tmp_path, capsys):
             code, out, err = run(capsys, "gen", *args, "--format", fmt, "--out", str(target))
             assert code == 2 and out == "" and message in err, (args, err)
             assert not target.exists()
+
+
+def test_gen_bifix_free_refuses_by_its_output_size(tmp_path, capsys):
+    # U_3(9) = 11034 words in a space of 3^9 = 19683
+    expected = "".join(w.to_text() + "\n" for w in oracle.enumerate_bifix_free(3, 9))
+    args = ("gen", "--q", "3", "--n", "9", "--set", "bifixfree", "--limit")
+    assert run(capsys, *args, "11034") == (0, expected, "")
+    assert expected.count("\n") == 11034
+    target = tmp_path / "words.txt"
+    code, out, err = run(capsys, *args, "11033", "--out", str(target))
+    assert (code, out) == (2, "") and not target.exists()
+    assert err == "error: bifixfree at q=3, n=9 holds 11034 words, above --limit 11033\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap")

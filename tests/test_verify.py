@@ -6,6 +6,7 @@ blocked candidates left out; with ``all_witnesses`` it is the oracle's
 report. Past the oracle's reach the fast path is checked on its own.
 """
 
+import ast
 import inspect
 import json
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix import oracle, verify
+from crossbifix import cli, oracle, verify
 from crossbifix.cbfs import CodeSet, construct_cbfs
 from crossbifix.cli import main
 from crossbifix.words import Word
@@ -110,6 +111,26 @@ def test_space_guard_matches_oracle():
     for module in (verify, oracle):
         with pytest.raises(ValueError, match="above the cap of 10"):
             module.verify_non_expandable(construct_cbfs(3, 4), max_space=10)
+
+
+def test_space_guard_caps_the_candidates_not_the_word_space():
+    # CBFS(3, 9) leaves U_3(9) - |S| = 10499 candidates in a space of 3^9 = 19683
+    cbfs = construct_cbfs(3, 9)
+    report = verify.verify_non_expandable(cbfs, max_space=10499)
+    assert report.ok and report.stats["candidates_checked"] == 10499
+    with pytest.raises(ValueError, match="10499 candidates, above the cap of 10498"):
+        verify.verify_non_expandable(cbfs, max_space=10498)
+
+
+def test_cli_limit_caps_the_candidates_not_the_word_space(tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_text(construct_cbfs(3, 9).to_text())
+    argv = ["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit"]
+    assert main(argv + ["10499"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert main(argv + ["10498"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "above the cap of 10498" in captured.err
 
 
 @st.composite
@@ -216,7 +237,9 @@ BRUTE_SCAN_CAP = 100_000
 def test_bifix_free_count_matches_enumeration(q):
     n = 1
     while q**n <= BRUTE_SCAN_CAP:
-        assert verify.count_bifix_free(q, n) == sum(1 for _ in oracle.enumerate_bifix_free(q, n)), n
+        words = [w.symbols for w in oracle.enumerate_bifix_free(q, n)]
+        assert verify.count_bifix_free(q, n) == len(words), n
+        assert list(verify.iter_bifix_free(q, n)) == words, n
         n += 1
     assert n > 7
 
@@ -225,12 +248,25 @@ def test_bifix_free_count_domain_errors():
     for q, n in [(1, 3), (3, 0)]:
         with pytest.raises(ValueError) as fast:
             verify.count_bifix_free(q, n)
+        with pytest.raises(ValueError) as stream:
+            verify.iter_bifix_free(q, n)
         with pytest.raises(ValueError) as brute:
             next(oracle.enumerate_bifix_free(q, n))
-        assert str(fast.value) == str(brute.value)
+        assert str(fast.value) == str(stream.value) == str(brute.value)
 
 
 def test_oracle_does_not_use_the_fast_path():
     lines = inspect.getsource(oracle).splitlines()
     imports = [line for line in lines if line.startswith(("import ", "from "))]
     assert imports and not any("verify" in line for line in imports)
+
+
+def test_production_does_not_use_the_oracle():
+    for module in (cli, verify):
+        names = []
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                names += [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+        assert names and not any("oracle" in name for name in names), module.__name__
