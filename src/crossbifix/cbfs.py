@@ -17,7 +17,10 @@ families together. Each family is a shape (a floor per position, an arch
 bound, a forbidden first return); a node carries the mask of the families
 its prefix still fits, and the final height of a word names its family. So
 the walk yields plain symbol tuples already in canonical order, with no
-merge or re-sort. ``Word`` and ``CodeSet`` values are built only by the
+merge or re-sort. Past the middle of the word the walk replays the tails
+it has recorded for a path state instead of walking them again, so its
+memory grows with the distinct completions of the second half, not with
+the set. ``Word`` and ``CodeSet`` values are built only by the
 ``construct_*`` wrappers.
 """
 
@@ -192,7 +195,10 @@ def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int
     One walk covers every named family: the families end at distinct
     heights, so the walk tells them apart by where each word ends. Words
     are ordered as symbol tuples; comparing text would misorder them for
-    q > 10. Memory stays flat however large the set.
+    q > 10. Memory holds the tails ``lex_paths`` records for replay: at
+    most one per word yielded so far, and at most the length-``n // 2``
+    completions of each path state met at the middle. Streaming all of
+    CBFS(3, 19), 10,035,338 words, takes 3.9 MB for them.
     """
     _require_domain(q, n)
     if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):

@@ -26,7 +26,7 @@ DEFAULT_LIMIT = 10_000_000
 # counts cost O(n^2) bit operations, seconds per count at this length.
 DEFAULT_LENGTH_LIMIT = 100_000
 # Words formatted and written per write call by `gen`.
-GEN_CHUNK = 8192
+GEN_CHUNK = 4096
 
 _COUNTERS = {"cbfs": count_cbfs, "A": count_A, "B": count_B, "C": count_C}
 

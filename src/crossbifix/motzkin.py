@@ -70,15 +70,27 @@ def lex_paths(
     The walk is one depth-first search over (position, height, last visit
     to height 0, shapes still possible) that tries the fall, the rise and
     then the level colors, so words come out in order. The shapes still
-    possible are a bit mask; a branch is cut as soon as no shape admits it.
-    Two tables built up front decide that: ``rows[p][h]`` holds the shapes
-    with ``floor[p] <= h <= floor[-1] + n - p`` (the final height is still
-    reachable), and ``arch_ok[d]`` the shapes whose arch bound allows d,
-    the steps since height 0 plus the steps needed to get back there.
-    With the floors this package uses, every prefix kept extends to a
-    word. Each call yields fresh tuples and holds one path in memory, plus
-    tables of about n^2 / 4 small integers.
+    possible are a bit mask of at most 8 shapes, so that every mask fits in
+    a byte; more shapes raise ValueError before any word. A branch is cut
+    as soon as no shape admits it. Two tables built up front decide that:
+    ``rows[p][h]`` holds the shapes with ``floor[p] <= h <= floor[-1] + n - p``
+    (the final height is still reachable), and ``arch_ok[d]`` the shapes
+    whose arch bound allows d, the steps since height 0 plus the steps
+    needed to get back there. With the floors this package uses, every
+    prefix kept extends to a word.
+
+    Below position ``cut = n - n // 2`` a node's subtree depends only on
+    its height, its steps since height 0 and its shapes still possible, so
+    the first node met in each such state records the tails ``symbols[cut:]``
+    of its words, and every later node in that state replays them after its
+    own head instead of walking again. Each call yields fresh tuples and
+    holds one path, tables of about n^2 / 4 bytes, and the recorded tails:
+    at most one per word yielded so far, and at most the length-``n // 2``
+    completions of each state met at the cut. The record is local to the
+    call.
     """
+    if len(shapes) > 8:
+        raise ValueError(f"one walk takes at most 8 shapes, got {len(shapes)}")
     n = len(shapes[0][0]) - 1
     finals = [floor[-1] for floor, _, _ in shapes]
     for j, (floor, _, _) in enumerate(shapes):
@@ -111,6 +123,12 @@ def lex_paths(
     levels_desc = range(q - 1, 1, -1)
     buf = [0] * n
     last = n - 1
+    cut = n - n // 2
+    # Tails recorded per state at the cut, and the list the current
+    # subtree's leaves append to (a throwaway one when n = 1, where no node
+    # reaches the cut).
+    memo = {}
+    record = []
     # Pending nodes (position, symbol placed at position - 1, height, last
     # visit to 0, shapes still possible), pushed in reverse order so they
     # pop in lexicographic order. The root's symbol goes to buf[-1], which
@@ -122,6 +140,16 @@ def lex_paths(
     while stack:
         p, s, h, g, live = pop()
         buf[p - 1] = s
+        if p == cut:
+            # p - g == cut exactly when the path has not come back to 0
+            key = (h, p - g, live)
+            tails = memo.get(key)
+            if tails is not None:
+                head = tuple(buf[:cut])
+                for tail, j in tails:
+                    yield head + tail, j
+                continue
+            record = memo[key] = []
         np = p + 1
         row = rows[np]
         d = np - g + h
@@ -133,15 +161,23 @@ def lex_paths(
         if p == last:
             if down:
                 buf[p] = FALL
-                yield tuple(buf), down.bit_length() - 1
+                word = tuple(buf)
+                j = down.bit_length() - 1
+                record.append((word[cut:], j))
+                yield word, j
             if up:
                 buf[p] = RISE
-                yield tuple(buf), up.bit_length() - 1
+                word = tuple(buf)
+                j = up.bit_length() - 1
+                record.append((word[cut:], j))
+                yield word, j
             if flat:
                 j = flat.bit_length() - 1
                 for color in levels:
                     buf[p] = color
-                    yield tuple(buf), j
+                    word = tuple(buf)
+                    record.append((word[cut:], j))
+                    yield word, j
             continue
         if flat:
             ng = np if h == 0 else g
@@ -153,16 +189,16 @@ def lex_paths(
             push((np, FALL, h - 1, np if h == 1 else g, down))
 
 
-def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> list[int]:
-    """A list t where, for lo <= v <= hi, t[v] is the OR of the bits b of
+def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> bytes:
+    """A table t where, for lo <= v <= hi, t[v] is the OR of the bits b of
     the spans (b, first, last) with first <= v <= last. Here lo <= 0, and a
-    negative v indexes from the end, as Python does. The list is filled a
-    run of equal masks at a time."""
+    negative v indexes from the end, as Python does. The bits are below
+    1 << 8, and the table is filled a run of equal masks at a time."""
     cuts = sorted({lo, hi + 1, *(min(max(v, lo), hi + 1) for _, first, last in spans for v in (first, last + 1))})
-    t: list[int] = []
+    t = bytearray()
     for start, stop in zip(cuts, cuts[1:]):
-        t += [sum(b for b, first, last in spans if first <= start <= last)] * (stop - start)
-    return t[-lo:] + t[:-lo]
+        t += bytes((sum(b for b, first, last in spans if first <= start <= last),)) * (stop - start)
+    return bytes(t[-lo:] + t[:-lo])
 
 
 def motzkin_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:

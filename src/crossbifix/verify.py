@@ -194,8 +194,9 @@ def verify_non_expandable(
     candidate gets one witness: its cross-bifix with the first member in
     canonical order that blocks it, or nulls. That report is the one
     ``oracle.verify_non_expandable`` gives. In both modes
-    ``candidates_checked`` counts the candidates covered, U_q(n) - |S|,
-    and a set with more candidates than ``max_space`` is refused.
+    ``candidates_checked`` counts the candidates covered, U_q(n) - |S|.
+    A set with more candidates than ``max_space`` is refused before the
+    preconditions, whose cost grows with |S|.
     """
     t0 = time.perf_counter()
     q, n = code_set.q, code_set.n
@@ -208,6 +209,9 @@ def verify_non_expandable(
         }
         return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
 
+    candidates = count_bifix_free(q, n) - len(code_set)
+    if candidates > max_space:
+        raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
     for member in code_set.words:
         if not is_bifix_free(member):
             return report(False, [], 0, 0, error=f"member {member.to_text()!r} is not bifix-free")
@@ -222,9 +226,6 @@ def verify_non_expandable(
             error=f"set is not cross-bifix-free: {bad['first']} / {bad['second']} share {bad['cross_bifix']}",
         )
 
-    candidates = count_bifix_free(q, n) - len(code_set)
-    if candidates > max_space:
-        raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
     words = code_set.words
     witnesses = []
     for code, first in _walk(q, n, _codes(code_set), all_witnesses):

@@ -1,6 +1,7 @@
 """Tests for Motzkin counting, generation and ground-factor detection."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -171,39 +172,91 @@ def brute_lex_paths(q, shapes):
                 continue
             if max_arch is not None and any(b - a > max_arch for a, b in zip(ground, ground[1:])):
                 continue
-            if skip_first_return is not None and len(ground) > 1 and ground[1] == skip_first_return:
+            # only a first return made by a fall is barred; a level step at
+            # height 0 is a visit but not a return, which matters at position 1
+            if len(ground) > 1 and ground[1] == skip_first_return and symbols[ground[1] - 1] == 0:
                 continue
             out.append((symbols, i))
     return out
 
 
-def test_lex_paths_matches_its_definition():
-    cases = [
-        [([0] * 7, None, None)],
-        [([0, 0, 0, 1, 1, 1, 0], None, 3)],
-        [([0, 0, 0, 0, 1, 1, 0], None, 6)],  # first return at the very end
-        [([0] * 6 + [-1], 2, None)],
-        [([0] * 7, 3, 2)],
-        [([0, 1, 1, 2, 2, 2, 1], None, None)],  # floor[1] = 1 forces a leading rise
-        [([0, 1, 1, 1, 1, 1, 0], None, None)],  # the elevated words
+def floor(n, final, rises=()):
+    """A floor of length n: 0 at the start, then at each position 1..n-1 the
+    number of ``rises`` it has reached, then ``final``."""
+    if n == 0:
+        return [final]
+    return [0] + [sum(p >= r for r in rises) for p in range(1, n)] + [final]
+
+
+def case_shapes(n):
+    """The shape lists the walk is checked on at length n."""
+    return [
+        [(floor(n, 0), None, None)],
+        [(floor(n, 0, (n // 2,)), None, n // 2)],
+        [(floor(n, 0, (n - 2,)), None, n)],  # first return at the very end
+        [(floor(n, -1), 2, None)],
+        [(floor(n, 0), 3, 2)],
+        [(floor(n, 1, (1, n // 2)), None, None)],  # floor[1] = 1 forces a leading rise
+        [(floor(n, 0, (1,)), None, None)],  # the elevated words
         # several shapes in one walk, told apart by their final heights
-        [([0] * 7, 3, 2), ([0] * 6 + [-1], 2, None)],
-        [([0, 1, 1, 1, 1, 1, 1], 4, None), ([0] * 7, 4, None)],
+        [(floor(n, 0), 3, 2), (floor(n, -1), 2, None)],
+        [(floor(n, 1, (1,)), 4, None), (floor(n, 0), 4, None)],
     ]
+
+
+def test_lex_paths_matches_its_definition():
+    cases = [shapes for n in range(7) for shapes in case_shapes(n)]
     for n in range(5, 9):
         shapes = _shapes(n)
         cases.append([shapes["A"], shapes["B"], shapes["C"]])
     for q in (2, 3, 4):
         for shapes in cases:
             assert list(lex_paths(q, shapes)) == brute_lex_paths(q, shapes), (q, shapes)
+    # lengths where many prefixes reach the middle in the same state, so
+    # most words are replayed from the tails recorded there
+    for n in (9, 10):
+        shapes = _shapes(n)
+        for q in (2, 3):
+            cbfs = [shapes["A"], shapes["B"], shapes["C"]]
+            assert list(lex_paths(q, cbfs)) == brute_lex_paths(q, cbfs), (q, n)
     bad = [
         ([([0] * 5, None, None), ([0, 1, 1, 1, 0], None, None)], "shapes 0 and 1 both end at height 0"),
         ([([0] * 5, None, None), ([0] * 4 + [-1], 2, None), ([0, 0, 1, 1, -1], None, None)], "shapes 1 and 2"),
         ([([0] * 5, None, None), ([0] * 4, None, None)], "shape 1 has length 3, shape 0 has length 4"),
+        # nine shapes with distinct final heights: their masks need 9 bits
+        ([([0] * 8 + [final], None, None) for final in range(9)], "at most 8 shapes, got 9"),
     ]
     for shapes, message in bad:
         with pytest.raises(ValueError, match=message):
             next(lex_paths(3, shapes))
+
+
+def test_lex_paths_calls_share_no_state():
+    # interleaved walks, two of them alike, give what each gives alone
+    shapes = _shapes(10)
+    calls = [(3, [shapes["A"], shapes["B"], shapes["C"]]), (3, [shapes["A"], shapes["B"], shapes["C"]])]
+    calls.append((4, [_shapes(9)["C"], _shapes(9)["A"]]))
+    alone = [list(lex_paths(q, s)) for q, s in calls]
+    streams = [lex_paths(q, s) for q, s in calls]
+    together = [[] for _ in calls]
+    for step in itertools.zip_longest(*streams):
+        for out, item in zip(together, step):
+            if item is not None:
+                out.append(item)
+    assert together == alone
+    assert all(alone)
+
+
+def test_first_word_needs_no_quadratic_memory():
+    # the position-by-height tables take a byte per entry, about
+    # n^2 / 4 = 2.25 MB here
+    tracemalloc.start()
+    try:
+        assert next(motzkin.motzkin_paths(1, 3000)) == (1, 0) * 1500
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_ground_elevated_factor_examples():

@@ -133,6 +133,23 @@ def test_cli_limit_caps_the_candidates_not_the_word_space(tmp_path, capsys):
     assert captured.out == "" and "above the cap of 10498" in captured.err
 
 
+def test_space_guard_comes_before_the_preconditions(tmp_path, capsys, monkeypatch):
+    cbfs = construct_cbfs(3, 9)
+    path = tmp_path / "words.txt"
+    path.write_text(cbfs.to_text())
+
+    def late(*args):
+        raise AssertionError("a precondition ran before the cap")
+
+    monkeypatch.setattr(verify, "verify_cross_bifix_free_set", late)
+    monkeypatch.setattr(verify, "is_bifix_free", late)
+    with pytest.raises(ValueError, match="10499 candidates, above the cap of 10$"):
+        verify.verify_non_expandable(cbfs, max_space=10)
+    assert main(["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith("10499 candidates, above the cap of 10\n")
+
+
 @st.composite
 def small_sets(draw):
     """Random small sets, mostly neither bifix-free nor cross-bifix-free,
