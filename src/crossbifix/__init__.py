@@ -6,8 +6,9 @@ compared against, and verifies every claimed property. The exported
 verifiers come from ``verify``, which joins prefix and suffix indexes, and
 whose prefix walk also streams the bifix-free words that ``gen --set
 bifixfree`` writes. The independent brute-force scans in ``oracle`` are only
-the reference the tests hold the fast paths to: neither ``verify`` nor the
-command line imports them.
+the reference the tests hold the fast paths to: they are not exported here,
+and neither ``verify`` nor the command line imports them, so no command
+loads ``crossbifix.oracle``.
 """
 
 from .baseline import best_sizes, construct_baseline_set, f_count, s_max, s_star, zero_run_counts
@@ -32,12 +33,6 @@ from .motzkin import (
     motzkin_count,
     motzkin_counts,
 )
-from .oracle import (
-    brute_count_words_avoiding_zero_run,
-    brute_motzkin_count,
-    enumerate_bifix_free,
-    verify_count_agreement,
-)
 from .verify import verify_cross_bifix_free_set, verify_non_expandable
 from .words import (
     CrossBifix,
@@ -61,8 +56,6 @@ __all__ = [
     "Word",
     "best_sizes",
     "bifixes",
-    "brute_count_words_avoiding_zero_run",
-    "brute_motzkin_count",
     "construct_A",
     "construct_B",
     "construct_C",
@@ -73,7 +66,6 @@ __all__ = [
     "count_C",
     "count_cbfs",
     "cross_bifix",
-    "enumerate_bifix_free",
     "f_count",
     "family_sizes",
     "generate_elevated",
@@ -88,7 +80,6 @@ __all__ = [
     "motzkin_counts",
     "s_max",
     "s_star",
-    "verify_count_agreement",
     "verify_cross_bifix_free_set",
     "verify_non_expandable",
     "zero_run_counts",

@@ -12,7 +12,7 @@ q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
   ground-level elevated factor of length >= ceil(n / 2), then a fall step.
 
 Counting never materializes words. Generation is one pruned depth-first
-search over path states (``motzkin.lex_paths``) that walks the chosen
+search over path states (``motzkin.lex_groups``) that walks the chosen
 families together. Each family is a shape (a floor per position, an arch
 bound, a forbidden first return); a node carries the mask of the families
 its prefix still fits, and the final height of a word names its family. So
@@ -20,8 +20,11 @@ the walk yields plain symbol tuples already in canonical order, with no
 merge or re-sort. Past the middle of the word the walk replays the tails
 it has recorded for a path state instead of walking them again, so its
 memory grows with the distinct completions of the second half, not with
-the set. ``Word`` and ``CodeSet`` values are built only by the
-``construct_*`` wrappers.
+the set. ``cbfs_groups`` hands a replay out whole, as a head and the
+state's list of tails, so that a caller such as ``gen`` can write the
+subtree in one piece; ``iter_cbfs`` flattens the groups into words.
+``Word`` and ``CodeSet`` values are built only by the ``construct_*``
+wrappers.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .motzkin import lex_paths, motzkin_counts
+from .motzkin import lex_groups, motzkin_counts
 from .words import Word, format_word_lines, parse_word_lines
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
@@ -188,6 +191,20 @@ def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
     }
 
 
+def cbfs_groups(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int, ...], list]]:
+    """CBFS(q, n), or the union of the named families, as the
+    ``motzkin.lex_groups`` of one walk over their shapes: ``(head, tails)``
+    groups in canonical order, where ``families[j]`` names the family of
+    each word ``head + tail`` with ``(tail, j)`` in ``tails``. A group that
+    replays a path state hands back the same list each time; callers must
+    not change it. Domain errors are raised on the call."""
+    _require_domain(q, n)
+    if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):
+        raise ValueError(f"families must be distinct letters of 'ABC', got {families!r}")
+    shapes = _shapes(n)
+    return lex_groups(q, [shapes[name] for name in families])
+
+
 def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int, ...], str]]:
     """Stream CBFS(q, n), or the union of the named families, as
     ``(symbols, family)`` pairs in canonical (lexicographic) order.
@@ -195,16 +212,13 @@ def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int
     One walk covers every named family: the families end at distinct
     heights, so the walk tells them apart by where each word ends. Words
     are ordered as symbol tuples; comparing text would misorder them for
-    q > 10. Memory holds the tails ``lex_paths`` records for replay: at
-    most one per word yielded so far, and at most the length-``n // 2``
-    completions of each path state met at the middle. Streaming all of
-    CBFS(3, 19), 10,035,338 words, takes 3.9 MB for them.
+    q > 10. Memory holds the tails the walk records for replay: at most one
+    per word yielded so far, and at most the length-``n // 2`` completions
+    of each path state met at the middle. Streaming all of CBFS(3, 19),
+    10,035,338 words, takes 3.9 MB for them.
     """
-    _require_domain(q, n)
-    if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):
-        raise ValueError(f"families must be distinct letters of 'ABC', got {families!r}")
-    shapes = _shapes(n)
-    return ((symbols, families[j]) for symbols, j in lex_paths(q, [shapes[name] for name in families]))
+    groups = cbfs_groups(q, n, families)
+    return ((head + tail, families[j]) for head, tails in groups for tail, j in tails)
 
 
 def construct_A(q: int, n: int) -> CodeSet:

@@ -13,19 +13,24 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import itemgetter
 
 from .baseline import best_sizes, construct_baseline_set, s_max, s_star
-from .cbfs import CodeSet, count_A, count_B, count_C, count_cbfs, family_sizes, iter_cbfs
-from .motzkin import elevated_paths, motzkin_count, motzkin_paths
-from .verify import count_bifix_free, iter_bifix_free, verify_cross_bifix_free_set, verify_non_expandable
-from .words import format_symbol_lines
+from .cbfs import CodeSet, cbfs_groups, count_A, count_B, count_C, count_cbfs, family_sizes
+from .motzkin import elevated_groups, motzkin_count, motzkin_groups
+from .verify import (
+    check_candidate_cap,
+    count_bifix_free,
+    iter_bifix_free,
+    verify_cross_bifix_free_set,
+    verify_non_expandable,
+)
+from .words import format_symbol_lines, format_symbols, parse_symbols
 
 DEFAULT_LIMIT = 10_000_000
 # Largest word length `count` and `table` take by default: their exact
 # counts cost O(n^2) bit operations, seconds per count at this length.
 DEFAULT_LENGTH_LIMIT = 100_000
-# Words formatted and written per write call by `gen`.
+# Words per write call of `gen --set bifixfree`.
 GEN_CHUNK = 4096
 
 _COUNTERS = {"cbfs": count_cbfs, "A": count_A, "B": count_B, "C": count_C}
@@ -153,34 +158,55 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _gen_stream(args):
+def _gen_groups(args):
     """Check --limit for a `gen` request, then return the alphabet size,
-    the word length and the (symbols, tag) stream in canonical order. No
-    word is produced before the check passes."""
+    the word length, the ``(head, tails)`` groups of its words in canonical
+    order (as ``motzkin.lex_groups`` yields them) and the tag of each shape
+    index. No word is produced before the check passes."""
     q, n = args.q, args.n
     if args.set in _COUNTERS:
-        expected = _COUNTERS[args.set](q, n)
-        stream = iter_cbfs(q, n, "ABC" if args.set == "cbfs" else args.set)
+        tags = "ABC" if args.set == "cbfs" else args.set
+        expected, groups = _COUNTERS[args.set](q, n), cbfs_groups(q, n, tags)
     elif args.set == "bifixfree":
-        expected, stream = count_bifix_free(q, n), zip(iter_bifix_free(q, n), repeat("external"))
+        expected, tags = count_bifix_free(q, n), ("external",)
+        # chunks of the word stream, as groups with an empty head; their
+        # tails are iterators, so no pair outlives its word's turn
+        words = iter_bifix_free(q, n)
+        groups = (((), zip(chunk, repeat(0))) for chunk in iter(lambda: list(islice(words, GEN_CHUNK)), []))
     else:
         colors = args.colors if args.colors is not None else q - 2
-        q = colors + 2
+        q, tags = colors + 2, ("external",)
         if args.set == "motzkin":
-            expected, paths = motzkin_count(colors, n), motzkin_paths(colors, n)
+            expected, groups = motzkin_count(colors, n), motzkin_groups(colors, n)
         else:
-            expected, paths = motzkin_count(colors, n - 2), elevated_paths(colors, n)  # 0 for n < 2
-        stream = zip(paths, repeat("external"))
+            expected, groups = motzkin_count(colors, n - 2), elevated_groups(colors, n)  # 0 for n < 2
     with _exact_int_output():
         if expected > args.limit:
             raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
-    return q, n, stream
+    return q, n, groups, tags
 
 
-def _write_word_lines(fh, q: int, stream) -> None:
-    symbols = map(itemgetter(0), stream)
-    while chunk := list(islice(symbols, GEN_CHUNK)):
-        fh.write(format_symbol_lines(chunk, q))
+def _write_groups(fh, q: int, groups) -> None:
+    """Write the words of ``(head, tails)`` groups one per line.
+
+    A list of several tails comes back each time its walk state does, so
+    its text is made once and kept with the list, which holds the list's id
+    for it; each group is then the head's text (and a comma for q > 10)
+    before every line of that block. One-element lists and groups with an
+    empty head, whose tails may be any iterable, are formatted as they come,
+    so the kept text is one block per state met at the cut.
+    """
+    sep = "," if q > 10 else ""
+    blocks = {}
+    for head, tails in groups:
+        if head and len(tails) > 1:
+            entry = blocks.get(id(tails))
+            if entry is None:
+                entry = blocks[id(tails)] = (tails, format_symbol_lines([tail for tail, _ in tails], q)[:-1])
+            head_text = format_symbols(head, q) + sep
+            fh.write(head_text + entry[1].replace("\n", "\n" + head_text) + "\n")
+        else:
+            fh.write(format_symbol_lines([head + tail for tail, _ in tails], q))
 
 
 def _emit_code_set(code_set: CodeSet, fmt: str, out_path: str | None) -> int:
@@ -192,15 +218,16 @@ def _emit_code_set(code_set: CodeSet, fmt: str, out_path: str | None) -> int:
 
 
 def _cmd_gen(args) -> int:
-    q, n, stream = _gen_stream(args)
+    q, n, groups, tags = _gen_groups(args)
     if args.format == "json":
-        _write_output(CodeSet.from_ordered(q, n, stream).to_json(), args.out)
+        words = ((head + tail, tags[j]) for head, tails in groups for tail, j in tails)
+        _write_output(CodeSet.from_ordered(q, n, words).to_json(), args.out)
         return 0
     if args.out in (None, "-"):
-        _write_word_lines(sys.stdout, q, stream)
+        _write_groups(sys.stdout, q, groups)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_word_lines(fh, q, stream)
+            _write_groups(fh, q, groups)
     return 0
 
 
@@ -215,6 +242,13 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
+    if args.mode == "nonexpandable":
+        # refuse on the raw lines, before any word is built: there are at
+        # least as many distinct lines as members
+        lines = [line for line in map(str.strip, text.splitlines()) if line]
+        if lines:
+            n = args.n if args.n is not None else len(parse_symbols(lines[0], args.q))
+            check_candidate_cap(args.q, n, len(set(lines)), args.limit)
     code_set = CodeSet.from_text(text, args.q, n=args.n)
     if args.mode == "set":
         report = verify_cross_bifix_free_set(code_set)

@@ -7,7 +7,6 @@ without dipping below the x-axis.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .words import FALL, RISE, Word, is_motzkin_word, symbol_step
@@ -49,8 +48,21 @@ def motzkin_count(colors: int, n: int) -> int:
 def lex_paths(
     q: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The words of ``lex_groups(q, shapes)`` one at a time, as
+    ``(symbols, shape index)`` pairs in lexicographic order; each call
+    yields fresh tuples."""
+    for head, tails in lex_groups(q, shapes):
+        for tail, j in tails:
+            yield head + tail, j
+
+
+def lex_groups(
+    q: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]
+) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
     """Yield, in lexicographic order, every symbol tuple over {0, ..., q-1}
-    whose path fits one of ``shapes``, paired with the index of that shape.
+    whose path fits one of ``shapes``, paired with the index of that shape,
+    in groups ``(head, tails)``: the words of a group are ``head + tail``
+    for each ``(tail, shape index)`` in the list ``tails``, in order.
 
     A shape ``(floor, max_arch, skip_first_return)`` admits the paths from
     height 0 that satisfy these bounds:
@@ -79,15 +91,18 @@ def lex_paths(
     needed to get back there. With the floors this package uses, every
     prefix kept extends to a word.
 
-    Below position ``cut = n - n // 2`` a node's subtree depends only on
-    its height, its steps since height 0 and its shapes still possible, so
-    the first node met in each such state records the tails ``symbols[cut:]``
-    of its words, and every later node in that state replays them after its
-    own head instead of walking again. Each call yields fresh tuples and
-    holds one path, tables of about n^2 / 4 bytes, and the recorded tails:
-    at most one per word yielded so far, and at most the length-``n // 2``
-    completions of each state met at the cut. The record is local to the
-    call.
+    The head of a group is the first ``cut = n - n // 2`` symbols; for
+    n <= 1 it is empty. Past the cut a node's subtree depends only on its
+    height, its steps since height 0 and its shapes still possible. The
+    first node met in each such state walks on, and each of its words is
+    recorded under that state and yielded at once as a one-element group.
+    Every later node in that state yields one group: its own head and the
+    state's recorded list itself, the same list object, complete and never
+    changed again, each time the state comes back. Callers must not change
+    the lists. Each call holds one path, tables of about n^2 / 4 bytes and
+    the recorded tails: at most one per word yielded so far, and at most the
+    length-``n // 2`` completions of each state met at the cut. The record
+    is local to the call.
     """
     if len(shapes) > 8:
         raise ValueError(f"one walk takes at most 8 shapes, got {len(shapes)}")
@@ -102,7 +117,7 @@ def lex_paths(
     live = sum(1 << j for j, final in enumerate(finals) if q > 2 or (n - final) % 2 == 0)
     if n == 0:
         if 0 in finals:
-            yield (), finals.index(0)
+            yield (), [((), finals.index(0))]
         return
     if not live:
         return  # before building the tables, which grow as n^2
@@ -123,12 +138,10 @@ def lex_paths(
     levels_desc = range(q - 1, 1, -1)
     buf = [0] * n
     last = n - 1
-    cut = n - n // 2
-    # Tails recorded per state at the cut, and the list the current
-    # subtree's leaves append to (a throwaway one when n = 1, where no node
-    # reaches the cut).
+    # at n = 1 the root is the only node above the leaves, so it is the cut
+    cut = n - n // 2 if n > 1 else 0
+    # Tails recorded per state at the cut.
     memo = {}
-    record = []
     # Pending nodes (position, symbol placed at position - 1, height, last
     # visit to 0, shapes still possible), pushed in reverse order so they
     # pop in lexicographic order. The root's symbol goes to buf[-1], which
@@ -141,13 +154,13 @@ def lex_paths(
         p, s, h, g, live = pop()
         buf[p - 1] = s
         if p == cut:
+            head = tuple(buf[:cut])
             # p - g == cut exactly when the path has not come back to 0
             key = (h, p - g, live)
             tails = memo.get(key)
             if tails is not None:
-                head = tuple(buf[:cut])
-                for tail, j in tails:
-                    yield head + tail, j
+                if tails:  # a state with no completion yields no group
+                    yield head, tails
                 continue
             record = memo[key] = []
         np = p + 1
@@ -161,23 +174,21 @@ def lex_paths(
         if p == last:
             if down:
                 buf[p] = FALL
-                word = tuple(buf)
-                j = down.bit_length() - 1
-                record.append((word[cut:], j))
-                yield word, j
+                leaf = (tuple(buf[cut:]), down.bit_length() - 1)
+                record.append(leaf)
+                yield head, [leaf]
             if up:
                 buf[p] = RISE
-                word = tuple(buf)
-                j = up.bit_length() - 1
-                record.append((word[cut:], j))
-                yield word, j
+                leaf = (tuple(buf[cut:]), up.bit_length() - 1)
+                record.append(leaf)
+                yield head, [leaf]
             if flat:
                 j = flat.bit_length() - 1
                 for color in levels:
                     buf[p] = color
-                    word = tuple(buf)
-                    record.append((word[cut:], j))
-                    yield word, j
+                    leaf = (tuple(buf[cut:]), j)
+                    record.append(leaf)
+                    yield head, [leaf]
             continue
         if flat:
             ng = np if h == 0 else g
@@ -201,24 +212,35 @@ def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> bytes:
     return bytes(t[-lo:] + t[:-lo])
 
 
-def motzkin_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The symbol tuples of ``generate_motzkin(colors, n)``, same order."""
+def motzkin_groups(colors: int, n: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """The ``lex_groups`` of the Motzkin words of length n, every shape
+    index 0."""
     if colors < 0:
         raise ValueError(f"color count must be non-negative, got {colors}")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    return map(itemgetter(0), lex_paths(colors + 2, [([0] * (n + 1), None, None)]))
+    return lex_groups(colors + 2, [([0] * (n + 1), None, None)])
 
 
-def elevated_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The symbol tuples of ``generate_elevated(colors, n)``, same order:
-    a rise (forced by the floor of 1 after one step), a path staying at
-    height >= 1, and a fall back to 0."""
+def elevated_groups(colors: int, n: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """The ``lex_groups`` of the elevated Motzkin words of length n: a rise
+    (forced by the floor of 1 after one step), a path staying at height
+    >= 1, and a fall back to 0."""
     if colors < 0:
         raise ValueError(f"color count must be non-negative, got {colors}")
     if n < 2:
         return iter(())
-    return map(itemgetter(0), lex_paths(colors + 2, [([0] + [1] * (n - 1) + [0], None, None)]))
+    return lex_groups(colors + 2, [([0] + [1] * (n - 1) + [0], None, None)])
+
+
+def motzkin_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The symbol tuples of ``generate_motzkin(colors, n)``, same order."""
+    return (head + tail for head, tails in motzkin_groups(colors, n) for tail, _ in tails)
+
+
+def elevated_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The symbol tuples of ``generate_elevated(colors, n)``, same order."""
+    return (head + tail for head, tails in elevated_groups(colors, n) for tail, _ in tails)
 
 
 def generate_motzkin(colors: int, n: int) -> Iterator[Word]:

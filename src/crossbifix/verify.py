@@ -168,6 +168,18 @@ def _walk(q: int, n: int, codes: list[int], all_witnesses: bool = False):
                 yield code, first
 
 
+def check_candidate_cap(q: int, n: int, members: int, max_space: int) -> int:
+    """Return the outside bifix-free candidates of a set of ``members``
+    words in Z_q^n, U_q(n) - members, or raise ValueError when they are more
+    than ``max_space``. A bound on the members, such as the distinct lines of
+    an input not yet parsed, gives a bound on the candidates, so a refusal
+    on it holds for the set too."""
+    candidates = count_bifix_free(q, n) - members
+    if candidates > max_space:
+        raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
+    return candidates
+
+
 def iter_bifix_free(q: int, n: int):
     """Stream the bifix-free words of Z_q^n as symbol tuples in
     lexicographic order: the candidates that an empty set leaves unblocked.
@@ -209,9 +221,7 @@ def verify_non_expandable(
         }
         return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
 
-    candidates = count_bifix_free(q, n) - len(code_set)
-    if candidates > max_space:
-        raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
+    candidates = check_candidate_cap(q, n, len(code_set), max_space)
     for member in code_set.words:
         if not is_bifix_free(member):
             return report(False, [], 0, 0, error=f"member {member.to_text()!r} is not bifix-free")

@@ -5,11 +5,12 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 
 import pytest
 
-from crossbifix import baseline, cbfs, motzkin, oracle, words
+from crossbifix import baseline, cbfs, cli, motzkin, oracle, words
 from crossbifix.baseline import s_max, s_star
 from crossbifix.cbfs import construct_A, construct_B, construct_C, construct_cbfs, count_cbfs
 from crossbifix.cli import build_size_table, main
@@ -243,6 +244,41 @@ def test_gen_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--q", "3", "--n", "4", "--set", "cbfs", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == "1100\n1120\n1210\n1220\n2120\n2210\n2220\n"
+
+
+def test_gen_file_holds_the_bytes_of_stdout(tmp_path, capsys):
+    for args in (("--q", "4", "--n", "11", "--set", "cbfs"), ("--q", "12", "--n", "5", "--set", "motzkin")):
+        target = tmp_path / "words.txt"
+        code, out, _ = run(capsys, "gen", *args)
+        assert code == 0 and out
+        assert run(capsys, "gen", *args, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode(), args
+
+
+def test_group_writer_formats_every_group_as_handed():
+    # a stream that drops most of its lists once written, so new lists can
+    # take the ids of freed ones, and hands some kept lists back later
+    rng = random.Random(5)
+    for q in (4, 12):
+        expected = []
+
+        def groups():
+            kept = []
+            for _ in range(3000):
+                head = tuple(rng.randrange(q) for _ in range(rng.choice((0, 3))))
+                if kept and rng.random() < 0.3:
+                    tails = rng.choice(kept)
+                else:
+                    tails = [(tuple(rng.randrange(q) for _ in range(4)), 0) for _ in range(rng.choice((1, 1, 2, 5)))]
+                    if rng.random() < 0.1:
+                        kept.append(tails)
+                expected.extend(format_symbols(head + tail, q) + "\n" for tail, _ in tails)
+                # with an empty head, as for bifix-free chunks, any iterable will do
+                yield head, tails if head or rng.random() < 0.5 else iter(tails)
+
+        out = io.StringIO()
+        cli._write_groups(out, q, groups())
+        assert out.getvalue() == "".join(expected), q
 
 
 def test_baseline_gen(capsys):

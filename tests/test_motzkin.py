@@ -12,6 +12,7 @@ from crossbifix.motzkin import (
     generate_elevated,
     generate_motzkin,
     has_ground_elevated_factor,
+    lex_groups,
     lex_paths,
     motzkin_count,
     motzkin_counts,
@@ -204,6 +205,39 @@ def case_shapes(n):
     ]
 
 
+def path_state(head):
+    """The height after ``head`` and the steps since its last visit to 0."""
+    heights = list(itertools.accumulate((1 if s == 1 else -1 if s == 0 else 0 for s in head), initial=0))
+    return heights[-1], len(head) - max(p for p, h in enumerate(heights) if h == 0)
+
+
+def checked_groups(q, shapes):
+    """The words of ``lex_groups(q, shapes)``, flattened, after checking how
+    its groups are cut and replayed."""
+    n = len(shapes[0][0]) - 1
+    cut = n - n // 2 if n > 1 else 0
+    # every list stays alive, so no id passes to a new list, and its
+    # contents are copied as yielded
+    groups = [(head, tails, tuple(tails)) for head, tails in lex_groups(q, shapes)]
+    below = {}  # head -> the words below it
+    for head, _, seen in groups:
+        below.setdefault(head, []).extend(seen)
+    first = {}  # state -> the head of its first node
+    replayed = {}  # state -> the list later nodes in that state hand back
+    for head, tails, seen in groups:
+        assert len(head) == cut and seen and all(len(tail) == n - cut for tail, _ in seen), (q, shapes)
+        assert tuple(tails) == seen  # a yielded list never changes
+        if cut:
+            state = (*path_state(head), tuple(below[head]))
+            if first.setdefault(state, head) == head:
+                assert len(seen) == 1  # the first node's words leave one by one
+            else:
+                # a later node: one group, the same list each time
+                assert list(seen) == below[head]
+                assert replayed.setdefault(state, tails) is tails
+    return [(head + tail, j) for head, _, seen in groups for tail, j in seen]
+
+
 def test_lex_paths_matches_its_definition():
     cases = [shapes for n in range(7) for shapes in case_shapes(n)]
     for n in range(5, 9):
@@ -211,14 +245,19 @@ def test_lex_paths_matches_its_definition():
         cases.append([shapes["A"], shapes["B"], shapes["C"]])
     for q in (2, 3, 4):
         for shapes in cases:
-            assert list(lex_paths(q, shapes)) == brute_lex_paths(q, shapes), (q, shapes)
+            expected = brute_lex_paths(q, shapes)
+            assert list(lex_paths(q, shapes)) == expected, (q, shapes)
+            assert checked_groups(q, shapes) == expected, (q, shapes)
     # lengths where many prefixes reach the middle in the same state, so
     # most words are replayed from the tails recorded there
     for n in (9, 10):
         shapes = _shapes(n)
         for q in (2, 3):
             cbfs = [shapes["A"], shapes["B"], shapes["C"]]
-            assert list(lex_paths(q, cbfs)) == brute_lex_paths(q, cbfs), (q, n)
+            expected = brute_lex_paths(q, cbfs)
+            assert list(lex_paths(q, cbfs)) == expected, (q, n)
+            assert checked_groups(q, cbfs) == expected, (q, n)
+            assert sum(1 for _ in lex_groups(q, cbfs)) < len(expected)
     bad = [
         ([([0] * 5, None, None), ([0, 1, 1, 1, 0], None, None)], "shapes 0 and 1 both end at height 0"),
         ([([0] * 5, None, None), ([0] * 4 + [-1], 2, None), ([0, 0, 1, 1, -1], None, None)], "shapes 1 and 2"),
@@ -227,8 +266,9 @@ def test_lex_paths_matches_its_definition():
         ([([0] * 8 + [final], None, None) for final in range(9)], "at most 8 shapes, got 9"),
     ]
     for shapes, message in bad:
-        with pytest.raises(ValueError, match=message):
-            next(lex_paths(3, shapes))
+        for walk in (lex_paths, lex_groups):
+            with pytest.raises(ValueError, match=message):
+                next(walk(3, shapes))
 
 
 def test_lex_paths_calls_share_no_state():
@@ -236,27 +276,34 @@ def test_lex_paths_calls_share_no_state():
     shapes = _shapes(10)
     calls = [(3, [shapes["A"], shapes["B"], shapes["C"]]), (3, [shapes["A"], shapes["B"], shapes["C"]])]
     calls.append((4, [_shapes(9)["C"], _shapes(9)["A"]]))
-    alone = [list(lex_paths(q, s)) for q, s in calls]
-    streams = [lex_paths(q, s) for q, s in calls]
-    together = [[] for _ in calls]
-    for step in itertools.zip_longest(*streams):
-        for out, item in zip(together, step):
-            if item is not None:
-                out.append(item)
-    assert together == alone
-    assert all(alone)
+    for walk in (lex_paths, lex_groups):
+        alone = [list(walk(q, s)) for q, s in calls]
+        streams = [walk(q, s) for q, s in calls]
+        together = [[] for _ in calls]
+        for step in itertools.zip_longest(*streams):
+            for out, item in zip(together, step):
+                if item is not None:
+                    out.append(item)
+        assert together == alone
+        assert all(alone)
+    # nor do the lists the two alike walks hand back
+    assert not {id(tails) for _, tails in together[0]} & {id(tails) for _, tails in together[1]}
 
 
 def test_first_word_needs_no_quadratic_memory():
     # the position-by-height tables take a byte per entry, about
-    # n^2 / 4 = 2.25 MB here
-    tracemalloc.start()
-    try:
-        assert next(motzkin.motzkin_paths(1, 3000)) == (1, 0) * 1500
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20, peak
+    # n^2 / 4 = 2.25 MB here; the first group holds one word
+    for first in (
+        lambda: next(motzkin.motzkin_paths(1, 3000)),
+        lambda: (lambda head, tails: head + tails[0][0])(*next(motzkin.motzkin_groups(1, 3000))),
+    ):
+        tracemalloc.start()
+        try:
+            assert first() == (1, 0) * 1500
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
 
 def test_ground_elevated_factor_examples():

@@ -9,12 +9,15 @@ report. Past the oracle's reach the fast path is checked on its own.
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix import cli, oracle, verify
+from crossbifix import cli, oracle, verify, words
 from crossbifix.cbfs import CodeSet, construct_cbfs
 from crossbifix.cli import main
 from crossbifix.words import Word
@@ -148,6 +151,13 @@ def test_space_guard_comes_before_the_preconditions(tmp_path, capsys, monkeypatc
     assert main(["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith("10499 candidates, above the cap of 10\n")
+    # the command refuses on the raw lines, before it builds any word
+    monkeypatch.setattr(words.Word, "__post_init__", late)
+    for n in ([], ["--n", "9"]):
+        argv = ["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit", "10", *n]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("10499 candidates, above the cap of 10\n")
 
 
 @st.composite
@@ -287,3 +297,20 @@ def test_production_does_not_use_the_oracle():
             elif isinstance(node, ast.Import):
                 names += [alias.name for alias in node.names]
         assert names and not any("oracle" in name for name in names), module.__name__
+
+
+def test_commands_do_not_load_the_oracle():
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['crossbifix', 'gen', '--q', '3', '--n', '4']\n"
+        "try:\n"
+        "    runpy.run_module('crossbifix', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'crossbifix.cli' in sys.modules and 'crossbifix.oracle' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1100\n1120\n1210\n1220\n2120\n2210\n2220\n"
