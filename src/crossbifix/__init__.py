@@ -15,13 +15,7 @@ from .baseline import best_sizes, construct_baseline_set, f_count, s_max, s_star
 from .cbfs import (
     CodeSet,
     VerificationReport,
-    construct_A,
-    construct_B,
-    construct_C,
     construct_cbfs,
-    count_A,
-    count_B,
-    count_C,
     count_cbfs,
     family_sizes,
     iter_cbfs,
@@ -56,14 +50,8 @@ __all__ = [
     "Word",
     "best_sizes",
     "bifixes",
-    "construct_A",
-    "construct_B",
-    "construct_C",
     "construct_baseline_set",
     "construct_cbfs",
-    "count_A",
-    "count_B",
-    "count_C",
     "count_cbfs",
     "cross_bifix",
     "f_count",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .cbfs import CodeSet
+from .cbfs import DEFAULT_MAX_SPACE, CodeSet
 from .words import Word
 
 
@@ -61,7 +61,7 @@ def _contains_zero_run(symbols: tuple[int, ...], k: int) -> bool:
     return False
 
 
-def construct_baseline_set(k: int, q: int, n: int, max_space: int = 10_000_000) -> CodeSet:
+def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> CodeSet:
     """All words of S(k, q, n), by filtered enumeration of the interior.
 
     Admits 1 <= k <= n-2 (k = 1 arises in the extended maximization). The

@@ -23,8 +23,12 @@ memory grows with the distinct completions of the second half, not with
 the set. ``cbfs_groups`` hands a replay out whole, as a head and the
 state's list of tails, so that a caller such as ``gen`` can write the
 subtree in one piece; ``iter_cbfs`` flattens the groups into words.
-``Word`` and ``CodeSet`` values are built only by the ``construct_*``
-wrappers.
+``Word`` and ``CodeSet`` values are built only by ``construct_cbfs``.
+
+One ``families`` string, such as ``"ABC"`` (the default) or ``"B"``, picks
+the families at every layer: ``count_cbfs`` sums their closed-form sizes
+from ``family_sizes``, and ``cbfs_groups``, ``iter_cbfs`` and
+``construct_cbfs`` walk them.
 """
 
 from __future__ import annotations
@@ -174,8 +178,13 @@ def _require_domain(q: int, n: int) -> None:
         raise ValueError(f"construction needs word length n >= 3, got {n}")
 
 
+def _check_families(families: str) -> None:
+    if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):
+        raise ValueError(f"families must be distinct letters of 'ABC', got {families!r}")
+
+
 def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
-    """The ``lex_paths`` shape of each family at length n."""
+    """The ``lex_groups`` shape of each family at length n."""
     half = n // 2
     return {
         # A Motzkin path whose last visit to height 0 before the end is at
@@ -199,8 +208,7 @@ def cbfs_groups(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[i
     replays a path state hands back the same list each time; callers must
     not change it. Domain errors are raised on the call."""
     _require_domain(q, n)
-    if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):
-        raise ValueError(f"families must be distinct letters of 'ABC', got {families!r}")
+    _check_families(families)
     shapes = _shapes(n)
     return lex_groups(q, [shapes[name] for name in families])
 
@@ -221,56 +229,18 @@ def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int
     return ((head + tail, families[j]) for head, tails in groups for tail, j in tails)
 
 
-def construct_A(q: int, n: int) -> CodeSet:
-    """Family A: alpha beta with alpha Motzkin of length i <= n // 2 and
-    beta elevated of length n - i, minus the two-elevated-halves words."""
-    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "A"))
+def construct_cbfs(q: int, n: int, families: str = "ABC") -> CodeSet:
+    """CBFS(q, n), or the union of the named families, as a canonically
+    ordered ``CodeSet`` tagged by family."""
+    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, families))
 
 
-def count_A(q: int, n: int) -> int:
-    """|A(q, n)| = sum_i M(i) M(n-i-2) over 0 <= i <= n // 2, minus
-    M(n/2 - 2)^2 when n is even."""
-    return family_sizes(q, (n,))[n][0]
-
-
-def construct_B(q: int, n: int) -> CodeSet:
-    """Family B: a rise step, then alpha Motzkin of length i <= n // 2 - 1,
-    then beta elevated of length n - i - 1."""
-    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "B"))
-
-
-def count_B(q: int, n: int) -> int:
-    """|B(q, n)| = sum_i M(i) M(n-i-3) over 0 <= i <= n // 2 - 1."""
-    return family_sizes(q, (n,))[n][1]
-
-
-def construct_C(q: int, n: int) -> CodeSet:
-    """Family C: gamma 0 with gamma a Motzkin word of length n - 1 avoiding
-    ground-level elevated factors of length >= ceil(n / 2)."""
-    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "C"))
-
-
-def count_C(q: int, n: int) -> int:
-    """|C(q, n)| = M(n-1) minus the words u beta v with beta a ground-level
-    elevated factor of length j >= ceil(n / 2).
-
-    Two such factors cannot coexist (their lengths would sum past n - 1),
-    so each excluded word is counted once: sum_j M(j-2) (M(n+1-j) - k M(n-j))
-    over ceil(n/2) <= j <= n-1, where M(m+2) - k M(m+1) counts the pairs
-    (u, v) of total length m (a Motzkin word of length m+2 that does not
-    start with a level step is a rise, u, the matching fall, then v).
-    """
-    return family_sizes(q, (n,))[n][2]
-
-
-def construct_cbfs(q: int, n: int) -> CodeSet:
-    """The full set: disjoint union of families A, B and C, canonically
-    ordered and provenance-tagged."""
-    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, "ABC"))
-
-
-def count_cbfs(q: int, n: int) -> int:
-    return sum(family_sizes(q, (n,))[n])
+def count_cbfs(q: int, n: int, families: str = "ABC") -> int:
+    """|CBFS(q, n)|, or the size of the union of the named families, from
+    the closed forms of ``family_sizes``."""
+    sizes = dict(zip("ABC", family_sizes(q, (n,))[n]))
+    _check_families(families)
+    return sum(sizes[name] for name in families)
 
 
 def family_sizes(q: int, n_values: Iterable[int]) -> dict[int, tuple[int, int, int]]:
@@ -285,6 +255,11 @@ def family_sizes(q: int, n_values: Iterable[int]) -> dict[int, tuple[int, int, i
 
     so every length needs only M near n/2 and near n, all taken from one
     walk of the Motzkin recurrence.
+
+    |C| is M(n-1) less the Motzkin words u beta v with beta a ground-level
+    elevated factor of length j >= c. Two such factors cannot coexist, so
+    each excluded word is counted once, in sum_j M(j-2) (M(n+1-j) - k M(n-j)),
+    where M(m+2) - k M(m+1) counts the pairs (u, v) of total length m.
     """
     n_values = tuple(n_values)
     wanted = set()

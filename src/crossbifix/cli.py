@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .baseline import best_sizes, construct_baseline_set, s_max, s_star
-from .cbfs import CodeSet, cbfs_groups, count_A, count_B, count_C, count_cbfs, family_sizes
+from .cbfs import DEFAULT_MAX_SPACE, CodeSet, cbfs_groups, count_cbfs, family_sizes
 from .motzkin import elevated_groups, motzkin_count, motzkin_groups
 from .verify import (
     check_candidate_cap,
@@ -24,16 +24,16 @@ from .verify import (
     verify_cross_bifix_free_set,
     verify_non_expandable,
 )
-from .words import format_symbol_lines, format_symbols, parse_symbols
+from .words import check_alphabet, format_symbol_lines, format_symbols, parse_symbols
 
-DEFAULT_LIMIT = 10_000_000
 # Largest word length `count` and `table` take by default: their exact
 # counts cost O(n^2) bit operations, seconds per count at this length.
 DEFAULT_LENGTH_LIMIT = 100_000
 # Words per write call of `gen --set bifixfree`.
 GEN_CHUNK = 4096
 
-_COUNTERS = {"cbfs": count_cbfs, "A": count_A, "B": count_B, "C": count_C}
+# The families of each CBFS --set, as count_cbfs and cbfs_groups take them.
+_FAMILIES = {"cbfs": "ABC", "A": "A", "B": "B", "C": "C"}
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,15 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: str | None):
+    """Stdout for a missing path or ``-``, else the file at ``path``, opened
+    for writing."""
+    if path in (None, "-"):
+        yield sys.stdout
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 @contextmanager
@@ -152,21 +155,21 @@ def _cmd_count(args) -> int:
         colors = args.colors if args.colors is not None else args.q - 2
         value = motzkin_count(colors, args.n)
     else:
-        value = _COUNTERS[args.set](args.q, args.n)
+        value = count_cbfs(args.q, args.n, _FAMILIES[args.set])
     with _exact_int_output():
         print(f"{value}{suffix}")
     return 0
 
 
 def _gen_groups(args):
-    """Check --limit for a `gen` request, then return the alphabet size,
-    the word length, the ``(head, tails)`` groups of its words in canonical
-    order (as ``motzkin.lex_groups`` yields them) and the tag of each shape
-    index. No word is produced before the check passes."""
+    """Check the alphabet and --limit for a `gen` request, then return the
+    alphabet size, the word length, the ``(head, tails)`` groups of its
+    words in canonical order (as ``motzkin.lex_groups`` yields them) and the
+    tag of each shape index. No word is produced before the checks pass."""
     q, n = args.q, args.n
-    if args.set in _COUNTERS:
-        tags = "ABC" if args.set == "cbfs" else args.set
-        expected, groups = _COUNTERS[args.set](q, n), cbfs_groups(q, n, tags)
+    if args.set in _FAMILIES:
+        tags = _FAMILIES[args.set]
+        expected, groups = count_cbfs(q, n, tags), cbfs_groups(q, n, tags)
     elif args.set == "bifixfree":
         expected, tags = count_bifix_free(q, n), ("external",)
         # chunks of the word stream, as groups with an empty head; their
@@ -180,6 +183,7 @@ def _gen_groups(args):
             expected, groups = motzkin_count(colors, n), motzkin_groups(colors, n)
         else:
             expected, groups = motzkin_count(colors, n - 2), elevated_groups(colors, n)  # 0 for n < 2
+    check_alphabet(q)  # as --format json would on its first word
     with _exact_int_output():
         if expected > args.limit:
             raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
@@ -209,31 +213,25 @@ def _write_groups(fh, q: int, groups) -> None:
             fh.write(format_symbol_lines([head + tail for tail, _ in tails], q))
 
 
-def _emit_code_set(code_set: CodeSet, fmt: str, out_path: str | None) -> int:
-    if fmt == "json":
-        _write_output(code_set.to_json(), out_path)
-    else:
-        _write_output(code_set.to_text(), out_path)
-    return 0
-
-
 def _cmd_gen(args) -> int:
     q, n, groups, tags = _gen_groups(args)
     if args.format == "json":
         words = ((head + tail, tags[j]) for head, tails in groups for tail, j in tails)
-        _write_output(CodeSet.from_ordered(q, n, words).to_json(), args.out)
+        text = CodeSet.from_ordered(q, n, words).to_json()
+        with _output(args.out) as fh:
+            fh.write(text)
         return 0
-    if args.out in (None, "-"):
-        _write_groups(sys.stdout, q, groups)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_groups(fh, q, groups)
+    with _output(args.out) as fh:
+        _write_groups(fh, q, groups)
     return 0
 
 
 def _cmd_baseline_gen(args) -> int:
     code_set = construct_baseline_set(args.k, args.q, args.n, max_space=args.limit)
-    return _emit_code_set(code_set, args.format, args.out)
+    text = code_set.to_json() if args.format == "json" else code_set.to_text()
+    with _output(args.out) as fh:
+        fh.write(text)
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -268,7 +266,8 @@ def _cmd_table(args) -> int:
             text = json.dumps(table.to_json_dict(bold=args.bold), indent=2) + "\n"
         else:
             text = table.to_csv(bold=args.bold)
-    _write_output(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--colors", type=int, default=None, help="level colors for motzkin/elevated (default: q-2)")
     p_gen.add_argument("--out", default=None, help="output path (default: stdout)")
     p_gen.add_argument("--format", default="text", choices=("text", "json"))
-    p_gen.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="refuse outputs larger than this many words")
+    p_gen.add_argument("--limit", type=int, default=DEFAULT_MAX_SPACE, help="refuse outputs larger than this many words")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bgen = sub.add_parser("baseline-gen", help="write a baseline set S(k, q, n)")
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bgen.add_argument("--n", type=int, required=True)
     p_bgen.add_argument("--out", default=None)
     p_bgen.add_argument("--format", default="text", choices=("text", "json"))
-    p_bgen.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    p_bgen.add_argument("--limit", type=int, default=DEFAULT_MAX_SPACE)
     p_bgen.set_defaults(func=_cmd_baseline_gen)
 
     p_verify = sub.add_parser("verify", help="verify a word-list file, print a JSON report")
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--limit",
         type=int,
-        default=DEFAULT_LIMIT,
+        default=DEFAULT_MAX_SPACE,
         help="nonexpandable mode: refuse sets with more outside bifix-free candidates, U_q(n) - |S|, than this",
     )
     p_verify.add_argument(

@@ -45,17 +45,6 @@ def motzkin_count(colors: int, n: int) -> int:
     return motzkin_counts(colors, (n,))[n]
 
 
-def lex_paths(
-    q: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The words of ``lex_groups(q, shapes)`` one at a time, as
-    ``(symbols, shape index)`` pairs in lexicographic order; each call
-    yields fresh tuples."""
-    for head, tails in lex_groups(q, shapes):
-        for tail, j in tails:
-            yield head + tail, j
-
-
 def lex_groups(
     q: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
@@ -233,29 +222,19 @@ def elevated_groups(colors: int, n: int) -> Iterator[tuple[tuple[int, ...], list
     return lex_groups(colors + 2, [([0] + [1] * (n - 1) + [0], None, None)])
 
 
-def motzkin_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The symbol tuples of ``generate_motzkin(colors, n)``, same order."""
-    return (head + tail for head, tails in motzkin_groups(colors, n) for tail, _ in tails)
-
-
-def elevated_paths(colors: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The symbol tuples of ``generate_elevated(colors, n)``, same order."""
-    return (head + tail for head, tails in elevated_groups(colors, n) for tail, _ in tails)
-
-
 def generate_motzkin(colors: int, n: int) -> Iterator[Word]:
     """Yield every Motzkin word of the given length exactly once, in
     lexicographic order."""
-    q = colors + 2
-    return (Word(symbols, q) for symbols in motzkin_paths(colors, n))
+    groups = motzkin_groups(colors, n)
+    return (Word(head + tail, colors + 2) for head, tails in groups for tail, _ in tails)
 
 
 def generate_elevated(colors: int, n: int) -> Iterator[Word]:
     """Yield the elevated Motzkin words 1 alpha 0 of length n, in
     lexicographic order. Lengths below 2 admit no elevated word, so the
     stream is empty."""
-    q = colors + 2
-    return (Word(symbols, q) for symbols in elevated_paths(colors, n))
+    groups = elevated_groups(colors, n)
+    return (Word(head + tail, colors + 2) for head, tails in groups for tail, _ in tails)
 
 
 def has_ground_elevated_factor(word: Word, min_len: int) -> bool:

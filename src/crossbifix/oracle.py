@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from .cbfs import DEFAULT_MAX_SPACE, CodeSet, VerificationReport
-from .cbfs import construct_A, construct_B, construct_C, count_A, count_B, count_C
+from .cbfs import DEFAULT_MAX_SPACE, CodeSet, VerificationReport, construct_cbfs, count_cbfs
 from .words import Word, cross_bifix, is_bifix_free, prefix_function
 
 
@@ -129,13 +128,9 @@ def verify_count_agreement(q: int, n: int) -> VerificationReport:
     t0 = time.perf_counter()
     witnesses = []
     generated_total = 0
-    for name, construct, count in (
-        ("A", construct_A, count_A),
-        ("B", construct_B, count_B),
-        ("C", construct_C, count_C),
-    ):
-        built = len(construct(q, n))
-        claimed = count(q, n)
+    for name in "ABC":
+        built = len(construct_cbfs(q, n, name))
+        claimed = count_cbfs(q, n, name)
         generated_total += built
         if built != claimed:
             witnesses.append({"family": name, "generated": built, "formula": claimed})

@@ -222,23 +222,21 @@ def verify_non_expandable(
         return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
 
     candidates = check_candidate_cap(q, n, len(code_set), max_space)
-    for member in code_set.words:
+    words = code_set.words
+    for member in words:
         if not is_bifix_free(member):
             return report(False, [], 0, 0, error=f"member {member.to_text()!r} is not bifix-free")
-    pairwise = verify_cross_bifix_free_set(code_set)
-    if not pairwise.ok:
-        bad = pairwise.witnesses[0]
-        return report(
-            False,
-            [],
-            pairwise.stats["pairs_checked"],
-            0,
-            error=f"set is not cross-bifix-free: {bad['first']} / {bad['second']} share {bad['cross_bifix']}",
-        )
+    pairs = len(words) * (len(words) - 1) // 2
+    codes = _codes(code_set)
+    bad = _violating_pairs(codes, q, n)
+    if bad:
+        left, right = (words[i] for i in bad[0])
+        share = cross_bifix(left, right).word.to_text()
+        error = f"set is not cross-bifix-free: {left.to_text()} / {right.to_text()} share {share}"
+        return report(False, [], pairs, 0, error=error)
 
-    words = code_set.words
     witnesses = []
-    for code, first in _walk(q, n, _codes(code_set), all_witnesses):
+    for code, first in _walk(q, n, codes, all_witnesses):
         candidate = Word(_symbols(code, q, n), q)
         witness = {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
         if first < len(words):
@@ -246,4 +244,4 @@ def verify_non_expandable(
             witness.update(cross_bifix=hit.word.to_text(), blocking=words[first].to_text(), prefix_of=hit.prefix_of)
         witnesses.append(witness)
     ok = all(w["blocking"] is not None for w in witnesses)
-    return report(ok, witnesses, pairwise.stats["pairs_checked"], candidates)
+    return report(ok, witnesses, pairs, candidates)

@@ -14,9 +14,14 @@ from typing import Iterator, Sequence
 
 FALL = 0
 RISE = 1
-FIRST_LEVEL_SYMBOL = 2
 
 MAX_ALPHABET = 1 << 16
+
+
+def check_alphabet(q: int) -> None:
+    """Raise ValueError unless q is an alphabet size that a Word takes."""
+    if not isinstance(q, int) or not 2 <= q <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q!r}")
 
 
 def symbol_step(symbol: int) -> int:
@@ -60,8 +65,7 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not isinstance(self.q, int) or not 2 <= self.q <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q!r}")
+        check_alphabet(self.q)
         q = self.q
         for s in self.symbols:
             # bool subclasses int but is no symbol; testing type() first lets

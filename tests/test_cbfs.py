@@ -8,13 +8,7 @@ import pytest
 
 from crossbifix.cbfs import (
     CodeSet,
-    construct_A,
-    construct_B,
-    construct_C,
     construct_cbfs,
-    count_A,
-    count_B,
-    count_C,
     count_cbfs,
     family_sizes,
     iter_cbfs,
@@ -30,33 +24,33 @@ def texts(code_set):
 
 
 def test_family_a_small_sets():
-    a34 = construct_A(3, 4)
+    a34 = construct_cbfs(3, 4, "A")
     assert texts(a34) == ["1100", "1220", "2120", "2210"]
     assert Word.from_text("1010", 3) not in a34  # two same-length elevated halves
-    assert texts(construct_A(3, 3)) == ["120", "210"]
-    assert count_A(3, 4) == 4
-    assert count_A(3, 3) == 2
+    assert texts(construct_cbfs(3, 3, "A")) == ["120", "210"]
+    assert count_cbfs(3, 4, "A") == 4
+    assert count_cbfs(3, 3, "A") == 2
 
 
 def test_family_b_small_sets():
-    assert texts(construct_B(3, 4)) == ["1120", "1210"]
-    assert count_B(3, 4) == 2
-    assert texts(construct_B(3, 3)) == ["110"]
-    assert count_B(3, 3) == 1
+    assert texts(construct_cbfs(3, 4, "B")) == ["1120", "1210"]
+    assert count_cbfs(3, 4, "B") == 2
+    assert texts(construct_cbfs(3, 3, "B")) == ["110"]
+    assert count_cbfs(3, 3, "B") == 1
 
 
 def test_family_c_small_sets():
-    assert texts(construct_C(3, 4)) == ["2220"]
-    assert count_C(3, 4) == 1
-    assert texts(construct_C(3, 3)) == ["220"]
-    assert count_C(3, 3) == 1
+    assert texts(construct_cbfs(3, 4, "C")) == ["2220"]
+    assert count_cbfs(3, 4, "C") == 1
+    assert texts(construct_cbfs(3, 3, "C")) == ["220"]
+    assert count_cbfs(3, 3, "C") == 1
 
 
 def test_final_heights_identify_families():
     for q in (3, 4):
         for n in range(3, 7):
-            for code_set, final in ((construct_A(q, n), 0), (construct_B(q, n), 1), (construct_C(q, n), -1)):
-                for word in code_set:
+            for family, final in (("A", 0), ("B", 1), ("C", -1)):
+                for word in construct_cbfs(q, n, family):
                     assert height_profile(word).final == final
 
 
@@ -75,12 +69,23 @@ def test_count_spot_values():
 
 
 def test_counts_agree_with_construction():
-    for q in (3, 4):
-        for n in range(3, 8):
-            assert len(construct_A(q, n)) == count_A(q, n)
-            assert len(construct_B(q, n)) == count_B(q, n)
-            assert len(construct_C(q, n)) == count_C(q, n)
-            assert count_cbfs(q, n) == count_A(q, n) + count_B(q, n) + count_C(q, n)
+    choices = ["".join(c) for size in (1, 2, 3) for c in itertools.combinations("ABC", size)]
+    for q in (3, 4, 5):
+        for n in range(3, 10):
+            for families in choices:
+                size = count_cbfs(q, n, families)
+                assert size == len(construct_cbfs(q, n, families)), (q, n, families)
+                assert size == count_cbfs(q, n, families[::-1]), (q, n, families)
+            assert count_cbfs(q, n) == sum(count_cbfs(q, n, family) for family in "ABC")
+
+
+def test_every_layer_refuses_the_same_bad_families():
+    for bad in ("", "AA", "D", "abc"):
+        message = f"families must be distinct letters of 'ABC', got {bad!r}"
+        for call in (count_cbfs, construct_cbfs, iter_cbfs):
+            with pytest.raises(ValueError) as info:
+                call(3, 5, bad)
+            assert str(info.value) == message, (call.__name__, bad)
 
 
 def double_sum_count_C(q, n, motzkin):
@@ -102,7 +107,7 @@ def test_count_C_matches_the_double_sum():
     for q in range(3, 9):
         motzkin = motzkin_counts(q - 2, range(120))
         for n in range(3, 120):
-            assert count_C(q, n) == double_sum_count_C(q, n, motzkin), (q, n)
+            assert count_cbfs(q, n, "C") == double_sum_count_C(q, n, motzkin), (q, n)
 
 
 def single_sum_counts(q, n, motzkin):
@@ -129,7 +134,7 @@ def test_counts_match_the_single_sums():
         expected = {n: single_sum_counts(q, n, motzkin) for n in range(3, n_max + 1)}
         assert family_sizes(q, range(3, n_max + 1)) == expected, q
         for n in range(3, n_max + 1):
-            assert (count_A(q, n), count_B(q, n), count_C(q, n)) == expected[n], (q, n)
+            assert tuple(count_cbfs(q, n, family) for family in "ABC") == expected[n], (q, n)
             assert count_cbfs(q, n) == sum(expected[n]), (q, n)
 
 
@@ -236,9 +241,9 @@ def test_families_match_brute_force_definitions():
     for q, n_max in ((3, 6), (4, 5)):
         for n in range(3, n_max + 1):
             fam_a, fam_b, fam_c = brute_families(q, n)
-            assert {x.symbols for x in construct_A(q, n)} == fam_a
-            assert {x.symbols for x in construct_B(q, n)} == fam_b
-            assert {x.symbols for x in construct_C(q, n)} == fam_c
+            assert {x.symbols for x in construct_cbfs(q, n, "A")} == fam_a
+            assert {x.symbols for x in construct_cbfs(q, n, "B")} == fam_b
+            assert {x.symbols for x in construct_cbfs(q, n, "C")} == fam_c
             assert not (fam_a & fam_b) and not (fam_a & fam_c) and not (fam_b & fam_c)
             tagged = [(x, "A") for x in fam_a] + [(x, "B") for x in fam_b] + [(x, "C") for x in fam_c]
             assert list(iter_cbfs(q, n)) == sorted(tagged)
@@ -257,7 +262,7 @@ def test_stream_is_strictly_increasing_and_has_the_counted_length():
                 assert prev < symbols and len(symbols) == n
                 prev = symbols
                 per_family[tag] += 1
-            assert per_family == {"A": count_A(q, n), "B": count_B(q, n), "C": count_C(q, n)}, (q, n)
+            assert per_family == {family: count_cbfs(q, n, family) for family in "ABC"}, (q, n)
             assert sum(per_family.values()) == count_cbfs(q, n)
 
 
@@ -279,22 +284,19 @@ def test_stream_of_chosen_families():
         union = list(iter_cbfs(q, n))
         for families in ("A", "B", "C", "AC", "BA"):
             assert list(iter_cbfs(q, n, families)) == [item for item in union if item[1] in families]
-    for bad in ("", "D", "AA", "abc"):
-        with pytest.raises(ValueError):
-            iter_cbfs(3, 5, bad)
     with pytest.raises(ValueError):
         iter_cbfs(2, 5)
 
 
 def test_domain_errors():
     for bad_call in (
-        lambda: construct_A(2, 5),
-        lambda: construct_B(3, 2),
-        lambda: construct_C(1, 1),
+        lambda: construct_cbfs(2, 5, "A"),
+        lambda: construct_cbfs(3, 2, "B"),
+        lambda: construct_cbfs(1, 1, "C"),
         lambda: construct_cbfs(2, 3),
-        lambda: count_A(2, 5),
-        lambda: count_B(3, 2),
-        lambda: count_C(2, 2),
+        lambda: count_cbfs(2, 5, "A"),
+        lambda: count_cbfs(3, 2, "B"),
+        lambda: count_cbfs(2, 2, "C"),
         lambda: count_cbfs(3, 0),
     ):
         with pytest.raises(ValueError):

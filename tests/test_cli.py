@@ -12,7 +12,7 @@ import pytest
 
 from crossbifix import baseline, cbfs, cli, motzkin, oracle, words
 from crossbifix.baseline import s_max, s_star
-from crossbifix.cbfs import construct_A, construct_B, construct_C, construct_cbfs, count_cbfs
+from crossbifix.cbfs import construct_cbfs, count_cbfs
 from crossbifix.cli import build_size_table, main
 from crossbifix.motzkin import motzkin_count
 from crossbifix.words import format_symbols
@@ -133,12 +133,12 @@ def brute_paths(q, n, start, end):
 
 
 def test_gen_streams_the_bytes_of_the_code_set(capsys):
-    constructors = {"cbfs": construct_cbfs, "A": construct_A, "B": construct_B, "C": construct_C}
+    families = {"cbfs": "ABC", "A": "A", "B": "B", "C": "C"}
     for q, n_max in ((3, 7), (4, 6), (10, 4), (11, 4)):
         for n in range(3, n_max + 1):
             references = {}
-            for name, build in constructors.items():
-                code_set = build(q, n)
+            for name, chosen in families.items():
+                code_set = construct_cbfs(q, n, chosen)
                 references[name] = gen_reference(q, n, zip((w.symbols for w in code_set), code_set.provenance))
             references["motzkin"] = gen_reference(q, n, brute_paths(q, n, 0, 0))
             references["elevated"] = gen_reference(q, n, brute_paths(q, n, 1, n))
@@ -216,11 +216,11 @@ def test_gen_bifix_free_refuses_by_its_output_size(tmp_path, capsys):
 def test_gen_refusal_prints_counts_past_the_int_digit_cap(tmp_path, capsys):
     saved = sys.get_int_max_str_digits()
     cap = 4300  # Python's default
-    big_q = 10**40  # a cbfs count of about 4400 digits at n = 110
+    big_q = 1 << 16  # the largest alphabet: a cbfs count of about 4600 digits at n = 950
     cases = [
         (("--q", "1000", "--n", "1500", "--set", "motzkin"), motzkin_count(998, 1500)),
         (("--q", "1000", "--n", "1500", "--set", "elevated"), motzkin_count(998, 1498)),
-        (("--q", str(big_q), "--n", "110", "--set", "cbfs"), count_cbfs(big_q, 110)),
+        (("--q", str(big_q), "--n", "950", "--set", "cbfs"), count_cbfs(big_q, 950)),
     ]
     sys.set_int_max_str_digits(cap)
     try:
@@ -237,6 +237,28 @@ def test_gen_refusal_prints_counts_past_the_int_digit_cap(tmp_path, capsys):
             assert err.startswith("error: ") and f" {expected} words" in err and "--limit 10" in err, args
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_gen_refuses_alphabets_that_no_word_takes(tmp_path, capsys):
+    # refused in both formats before --limit, so not even a count is printed
+    cases = [
+        (("--q", "70000", "--n", "3", "--set", "A"), 70000),
+        (("--q", "65537", "--n", "3"), 65537),
+        (("--q", str(10**40), "--n", "110", "--set", "cbfs"), 10**40),
+        (("--q", "3", "--n", "3", "--set", "motzkin", "--colors", "65535"), 65537),
+        (("--q", "3", "--n", "4", "--set", "elevated", "--colors", "70000"), 70002),
+        (("--q", "70000", "--n", "2", "--set", "bifixfree"), 70000),
+    ]
+    for i, (args, q) in enumerate(cases):
+        error = f"error: alphabet size must be in [2, 65536], got {q}\n"
+        for fmt in ("text", "json"):
+            assert run(capsys, "gen", *args, "--format", fmt) == (2, "", error), (args, fmt)
+            target = tmp_path / f"{i}.{fmt}"
+            code, out, err = run(capsys, "gen", *args, "--format", fmt, "--limit", "1", "--out", str(target))
+            assert (code, out, err) == (2, "", error), (args, fmt)
+            assert not target.exists()
+    # the largest alphabet is still taken
+    assert run(capsys, "gen", "--q", "65536", "--n", "3", "--set", "B") == (0, "1,1,0\n", "")
 
 
 def test_gen_to_file(tmp_path, capsys):

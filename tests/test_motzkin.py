@@ -13,7 +13,6 @@ from crossbifix.motzkin import (
     generate_motzkin,
     has_ground_elevated_factor,
     lex_groups,
-    lex_paths,
     motzkin_count,
     motzkin_counts,
 )
@@ -158,7 +157,8 @@ def test_generate_elevated():
                 assert is_elevated(x)
 
 
-def brute_lex_paths(q, shapes):
+def brute_lex_groups(q, shapes):
+    """The words of ``lex_groups(q, shapes)``, flattened, by a scan of Z_q^n."""
     n = len(shapes[0][0]) - 1
     out = []
     for symbols in itertools.product(range(q), repeat=n):
@@ -238,15 +238,14 @@ def checked_groups(q, shapes):
     return [(head + tail, j) for head, _, seen in groups for tail, j in seen]
 
 
-def test_lex_paths_matches_its_definition():
+def test_lex_groups_matches_its_definition():
     cases = [shapes for n in range(7) for shapes in case_shapes(n)]
     for n in range(5, 9):
         shapes = _shapes(n)
         cases.append([shapes["A"], shapes["B"], shapes["C"]])
     for q in (2, 3, 4):
         for shapes in cases:
-            expected = brute_lex_paths(q, shapes)
-            assert list(lex_paths(q, shapes)) == expected, (q, shapes)
+            expected = brute_lex_groups(q, shapes)
             assert checked_groups(q, shapes) == expected, (q, shapes)
     # lengths where many prefixes reach the middle in the same state, so
     # most words are replayed from the tails recorded there
@@ -254,8 +253,7 @@ def test_lex_paths_matches_its_definition():
         shapes = _shapes(n)
         for q in (2, 3):
             cbfs = [shapes["A"], shapes["B"], shapes["C"]]
-            expected = brute_lex_paths(q, cbfs)
-            assert list(lex_paths(q, cbfs)) == expected, (q, n)
+            expected = brute_lex_groups(q, cbfs)
             assert checked_groups(q, cbfs) == expected, (q, n)
             assert sum(1 for _ in lex_groups(q, cbfs)) < len(expected)
     bad = [
@@ -266,26 +264,24 @@ def test_lex_paths_matches_its_definition():
         ([([0] * 8 + [final], None, None) for final in range(9)], "at most 8 shapes, got 9"),
     ]
     for shapes, message in bad:
-        for walk in (lex_paths, lex_groups):
-            with pytest.raises(ValueError, match=message):
-                next(walk(3, shapes))
+        with pytest.raises(ValueError, match=message):
+            next(lex_groups(3, shapes))
 
 
-def test_lex_paths_calls_share_no_state():
+def test_lex_groups_calls_share_no_state():
     # interleaved walks, two of them alike, give what each gives alone
     shapes = _shapes(10)
     calls = [(3, [shapes["A"], shapes["B"], shapes["C"]]), (3, [shapes["A"], shapes["B"], shapes["C"]])]
     calls.append((4, [_shapes(9)["C"], _shapes(9)["A"]]))
-    for walk in (lex_paths, lex_groups):
-        alone = [list(walk(q, s)) for q, s in calls]
-        streams = [walk(q, s) for q, s in calls]
-        together = [[] for _ in calls]
-        for step in itertools.zip_longest(*streams):
-            for out, item in zip(together, step):
-                if item is not None:
-                    out.append(item)
-        assert together == alone
-        assert all(alone)
+    alone = [list(lex_groups(q, s)) for q, s in calls]
+    streams = [lex_groups(q, s) for q, s in calls]
+    together = [[] for _ in calls]
+    for step in itertools.zip_longest(*streams):
+        for out, item in zip(together, step):
+            if item is not None:
+                out.append(item)
+    assert together == alone
+    assert all(alone)
     # nor do the lists the two alike walks hand back
     assert not {id(tails) for _, tails in together[0]} & {id(tails) for _, tails in together[1]}
 
@@ -294,7 +290,7 @@ def test_first_word_needs_no_quadratic_memory():
     # the position-by-height tables take a byte per entry, about
     # n^2 / 4 = 2.25 MB here; the first group holds one word
     for first in (
-        lambda: next(motzkin.motzkin_paths(1, 3000)),
+        lambda: next(generate_motzkin(1, 3000)).symbols,
         lambda: (lambda head, tails: head + tails[0][0])(*next(motzkin.motzkin_groups(1, 3000))),
     ):
         tracemalloc.start()
