@@ -7,11 +7,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .baseline import best_sizes, construct_baseline_set, s_max, s_star
@@ -36,68 +34,24 @@ GEN_CHUNK = 4096
 _FAMILIES = {"cbfs": "ABC", "A": "A", "B": "B", "C": "C"}
 
 
-@dataclass(frozen=True)
-class SizeTable:
-    """Exact per-(q, n) sizes of the constructed sets next to a comparator
-    column (the baseline maximum S or its extension Sstar). Comparator
-    entries outside the maximization's domain are None."""
-
-    compare: str
-    q_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    cbfs: dict
-    comparator: dict
-
-    def column_names(self, bold: bool) -> list[str]:
-        names = ["n"]
-        for q in self.q_values:
-            names.append(f"cbfs_q{q}")
-            names.append(f"cmp_q{q}")
-            if bold:
-                names.append(f"bold_q{q}")
-        return names
-
-    def _row_cells(self, n: int, bold: bool) -> list:
-        cells: list = [n]
-        for q in self.q_values:
-            ours = self.cbfs[q, n]
-            other = self.comparator[q, n]
-            cells.append(ours)
-            cells.append(other)
-            if bold:
-                cells.append(None if other is None else int(ours > other))
-        return cells
-
-    def to_csv(self, bold: bool = False) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.column_names(bold))
-        for n in self.n_values:
-            writer.writerow(["" if c is None else c for c in self._row_cells(n, bold)])
-        return buf.getvalue()
-
-    def to_json_dict(self, bold: bool = False) -> dict:
-        names = self.column_names(bold)
-        rows = [dict(zip(names, self._row_cells(n, bold))) for n in self.n_values]
-        return {
-            "compare": self.compare,
-            "q_values": list(self.q_values),
-            "n_values": list(self.n_values),
-            "rows": rows,
-        }
-
-
-def build_size_table(q_values, n_values, compare: str) -> SizeTable:
+def size_table(q_values, n_values, compare: str, bold: bool) -> tuple[list[str], list[list]]:
+    """The column names and rows of the size table: for each n, then for
+    each q, |CBFS(q, n)| and the comparator's maximum (the baseline S or its
+    extension Sstar, None where the maximization has no run length) and,
+    with ``bold``, 1 where CBFS is larger, 0 where not, None with no
+    comparator."""
     k_min = {"S": 2, "Sstar": 1}[compare]
-    cbfs = {}
-    comparator = {}
+    columns = ("cbfs", "cmp", "bold") if bold else ("cbfs", "cmp")
+    names = ["n"] + [f"{column}_q{q}" for q in q_values for column in columns]
+    rows = [[n] for n in n_values]
     for q in q_values:
         sizes = family_sizes(q, n_values)
         best = best_sizes(q, n_values, k_min)
-        for n in n_values:
-            cbfs[q, n] = sum(sizes[n])
-            comparator[q, n] = best[n][0] if n in best else None
-    return SizeTable(compare, tuple(q_values), tuple(n_values), cbfs, comparator)
+        for n, row in zip(n_values, rows):
+            ours = sum(sizes[n])
+            other = best[n][0] if n in best else None
+            row += [ours, other, None if other is None else int(ours > other)][: len(columns)]
+    return names, rows
 
 
 def _parse_range(text: str) -> list[int]:
@@ -153,7 +107,9 @@ def _cmd_count(args) -> int:
         suffix = f" k={k}"
     elif args.set == "motzkin":
         colors = args.colors if args.colors is not None else args.q - 2
-        value = motzkin_count(colors, args.n)
+        value = motzkin_count(colors, args.n)  # checks the colors; 0 for n < 0
+        if args.n < 0:
+            raise ValueError(f"length must be non-negative, got {args.n}")
     else:
         value = count_cbfs(args.q, args.n, _FAMILIES[args.set])
     with _exact_int_output():
@@ -235,6 +191,7 @@ def _cmd_baseline_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_alphabet(args.q)  # before the raw-line refusal, which takes any q
     if args.infile == "-":
         text = sys.stdin.read()
     else:
@@ -260,14 +217,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     _check_length(max(args.n), args.limit)
-    table = build_size_table(args.q, args.n, args.compare)
-    with _exact_int_output():
+    names, rows = size_table(args.q, args.n, args.compare, args.bold)
+    with _exact_int_output(), _output(args.out) as fh:
         if args.format == "json":
-            text = json.dumps(table.to_json_dict(bold=args.bold), indent=2) + "\n"
+            rows = [dict(zip(names, row)) for row in rows]
+            json.dump({"compare": args.compare, "q_values": args.q, "n_values": args.n, "rows": rows}, fh, indent=2)
+            fh.write("\n")
         else:
-            text = table.to_csv(bold=args.bold)
-    with _output(args.out) as fh:
-        fh.write(text)
+            writer = csv.writer(fh, lineterminator="\n")  # writes None as ""
+            writer.writerow(names)
+            writer.writerows(rows)
     return 0
 
 

@@ -217,6 +217,8 @@ def elevated_groups(colors: int, n: int) -> Iterator[tuple[tuple[int, ...], list
     >= 1, and a fall back to 0."""
     if colors < 0:
         raise ValueError(f"color count must be non-negative, got {colors}")
+    if n < 0:
+        raise ValueError(f"length must be non-negative, got {n}")
     if n < 2:
         return iter(())
     return lex_groups(colors + 2, [([0] + [1] * (n - 1) + [0], None, None)])

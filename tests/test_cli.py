@@ -13,7 +13,7 @@ import pytest
 from crossbifix import baseline, cbfs, cli, motzkin, oracle, words
 from crossbifix.baseline import s_max, s_star
 from crossbifix.cbfs import construct_cbfs, count_cbfs
-from crossbifix.cli import build_size_table, main
+from crossbifix.cli import main, size_table
 from crossbifix.motzkin import motzkin_count
 from crossbifix.words import format_symbols
 
@@ -261,6 +261,21 @@ def test_gen_refuses_alphabets_that_no_word_takes(tmp_path, capsys):
     assert run(capsys, "gen", "--q", "65536", "--n", "3", "--set", "B") == (0, "1,1,0\n", "")
 
 
+def test_motzkin_sets_refuse_negative_lengths(capsys):
+    error = "error: length must be non-negative, got -1\n"
+    assert run(capsys, "count", "--q", "3", "--n", "-1", "--set", "motzkin") == (2, "", error)
+    for name in ("motzkin", "elevated"):
+        for fmt in ("text", "json"):
+            assert run(capsys, "gen", "--q", "3", "--n", "-1", "--set", name, "--format", fmt) == (2, "", error)
+    # the shortest lengths keep their output
+    assert run(capsys, "count", "--q", "3", "--n", "0", "--set", "motzkin") == (0, "1\n", "")
+    assert run(capsys, "count", "--q", "3", "--n", "1", "--set", "motzkin") == (0, "1\n", "")
+    assert run(capsys, "gen", "--q", "3", "--n", "0", "--set", "motzkin") == (0, "\n", "")
+    assert run(capsys, "gen", "--q", "3", "--n", "1", "--set", "motzkin") == (0, "2\n", "")
+    for n in ("0", "1"):
+        assert run(capsys, "gen", "--q", "3", "--n", n, "--set", "elevated") == (0, "", "")
+
+
 def test_gen_to_file(tmp_path, capsys):
     target = tmp_path / "words.txt"
     code, out, _ = run(capsys, "gen", "--q", "3", "--n", "4", "--set", "cbfs", "--out", str(target))
@@ -346,6 +361,18 @@ def test_verify_precondition_error_exit_code(tmp_path, capsys):
     assert report["ok"] is False and "cross-bifix-free" in report["error"]
 
 
+def test_verify_refuses_alphabets_that_no_word_takes(capsys, monkeypatch):
+    # refused before the input is read, so before the raw-line --limit check
+    for q in (1, 70000):
+        error = f"error: alphabet size must be in [2, 65536], got {q}\n"
+        for text in ("", "1,2,3\n", "012\n120\n"):
+            for mode in ("set", "nonexpandable"):
+                for extra in ((), ("--n", "3")):
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                    code, out, err = run(capsys, "verify", "--in", "-", "--q", str(q), "--mode", mode, *extra)
+                    assert (code, out, err) == (2, "", error), (q, text, mode, extra)
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--in", "/nonexistent/words.txt", "--q", "3")
     assert code == 2 and err.startswith("error:")
@@ -403,12 +430,36 @@ def test_table_runs_are_byte_identical(capsys):
 def test_size_table_equals_the_per_cell_counts():
     for q_values, n_values in (([3, 4, 5, 6], list(range(3, 80))), ([7], [57])):
         for compare, best in (("S", s_max), ("Sstar", s_star)):
-            table = build_size_table(q_values, n_values, compare)
-            for q in q_values:
-                for n in n_values:
-                    assert table.cbfs[q, n] == count_cbfs(q, n), (q, n)
+            names, rows = size_table(q_values, n_values, compare, bold=True)
+            assert [row[0] for row in rows] == n_values
+            for row in rows:
+                assert len(row) == len(names)
+                cells = dict(zip(names, row))
+                n = row[0]
+                for q in q_values:
+                    ours = count_cbfs(q, n)
+                    assert cells[f"cbfs_q{q}"] == ours, (q, n)
                     expected = best(n, q)[0] if n - 2 >= (2 if compare == "S" else 1) else None
-                    assert table.comparator[q, n] == expected, (q, n, compare)
+                    assert cells[f"cmp_q{q}"] == expected, (q, n, compare)
+                    assert cells[f"bold_q{q}"] == (None if expected is None else int(ours > expected)), (q, n)
+            plain = [name for name in names if not name.startswith("bold_")]
+            kept = [[cell for name, cell in zip(names, row) if name in plain] for row in rows]
+            assert size_table(q_values, n_values, compare, bold=False) == (plain, kept)
+
+
+def test_table_matches_its_recorded_digests(tmp_path, capsys):
+    # the first is the digest the benchmark records for its table workload
+    for args, digest in (
+        (("--q", "3..6", "--n", "3..200", "--compare", "S"), "000d401d634ad1ee5fcc7bdc58d980fab1126b1f52bb2d695612ffa6de204e73"),
+        (("--q", "3..6", "--n", "3..200", "--format", "json", "--bold"), "e4d539194a909094840b55dd7cf7b7abc0cd79181c123988d85fea997a2f062f"),
+        (("--q", "3..6", "--n", "3..200", "--compare", "Sstar", "--bold"), "980ee0023157ed78d94d5cd83e93eade57c993a46cf51d434d38e28d47c822ad"),
+        (("--q", "3..4", "--n", "3000..3001"), "6ca73cdb6a8516fa74571077d92f3f22dfe9ca77bc9efed9b09bb6aa7aff463d"),
+    ):
+        code, out, err = run(capsys, "table", *args)
+        assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest, args
+        target = tmp_path / "table.out"
+        assert run(capsys, "table", *args, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode(), args
 
 
 def test_table_far_past_the_old_reach(capsys):
@@ -451,6 +502,14 @@ def test_table_refuses_lengths_above_the_limit(tmp_path, capsys, monkeypatch):
             assert code == 2 and out == "" and err.startswith("error: "), args
             assert f"n={args[1].split('..')[1]} above --limit {limit}" in err, (args, err)
             assert not target.exists()
+
+
+def test_table_domain_refusal_writes_no_file(tmp_path, capsys):
+    for fmt in ("csv", "json"):
+        target = tmp_path / f"table.{fmt}"
+        code, out, err = run(capsys, "table", "--q", "2..3", "--n", "3..5", "--format", fmt, "--out", str(target))
+        assert (code, out) == (2, "") and err == "error: construction needs an alphabet of size q >= 3, got 2\n"
+        assert not target.exists()
 
 
 def test_bad_range_is_a_usage_error(capsys):

@@ -113,6 +113,12 @@ def test_counts_match_full_space_enumeration():
             assert motzkin_count(colors, n) == len(brute_words(colors, n))
 
 
+def test_generators_refuse_negative_lengths():
+    for generate in (generate_motzkin, generate_elevated):
+        with pytest.raises(ValueError, match="length must be non-negative, got -1"):
+            list(generate(1, -1))
+
+
 def test_generate_small_sets():
     assert [x.to_text() for x in generate_motzkin(1, 2)] == ["10", "22"]
     assert list(generate_motzkin(0, 3)) == []
