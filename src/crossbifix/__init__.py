@@ -9,66 +9,56 @@ bifixfree`` writes. The independent brute-force scans in ``oracle`` are only
 the reference the tests hold the fast paths to: they are not exported here,
 and neither ``verify`` nor the command line imports them, so no command
 loads ``crossbifix.oracle``.
+
+Importing the package loads none of its modules. Each exported name, and
+each module named in ``_EXPORTS``, is imported on first access (PEP 562),
+so that a command-line process loads only the modules its command runs.
 """
 
-from .baseline import best_sizes, construct_baseline_set, f_count, s_max, s_star, zero_run_counts
-from .cbfs import (
-    CodeSet,
-    VerificationReport,
-    construct_cbfs,
-    count_cbfs,
-    family_sizes,
-    iter_cbfs,
-)
-from .motzkin import (
-    generate_elevated,
-    generate_motzkin,
-    has_ground_elevated_factor,
-    motzkin_count,
-    motzkin_counts,
-)
-from .verify import verify_cross_bifix_free_set, verify_non_expandable
-from .words import (
-    CrossBifix,
-    HeightProfile,
-    Word,
-    bifixes,
-    cross_bifix,
-    height_profile,
-    is_bifix_free,
-    is_elevated,
-    is_motzkin_word,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CodeSet",
-    "CrossBifix",
-    "HeightProfile",
-    "VerificationReport",
-    "Word",
-    "best_sizes",
-    "bifixes",
-    "construct_baseline_set",
-    "construct_cbfs",
-    "count_cbfs",
-    "cross_bifix",
-    "f_count",
-    "family_sizes",
-    "generate_elevated",
-    "generate_motzkin",
-    "has_ground_elevated_factor",
-    "height_profile",
-    "is_bifix_free",
-    "is_elevated",
-    "is_motzkin_word",
-    "iter_cbfs",
-    "motzkin_count",
-    "motzkin_counts",
-    "s_max",
-    "s_star",
-    "verify_cross_bifix_free_set",
-    "verify_non_expandable",
-    "zero_run_counts",
-]
+# The exported names of each module.
+_EXPORTS = {
+    "baseline": ("best_sizes", "construct_baseline_set", "f_count", "s_max", "s_star", "zero_run_counts"),
+    "cbfs": ("CodeSet", "VerificationReport", "construct_cbfs", "count_cbfs", "family_sizes", "iter_cbfs"),
+    "motzkin": (
+        "generate_elevated",
+        "generate_motzkin",
+        "has_ground_elevated_factor",
+        "motzkin_count",
+        "motzkin_counts",
+    ),
+    "verify": ("verify_cross_bifix_free_set", "verify_non_expandable"),
+    "words": (
+        "CrossBifix",
+        "HeightProfile",
+        "Word",
+        "bifixes",
+        "cross_bifix",
+        "height_profile",
+        "is_bifix_free",
+        "is_elevated",
+        "is_motzkin_word",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import an exported name's module, or an exporting module itself, on
+    first access; the name is then a module global and this is not called
+    again for it."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")  # binds the submodule here
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

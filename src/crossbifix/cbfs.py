@@ -33,21 +33,18 @@ from ``family_sizes``, and ``cbfs_groups``, ``iter_cbfs`` and
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .motzkin import lex_groups, motzkin_counts
-from .words import Word, format_word_lines, parse_word_lines
+from .words import Record, Word, format_word_lines, parse_word_lines
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
 # Default cap on the words a verification scan may cover.
 DEFAULT_MAX_SPACE = 10_000_000
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of a verification run, with every witness recorded.
 
     kind is one of "cross-bifix-set", "non-expandable" or "count-agreement".
@@ -55,11 +52,21 @@ class VerificationReport:
     verdict.
     """
 
+    __slots__ = _fields = ("kind", "ok", "witnesses", "stats", "error")
     kind: str
     ok: bool
     witnesses: tuple[dict, ...]
-    stats: dict = field(default_factory=dict)
-    error: str | None = None
+    stats: dict
+    error: str | None
+
+    def __init__(
+        self, kind: str, ok: bool, witnesses: tuple[dict, ...], stats: dict | None = None, error: str | None = None
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
+        object.__setattr__(self, "error", error)
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,18 +78,27 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class CodeSet:
+class CodeSet(Record):
     """A duplicate-free list of equal-length words in strictly increasing
     lexicographic order, with a per-word provenance tag."""
 
+    _fields = ("q", "n", "words", "provenance")
     q: int
     n: int
     words: tuple[Word, ...]
     provenance: tuple[str, ...]
+
+    def __init__(self, q: int, n: int, words: tuple[Word, ...], provenance: tuple[str, ...]) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "provenance", provenance)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.words) != len(self.provenance):
@@ -162,6 +178,8 @@ class CodeSet:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     @classmethod

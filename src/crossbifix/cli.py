@@ -1,28 +1,25 @@
 """Command-line front-end: counting, generation, verification, size tables.
 
 Exit codes: 0 success, 1 verification failed, 2 usage or domain error.
+
+Each process loads only what its command runs. Every command needs
+``cbfs``, which loads ``motzkin`` and ``words``, so those are imported here;
+``baseline``, ``verify`` and ``csv`` are imported by the commands that use
+them. The JSON of ``gen`` and ``table`` is laid out here, so ``json`` is
+loaded only by the ``to_json`` of a report or a baseline set.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from contextlib import contextmanager
 from itertools import islice, repeat
+from typing import Iterator
 
-from .baseline import best_sizes, construct_baseline_set, s_max, s_star
 from .cbfs import DEFAULT_MAX_SPACE, CodeSet, cbfs_groups, count_cbfs, family_sizes
 from .motzkin import elevated_groups, motzkin_count, motzkin_groups
-from .verify import (
-    check_candidate_cap,
-    count_bifix_free,
-    iter_bifix_free,
-    verify_cross_bifix_free_set,
-    verify_non_expandable,
-)
-from .words import check_alphabet, format_symbol_lines, format_symbols, parse_symbols
+from .words import check_alphabet, format_symbol_lines, format_symbols, iter_symbol_lines
 
 # Largest word length `count` and `table` take by default: their exact
 # counts cost O(n^2) bit operations, seconds per count at this length.
@@ -40,6 +37,8 @@ def size_table(q_values, n_values, compare: str, bold: bool) -> tuple[list[str],
     extension Sstar, None where the maximization has no run length) and,
     with ``bold``, 1 where CBFS is larger, 0 where not, None with no
     comparator."""
+    from .baseline import best_sizes
+
     k_min = {"S": 2, "Sstar": 1}[compare]
     columns = ("cbfs", "cmp", "bold") if bold else ("cbfs", "cmp")
     names = ["n"] + [f"{column}_q{q}" for q in q_values for column in columns]
@@ -102,6 +101,8 @@ def _cmd_count(args) -> int:
     _check_length(args.n, args.limit)
     suffix = ""
     if args.set in ("S", "Sstar"):
+        from .baseline import s_max, s_star
+
         best = s_max if args.set == "S" else s_star
         value, k = best(args.n, args.q)
         suffix = f" k={k}"
@@ -119,14 +120,17 @@ def _cmd_count(args) -> int:
 
 def _gen_groups(args):
     """Check the alphabet and --limit for a `gen` request, then return the
-    alphabet size, the word length, the ``(head, tails)`` groups of its
-    words in canonical order (as ``motzkin.lex_groups`` yields them) and the
-    tag of each shape index. No word is produced before the checks pass."""
+    alphabet size, the word length, the number of words, their
+    ``(head, tails)`` groups in canonical order (as ``motzkin.lex_groups``
+    yields them) and the tag of each shape index. No word is produced before
+    the checks pass."""
     q, n = args.q, args.n
     if args.set in _FAMILIES:
         tags = _FAMILIES[args.set]
         expected, groups = count_cbfs(q, n, tags), cbfs_groups(q, n, tags)
     elif args.set == "bifixfree":
+        from .verify import count_bifix_free, iter_bifix_free
+
         expected, tags = count_bifix_free(q, n), ("external",)
         # chunks of the word stream, as groups with an empty head; their
         # tails are iterators, so no pair outlives its word's turn
@@ -143,11 +147,12 @@ def _gen_groups(args):
     with _exact_int_output():
         if expected > args.limit:
             raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
-    return q, n, groups, tags
+    return q, n, expected, groups, tags
 
 
-def _write_groups(fh, q: int, groups) -> None:
-    """Write the words of ``(head, tails)`` groups one per line.
+def _group_texts(q: int, groups) -> Iterator[str]:
+    """The word-per-line text of ``(head, tails)`` groups, one piece for
+    each group.
 
     A list of several tails comes back each time its walk state does, so
     its text is made once and kept with the list, which holds the list's id
@@ -164,25 +169,59 @@ def _write_groups(fh, q: int, groups) -> None:
             if entry is None:
                 entry = blocks[id(tails)] = (tails, format_symbol_lines([tail for tail, _ in tails], q)[:-1])
             head_text = format_symbols(head, q) + sep
-            fh.write(head_text + entry[1].replace("\n", "\n" + head_text) + "\n")
+            yield head_text + entry[1].replace("\n", "\n" + head_text) + "\n"
         else:
-            fh.write(format_symbol_lines([head + tail for tail, _ in tails], q))
+            yield format_symbol_lines([head + tail for tail, _ in tails], q)
+
+
+def _write_json_object(fh, members) -> None:
+    """Write a JSON object and a newline as ``json.dump(..., indent=2)``
+    lays them out, from ``(key, value)`` members with plain ASCII keys. A
+    value is its JSON text, or for a list an iterator of pieces of its
+    items' text, where each item is led by ``,\\n`` and a four-space
+    indent. The pieces are written as they come, so no list is held whole.
+    """
+    lead = "{\n"
+    for key, value in members:
+        fh.write(f'{lead}  "{key}": ')
+        lead = ",\n"
+        if isinstance(value, str):
+            fh.write(value)
+            continue
+        first = next(value, None)
+        if first is None:
+            fh.write("[]")
+        else:
+            fh.write("[" + first[1:])  # the first item has no comma before it
+            fh.writelines(value)
+            fh.write("\n  ]")
+    fh.write("\n}\n")
 
 
 def _cmd_gen(args) -> int:
-    q, n, groups, tags = _gen_groups(args)
-    if args.format == "json":
-        words = ((head + tail, tags[j]) for head, tails in groups for tail, j in tails)
-        text = CodeSet.from_ordered(q, n, words).to_json()
-        with _output(args.out) as fh:
-            fh.write(text)
-        return 0
+    q, n, expected, groups, tags = _gen_groups(args)
+    texts = _group_texts(q, groups)
     with _output(args.out) as fh:
-        _write_groups(fh, q, groups)
+        if args.format == "text":
+            fh.writelines(texts)
+            return 0
+        # The JSON of CodeSet.to_json, written as the words are walked. The
+        # provenance list comes first: a first walk of a CBFS set gives the
+        # tags, and every word of the other sets is tagged external.
+        if args.set in _FAMILIES:
+            items = [f',\n    "{tag}"' for tag in tags]
+            provenance = ("".join([items[j] for _, j in tails]) for _, tails in cbfs_groups(q, n, tags))
+        else:
+            item = ',\n    "external"'
+            provenance = (item * min(GEN_CHUNK, expected - i) for i in range(0, expected, GEN_CHUNK))
+        words = (',\n    "' + text[:-1].replace("\n", '",\n    "') + '"' for text in texts)
+        _write_json_object(fh, [("q", str(q)), ("n", str(n)), ("provenance", provenance), ("words", words)])
     return 0
 
 
 def _cmd_baseline_gen(args) -> int:
+    from .baseline import construct_baseline_set
+
     code_set = construct_baseline_set(args.k, args.q, args.n, max_space=args.limit)
     text = code_set.to_json() if args.format == "json" else code_set.to_text()
     with _output(args.out) as fh:
@@ -191,6 +230,8 @@ def _cmd_baseline_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import check_candidate_cap, verify_cross_bifix_free_set, verify_non_expandable
+
     check_alphabet(args.q)  # before the raw-line refusal, which takes any q
     if args.infile == "-":
         text = sys.stdin.read()
@@ -202,7 +243,7 @@ def _cmd_verify(args) -> int:
         # least as many distinct lines as members
         lines = [line for line in map(str.strip, text.splitlines()) if line]
         if lines:
-            n = args.n if args.n is not None else len(parse_symbols(lines[0], args.q))
+            n = args.n if args.n is not None else len(next(iter_symbol_lines(text, args.q)))
             check_candidate_cap(args.q, n, len(set(lines)), args.limit)
     code_set = CodeSet.from_text(text, args.q, n=args.n)
     if args.mode == "set":
@@ -220,10 +261,19 @@ def _cmd_table(args) -> int:
     names, rows = size_table(args.q, args.n, args.compare, args.bold)
     with _exact_int_output(), _output(args.out) as fh:
         if args.format == "json":
-            rows = [dict(zip(names, row)) for row in rows]
-            json.dump({"compare": args.compare, "q_values": args.q, "n_values": args.n, "rows": rows}, fh, indent=2)
-            fh.write("\n")
+            # one piece for each list of values and for each row
+            fields = [f'      "{name}": ' for name in names]
+            cells = (",\n".join([f"{f}{'null' if v is None else v}" for f, v in zip(fields, row)]) for row in rows)
+            members = [
+                ("compare", f'"{args.compare}"'),
+                ("q_values", iter(["".join(f",\n    {q}" for q in args.q)])),
+                ("n_values", iter(["".join(f",\n    {n}" for n in args.n)])),
+                ("rows", (",\n    {\n" + text + "\n    }" for text in cells)),
+            ]
+            _write_json_object(fh, members)
         else:
+            import csv
+
             writer = csv.writer(fh, lineterminator="\n")  # writes None as ""
             writer.writerow(names)
             writer.writerows(rows)

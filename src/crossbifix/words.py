@@ -8,7 +8,6 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator, Sequence
 
@@ -50,9 +49,47 @@ def format_symbols(symbols: Sequence[int], q: int) -> str:
     return ",".join(str(s) for s in symbols)
 
 
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields in ``_fields``, in constructor order, and
+    sets each once in ``__init__`` through ``object.__setattr__``. Records
+    equal and hash as the tuple of their field values, and equal only a
+    record of the same class; one with an unhashable field, such as a dict,
+    raises TypeError on hashing. The repr lists the fields by name.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Immutable word over {0, ..., q-1}.
 
     Equality is element-wise; ordering is lexicographic on the symbol
@@ -60,11 +97,16 @@ class Word:
     deterministic generation output.
     """
 
+    __slots__ = _fields = ("symbols", "q")
     symbols: tuple[int, ...]
     q: int
 
+    def __init__(self, symbols: Sequence[int], q: int) -> None:
+        object.__setattr__(self, "symbols", tuple(symbols))
+        object.__setattr__(self, "q", q)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
         check_alphabet(self.q)
         q = self.q
         for s in self.symbols:
@@ -115,12 +157,15 @@ class Word:
         return f"Word({self.to_text()!r}, q={self.q})"
 
 
-@dataclass(frozen=True)
-class HeightProfile:
+class HeightProfile(Record):
     """Partial path heights: heights[j] is the height after the first j
     symbols, so heights[0] == 0 and the final entry is #rises - #falls."""
 
+    __slots__ = _fields = ("heights",)
     heights: tuple[int, ...]
+
+    def __init__(self, heights: tuple[int, ...]) -> None:
+        object.__setattr__(self, "heights", heights)
 
     @property
     def final(self) -> int:
@@ -131,8 +176,7 @@ class HeightProfile:
         return min(self.heights)
 
 
-@dataclass(frozen=True)
-class CrossBifix:
+class CrossBifix(Record):
     """A shortest cross-bifix witness.
 
     ``word`` is a strict prefix of one argument and a suffix of the other;
@@ -140,8 +184,13 @@ class CrossBifix:
     ("first" or "second").
     """
 
+    __slots__ = _fields = ("word", "prefix_of")
     word: Word
     prefix_of: str
+
+    def __init__(self, word: Word, prefix_of: str) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "prefix_of", prefix_of)
 
 
 def prefix_function(symbols: Sequence[int]) -> list[int]:
@@ -230,9 +279,24 @@ def is_elevated(word: Word) -> bool:
     return h == 1
 
 
+def iter_symbol_lines(text: str, q: int) -> Iterator[tuple[int, ...]]:
+    """The symbols of each non-blank line of word-per-line text, in the form
+    ``parse_symbols`` reads. A line that does not parse raises ValueError
+    naming its 1-based number, its text and the form expected."""
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            symbols = parse_symbols(line, q)
+        except ValueError:
+            form = f"contiguous digits 0..{q - 1}" if q <= 10 else f"comma-separated integers 0..{q - 1}"
+            raise ValueError(f"line {number}: cannot read {line.strip()!r} as a word; expected {form}") from None
+        yield symbols
+
+
 def parse_word_lines(text: str, q: int) -> list[Word]:
     """Read words from word-per-line text, skipping blank lines."""
-    return [Word.from_text(line, q) for line in text.splitlines() if line.strip()]
+    return [Word(symbols, q) for symbols in iter_symbol_lines(text, q)]
 
 
 # Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.

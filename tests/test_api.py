@@ -1,8 +1,12 @@
-"""The package keeps no dead public names: every public top-level function
-or class is used somewhere in the package or exported from its root."""
+"""The package's public names: every public top-level function or class is
+used somewhere in the package or exported from its root, and the root
+resolves each exported name on first access."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import crossbifix
 
@@ -38,3 +42,22 @@ def test_every_public_definition_is_used_or_exported():
         and node.name not in used | exported
     ]
     assert unused == []
+
+
+def test_every_exported_name_resolves_through_the_lazy_root():
+    assert crossbifix.__all__ == sorted(crossbifix.__all__)
+    for name in crossbifix.__all__:
+        value = getattr(crossbifix, name)
+        module = importlib.import_module(f"crossbifix.{crossbifix._MODULE_OF[name]}")
+        assert value is getattr(module, name) and value.__module__ == module.__name__, name
+        assert name in dir(crossbifix)
+    namespace = {}
+    exec("from crossbifix import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(crossbifix.__all__)
+    for module in crossbifix._EXPORTS:
+        assert getattr(crossbifix, module) is importlib.import_module(f"crossbifix.{module}")
+    for name in ("no_such_name", "_private"):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(crossbifix, name)
+    with pytest.raises(ImportError):
+        exec("from crossbifix import no_such_name", {})

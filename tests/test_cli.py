@@ -10,9 +10,9 @@ import sys
 
 import pytest
 
-from crossbifix import baseline, cbfs, cli, motzkin, oracle, words
+from crossbifix import baseline, cbfs, cli, motzkin, oracle, verify, words
 from crossbifix.baseline import s_max, s_star
-from crossbifix.cbfs import construct_cbfs, count_cbfs
+from crossbifix.cbfs import CodeSet, construct_cbfs, count_cbfs
 from crossbifix.cli import main, size_table
 from crossbifix.motzkin import motzkin_count
 from crossbifix.words import format_symbols
@@ -160,6 +160,37 @@ def test_gen_text_builds_no_word_or_code_set(capsys, monkeypatch):
     for name in ("cbfs", "A", "B", "C", "motzkin", "elevated", "bifixfree"):
         code, out, _ = run(capsys, "gen", "--q", "4", "--n", "6", "--set", name)
         assert code == 0 and out
+
+
+def test_gen_json_writes_the_code_set_json_without_building_it(capsys, monkeypatch):
+    # every set at the edges: q > 10, n = 0, 1, 2 and explicit colors
+    expected = []
+    for q, n in ((3, 3), (3, 5), (11, 3), (12, 4)):
+        for name, families in (("cbfs", "ABC"), ("A", "A"), ("B", "B"), ("C", "C")):
+            expected.append((("--q", str(q), "--n", str(n), "--set", name), construct_cbfs(q, n, families)))
+    for q, colors in ((2, None), (3, None), (4, 1), (3, 10), (12, None)):
+        k = q - 2 if colors is None else colors
+        extra = () if colors is None else ("--colors", str(colors))
+        for n in (0, 1, 2, 3, 5):
+            for name, generate in (("motzkin", motzkin.generate_motzkin), ("elevated", motzkin.generate_elevated)):
+                tagged = ((word.symbols, "external") for word in generate(k, n))
+                args = ("--q", str(q), "--n", str(n), "--set", name, *extra)
+                expected.append((args, CodeSet.from_ordered(k + 2, n, tagged)))
+    for q in (2, 3, 12):
+        for n in (1, 2, 3, 5):
+            tagged = ((symbols, "external") for symbols in verify.iter_bifix_free(q, n))
+            expected.append((("--q", str(q), "--n", str(n), "--set", "bifixfree"), CodeSet.from_ordered(q, n, tagged)))
+    expected = [(args, code_set.to_json()) for args, code_set in expected]
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built by gen --format json")
+
+    monkeypatch.setattr(words.Word, "__post_init__", refuse)
+    monkeypatch.setattr(cbfs.CodeSet, "__post_init__", refuse)
+    for args, text in expected:
+        assert run(capsys, "gen", *args, "--format", "json") == (0, text, ""), args
+    texts = [text for _, text in expected]
+    assert any('"words": []' in text for text in texts) and any('"words": [\n    ""\n  ]' in text for text in texts)
 
 
 def test_gen_wide_alphabet_lines_follow_symbol_order(capsys):
@@ -313,9 +344,8 @@ def test_group_writer_formats_every_group_as_handed():
                 # with an empty head, as for bifix-free chunks, any iterable will do
                 yield head, tails if head or rng.random() < 0.5 else iter(tails)
 
-        out = io.StringIO()
-        cli._write_groups(out, q, groups())
-        assert out.getvalue() == "".join(expected), q
+        pieces = list(cli._group_texts(q, groups()))
+        assert len(pieces) == 3000 and "".join(pieces) == "".join(expected), q
 
 
 def test_baseline_gen(capsys):
@@ -373,6 +403,23 @@ def test_verify_refuses_alphabets_that_no_word_takes(capsys, monkeypatch):
                     assert (code, out, err) == (2, "", error), (q, text, mode, extra)
 
 
+def test_verify_parse_errors_name_the_line_and_the_form(capsys, monkeypatch):
+    for q, text, message in (
+        (3, "1,2,3\n", "line 1: cannot read '1,2,3' as a word; expected contiguous digits 0..2"),
+        (3, "1100\n\n  11x0 \n", "line 3: cannot read '11x0' as a word; expected contiguous digits 0..2"),
+        (10, "\n-1\n", "line 2: cannot read '-1' as a word; expected contiguous digits 0..9"),
+        (12, "1,0\n1,,0\n", "line 2: cannot read '1,,0' as a word; expected comma-separated integers 0..11"),
+        (12, "10 11\n", "line 1: cannot read '10 11' as a word; expected comma-separated integers 0..11"),
+        # a symbol outside the alphabet keeps its message
+        (3, "1100\n1150\n", "symbol 5 outside alphabet of size 3"),
+    ):
+        for mode in ("set", "nonexpandable"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run(capsys, "verify", "--in", "-", "--q", str(q), "--mode", mode) == (2, "", f"error: {message}\n")
+    with pytest.raises(ValueError, match="^line 2: cannot read '1a' as a word; expected contiguous digits 0..2$"):
+        words.parse_word_lines("12\n1a\n", 3)
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--in", "/nonexistent/words.txt", "--q", "3")
     assert code == 2 and err.startswith("error:")
@@ -418,6 +465,31 @@ def test_table_json_matches_csv_values(capsys):
         for key, text in csv_row.items():
             value = json_row[key]
             assert text == ("" if value is None else str(value))
+
+
+def test_table_json_is_json_dump_written_a_row_at_a_time(monkeypatch):
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    for q_values, n_values, extra in (
+        ([3, 4], list(range(3, 60)), ()),
+        ([5], [3], ("--bold",)),
+        ([3, 4, 5, 6], list(range(3, 9)), ("--compare", "Sstar")),
+    ):
+        compare = "Sstar" if "Sstar" in extra else "S"
+        names, rows = size_table(q_values, n_values, compare, "--bold" in extra)
+        rows = [dict(zip(names, row)) for row in rows]
+        data = {"compare": compare, "q_values": q_values, "n_values": n_values, "rows": rows}
+        out = Counting()
+        monkeypatch.setattr(sys, "stdout", out)
+        q_arg, n_arg = f"{q_values[0]}..{q_values[-1]}", f"{n_values[0]}..{n_values[-1]}"
+        assert main(["table", "--q", q_arg, "--n", n_arg, "--format", "json", *extra]) == 0
+        assert out.getvalue() == json.dumps(data, indent=2) + "\n"
+        assert out.writes <= len(rows) + 12, out.writes
 
 
 def test_table_runs_are_byte_identical(capsys):

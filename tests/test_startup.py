@@ -1,0 +1,112 @@
+"""Each command-line process loads only the modules its command runs, and
+``gen --format json`` holds no more than the text form does.
+
+Every command runs in a fresh interpreter through ``runpy``, as
+``python -m crossbifix`` runs it, and the modules it leaves in
+``sys.modules`` are compared with those of a bare interpreter, so that what
+``site`` loads in a given environment does not count.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+from crossbifix import cli
+from crossbifix.cbfs import construct_cbfs
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+    "PYTHONDONTWRITEBYTECODE": "1",
+}
+CBFS_3_6 = construct_cbfs(3, 6).to_text()
+
+COMMANDS = {
+    "count": (["count", "--q", "3", "--n", "9"], None),
+    "count-S": (["count", "--q", "3", "--n", "9", "--set", "S"], None),
+    "gen": (["gen", "--q", "3", "--n", "6"], None),
+    "gen-json": (["gen", "--q", "3", "--n", "6", "--format", "json"], None),
+    "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None),
+    "verify": (["verify", "--in", "-", "--q", "3"], CBFS_3_6),
+    "verify-nonexpandable": (["verify", "--in", "-", "--q", "3", "--mode", "nonexpandable"], CBFS_3_6),
+    "table": (["table", "--q", "3..4", "--n", "3..8"], None),
+    "table-json": (["table", "--q", "3..4", "--n", "3..8", "--format", "json"], None),
+    "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None),
+}
+
+
+def loaded_modules(script, stdin=None):
+    """The modules a fresh interpreter holds after ``script`` and not before
+    it, with the script's stdout. The last stderr line lists them, written
+    without loading a module."""
+    before = "import sys\nbare = set(sys.modules)\n"
+    after = "sys.stderr.write('\\n' + repr(sorted(set(sys.modules) - bare)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", before + script + after],
+        input=stdin,
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(ast.literal_eval(done.stderr.rsplit("\n", 1)[1])), done.stdout
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_commands_load_only_what_they_run(name):
+    argv, stdin = COMMANDS[name]
+    script = (
+        "import runpy\n"
+        f"sys.argv = ['crossbifix', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('crossbifix', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    loaded, out = loaded_modules(script, stdin)
+    assert out
+    assert {"crossbifix.cli", "crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.words"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "crossbifix.oracle"}
+    if name in ("count", "gen", "gen-json"):
+        assert not loaded & {"crossbifix.verify", "crossbifix.baseline"}
+    assert ("csv" in loaded) == (name == "table")
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    loaded, _ = loaded_modules("import crossbifix\n")
+    assert "crossbifix" in loaded and not {name for name in loaded if name.startswith("crossbifix.")}
+    loaded, _ = loaded_modules("from crossbifix import count_cbfs\n")
+    assert {name for name in loaded if name.startswith("crossbifix.")} == {
+        "crossbifix.cbfs",
+        "crossbifix.motzkin",
+        "crossbifix.words",
+    }
+
+
+# Runs argv and prints its exit code and peak RSS. The peak a process
+# reports covers the address space its exec replaced, so the command is
+# started from this small process rather than from the test run.
+SPAWN = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(proc.returncode, usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_gen_json_peaks_within_5_mb_of_the_text():
+    peaks = {}
+    for fmt in ("text", "json"):
+        command = [sys.executable, "-m", "crossbifix", "gen", "--q", "4", "--n", "11", "--format", fmt]
+        spawn = [sys.executable, "-c", SPAWN, *command]
+        done = subprocess.run(spawn, env=ENV, capture_output=True, text=True, timeout=60)
+        code, peaks[fmt] = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+    assert peaks["json"] < peaks["text"] + 5 * 1024, peaks

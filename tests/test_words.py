@@ -1,12 +1,17 @@
 """Tests for word primitives: bifixes, cross-bifixes, path predicates."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossbifix.cbfs import CodeSet, VerificationReport
 from crossbifix.words import (
+    CrossBifix,
+    HeightProfile,
     Word,
     bifixes,
     cross_bifix,
@@ -200,3 +205,47 @@ def test_word_lines_round_trip():
     assert format_word_lines([Word((9, 0, 1), 10)]) == "901\n"
     assert format_word_lines([Word((9, 0, 10), 11)]) == "9,0,10\n"
     assert format_word_lines([]) == ""
+
+
+def test_records_equal_hash_order_and_print_as_frozen_dataclasses_did():
+    word = Word([1, 2, 0], 3)
+    records = {
+        "Word('120', q=3)": (word, Word((1, 2, 0), 3), Word((1, 2, 0), 4)),
+        "HeightProfile(heights=(0, 1, 0))": (HeightProfile((0, 1, 0)), HeightProfile((0, 1, 0)), HeightProfile((0,))),
+        "CrossBifix(word=Word('1', q=3), prefix_of='first')": (
+            CrossBifix(w("1"), "first"),
+            CrossBifix(w("1"), "first"),
+            CrossBifix(w("1"), "second"),
+        ),
+        "CodeSet(q=3, n=3, words=(Word('120', q=3),), provenance=('A',))": (
+            CodeSet(3, 3, (word,), ("A",)),
+            CodeSet(3, 3, (w("120"),), ("A",)),
+            CodeSet(3, 3, (word,), ("B",)),
+        ),
+        "VerificationReport(kind='non-expandable', ok=True, witnesses=(), stats={}, error=None)": (
+            VerificationReport("non-expandable", True, ()),
+            VerificationReport("non-expandable", True, (), {}, None),
+            VerificationReport("non-expandable", True, (), {}, "e"),
+        ),
+    }
+    for text, (record, same, other) in records.items():
+        assert repr(record) == text
+        assert record == same and not record != same
+        assert record != other and record != record._values()
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        if isinstance(record, VerificationReport):
+            with pytest.raises(TypeError):
+                hash(record)  # its stats are a dict
+        else:
+            assert hash(record) == hash(same) and len({record, same, other}) == 2
+    assert word.symbols == (1, 2, 0) and VerificationReport("k", False, ()).stats == {}
+    # words order by their symbols alone, so words over two alphabets compare
+    assert w("02") < w("10") <= w("10") and w("2") > w("12") >= w("12") and w("1") <= Word((2,), 4)
+    assert sorted([w("2"), w("1"), w("10")]) == [w("1"), w("10"), w("2")]
+    with pytest.raises(TypeError):
+        w("1") < (1,)
