@@ -14,7 +14,6 @@ import itertools
 from typing import Iterable
 
 from .cbfs import DEFAULT_MAX_SPACE, CodeSet
-from .words import Word
 
 
 def zero_run_counts(k: int, q: int, lengths: Iterable[int]) -> dict[int, int]:
@@ -76,16 +75,12 @@ def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_
         raise ValueError(
             f"interior space {q}^{middle_len} exceeds the cap of {max_space}; raise max_space to force"
         )
-    prefix = (0,) * k
+    middles = [m for m in itertools.product(range(q), repeat=middle_len) if not _contains_zero_run(m, k)]
     nonzero = range(1, q)
-    out = []
-    for middle in itertools.product(range(q), repeat=middle_len):
-        if _contains_zero_run(middle, k):
-            continue
-        for first in nonzero:
-            for last in nonzero:
-                out.append((Word(prefix + (first,) + middle + (last,), q), "baseline"))
-    return CodeSet.build(q, n, out)
+    # the zero run, then the first symbol, the interior and the last symbol
+    # vary slowest to fastest, which is canonical order
+    words = ((0,) * k + (first,) + middle + (last,) for first in nonzero for middle in middles for last in nonzero)
+    return CodeSet.from_ordered(q, n, zip(words, itertools.repeat("baseline")))
 
 
 def best_sizes(q: int, n_values: Iterable[int], k_min: int) -> dict[int, tuple[int, int]]:

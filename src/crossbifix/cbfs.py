@@ -23,7 +23,6 @@ memory grows with the distinct completions of the second half, not with
 the set. ``cbfs_groups`` hands a replay out whole, as a head and the
 state's list of tails, so that a caller such as ``gen`` can write the
 subtree in one piece; ``iter_cbfs`` flattens the groups into words.
-``Word`` and ``CodeSet`` values are built only by ``construct_cbfs``.
 
 One ``families`` string, such as ``"ABC"`` (the default) or ``"B"``, picks
 the families at every layer: ``count_cbfs`` sums their closed-form sizes
@@ -37,7 +36,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .motzkin import lex_groups, motzkin_counts
-from .words import Record, Word, format_word_lines, parse_word_lines
+from .words import Record, Word, format_symbol_lines, read_codes, symbols_of
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
 # Default cap on the words a verification scan may cover.
@@ -117,25 +116,19 @@ class CodeSet(Record):
     @classmethod
     def build(cls, q: int, n: int, tagged_words: Iterable[tuple[Word, str]]) -> "CodeSet":
         """Sort into canonical order and drop duplicates (first tag wins)."""
-        seen: dict[tuple[int, ...], tuple[Word, str]] = {}
+        seen = {}
         for word, tag in tagged_words:
             seen.setdefault(word.symbols, (word, tag))
-        ordered = sorted(seen.values(), key=lambda item: item[0].symbols)
-        words = tuple(item[0] for item in ordered)
-        tags = tuple(item[1] for item in ordered)
-        return cls(q, n, words, tags)
+        ordered = [seen[symbols] for symbols in sorted(seen)]
+        return cls(q, n, tuple(word for word, _ in ordered), tuple(tag for _, tag in ordered))
 
     @classmethod
     def from_ordered(cls, q: int, n: int, tagged_symbols: Iterable[tuple[tuple[int, ...], str]]) -> "CodeSet":
         """Wrap a stream of (symbols, tag) pairs that is already in canonical
         order. Nothing is sorted; the constructor still rejects a stream out
         of order or with a repeat."""
-        words = []
-        tags = []
-        for symbols, tag in tagged_symbols:
-            words.append(Word(symbols, q))
-            tags.append(tag)
-        return cls(q, n, tuple(words), tuple(tags))
+        pairs = [(Word(symbols, q), tag) for symbols, tag in tagged_symbols]
+        return cls(q, n, tuple(word for word, _ in pairs), tuple(tag for _, tag in pairs))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -158,16 +151,12 @@ class CodeSet(Record):
         return CodeSet(self.q, self.n, tuple(w for w, _ in kept), tuple(t for _, t in kept))
 
     def to_text(self) -> str:
-        return format_word_lines(self.words)
+        return format_symbol_lines([w.symbols for w in self.words], self.q)
 
     @classmethod
     def from_text(cls, text: str, q: int, n: int | None = None, tag: str = "external") -> "CodeSet":
-        words = parse_word_lines(text, q)
-        if n is None:
-            if not words:
-                raise ValueError("cannot infer word length from an empty list")
-            n = len(words[0])
-        return cls.build(q, n, [(w, tag) for w in words])
+        n, codes = read_codes(text, q, n)
+        return cls.from_ordered(q, n, ((symbols_of(code, q, n), tag) for code in codes))
 
     def to_json_dict(self) -> dict:
         return {

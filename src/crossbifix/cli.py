@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import islice, repeat
 from typing import Iterator
 
-from .cbfs import DEFAULT_MAX_SPACE, CodeSet, cbfs_groups, count_cbfs, family_sizes
+from .cbfs import DEFAULT_MAX_SPACE, cbfs_groups, count_cbfs, family_sizes
 from .motzkin import elevated_groups, motzkin_count, motzkin_groups
-from .words import check_alphabet, format_symbol_lines, format_symbols, iter_symbol_lines
+from .words import check_alphabet, format_symbol_lines, format_symbols, read_codes
 
 # Largest word length `count` and `table` take by default: their exact
 # counts cost O(n^2) bit operations, seconds per count at this length.
@@ -230,30 +230,17 @@ def _cmd_baseline_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import check_candidate_cap, verify_cross_bifix_free_set, verify_non_expandable
+    from .verify import cross_bifix_report, non_expandable_report
 
-    check_alphabet(args.q)  # before the raw-line refusal, which takes any q
-    if args.infile == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    if args.mode == "nonexpandable":
-        # refuse on the raw lines, before any word is built: there are at
-        # least as many distinct lines as members
-        lines = [line for line in map(str.strip, text.splitlines()) if line]
-        if lines:
-            n = args.n if args.n is not None else len(next(iter_symbol_lines(text, args.q)))
-            check_candidate_cap(args.q, n, len(set(lines)), args.limit)
-    code_set = CodeSet.from_text(text, args.q, n=args.n)
+    check_alphabet(args.q)  # before the input is read
+    with nullcontext(sys.stdin) if args.infile == "-" else open(args.infile, encoding="utf-8") as fh:
+        n, codes = read_codes(fh.read(), args.q, args.n)
     if args.mode == "set":
-        report = verify_cross_bifix_free_set(code_set)
+        report = cross_bifix_report(args.q, n, codes)
     else:
-        report = verify_non_expandable(code_set, max_space=args.limit, all_witnesses=args.all_witnesses)
+        report = non_expandable_report(args.q, n, codes, args.limit, args.all_witnesses)
     sys.stdout.write(report.to_json())
-    if report.error is not None:
-        return 2
-    return 0 if report.ok else 1
+    return 2 if report.error is not None else 0 if report.ok else 1
 
 
 def _cmd_table(args) -> int:

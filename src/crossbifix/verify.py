@@ -19,33 +19,28 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from functools import cache
+from typing import TYPE_CHECKING
 
-from .cbfs import DEFAULT_MAX_SPACE, CodeSet, VerificationReport
-from .words import Word, cross_bifix, is_bifix_free
+from .cbfs import DEFAULT_MAX_SPACE, VerificationReport
+from .words import Word, code_of, cross_bifix, symbols_of
 
-
-def _codes(code_set: CodeSet) -> list[int]:
-    """Base-q codes of the members; increasing, since members are in
-    lexicographic order."""
-    q = code_set.q
-    codes = []
-    for word in code_set.words:
-        code = 0
-        for s in word.symbols:
-            code = code * q + s
-        codes.append(code)
-    return codes
+if TYPE_CHECKING:
+    from .cbfs import CodeSet
 
 
-def _violating_pairs(codes: list[int], q: int, n: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of members sharing a cross-bifix, in
-    ``itertools.combinations`` order.
+def _shared_borders(codes: list[int], q: int, n: int) -> tuple[list[tuple[int, int]], int]:
+    """The index pairs (i, j), i < j, of members sharing a cross-bifix, in
+    ``itertools.combinations`` order, and the smallest index of a member
+    with a border, or ``len(codes)`` if every member is bifix-free.
 
     Members with a given length-l prefix x form the contiguous run of codes
     in [x * q**(n-l), (x + 1) * q**(n-l)), so each member's suffix is looked
-    up in the set of prefixes and only a hit is resolved by bisection.
+    up in the set of prefixes and only a hit is resolved by bisection. A
+    member in the run of its own suffix has a border of length l.
     """
     pairs = set()
+    bordered = len(codes)
     for length in range(1, n):
         shift, mod = q ** (n - length), q**length
         prefixes = {code // shift for code in codes}
@@ -54,21 +49,24 @@ def _violating_pairs(codes: list[int], q: int, n: int) -> list[tuple[int, int]]:
             if x in prefixes:
                 lo = bisect_left(codes, x * shift)
                 hi = bisect_left(codes, (x + 1) * shift, lo)
+                if lo <= j < hi:
+                    bordered = min(bordered, j)
                 pairs.update((i, j) if i < j else (j, i) for i in range(lo, hi) if i != j)
-    return sorted(pairs)
+    return sorted(pairs), bordered
 
 
-def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
-    """Report every unordered pair of distinct members that shares a
-    cross-bifix, each with its shortest witness.
+def _word(code: int, q: int, n: int) -> Word:
+    """The length-n word with base-q code ``code``, for a witness's text."""
+    return Word(symbols_of(code, q, n), q)
 
-    ``pairs_checked`` counts the pairs covered, |S| (|S| - 1) / 2.
-    """
+
+def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
+    """``verify_cross_bifix_free_set`` on the increasing base-q codes of
+    the members of a set in Z_q^n."""
     t0 = time.perf_counter()
-    words = code_set.words
     witnesses = []
-    for i, j in _violating_pairs(_codes(code_set), code_set.q, code_set.n):
-        first, second = words[i], words[j]
+    for i, j in _shared_borders(codes, q, n)[0]:
+        first, second = _word(codes[i], q, n), _word(codes[j], q, n)
         hit = cross_bifix(first, second)
         witnesses.append(
             {
@@ -79,11 +77,21 @@ def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
             }
         )
     stats = {
-        "pairs_checked": len(words) * (len(words) - 1) // 2,
+        "pairs_checked": len(codes) * (len(codes) - 1) // 2,
         "candidates_checked": 0,
         "wall_time_s": time.perf_counter() - t0,
     }
     return VerificationReport("cross-bifix-set", not witnesses, tuple(witnesses), stats)
+
+
+def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
+    """Report every unordered pair of distinct members that shares a
+    cross-bifix, each with its shortest witness.
+
+    ``pairs_checked`` counts the pairs covered, |S| (|S| - 1) / 2.
+    """
+    q = code_set.q
+    return cross_bifix_report(q, code_set.n, [code_of(word.symbols, q) for word in code_set.words])
 
 
 def count_bifix_free(q: int, n: int) -> int:
@@ -97,14 +105,6 @@ def count_bifix_free(q: int, n: int) -> int:
     for m in range(2, n + 1):
         u.append(q * u[m - 1] - (0 if m % 2 else u[m // 2]))
     return u[n]
-
-
-def _symbols(code: int, q: int, n: int) -> tuple[int, ...]:
-    """The length-n word with base-q code ``code``."""
-    symbols = [0] * n
-    for i in range(n - 1, -1, -1):
-        code, symbols[i] = divmod(code, q)
-    return tuple(symbols)
 
 
 def _walk(q: int, n: int, codes: list[int], all_witnesses: bool = False):
@@ -168,18 +168,6 @@ def _walk(q: int, n: int, codes: list[int], all_witnesses: bool = False):
                 yield code, first
 
 
-def check_candidate_cap(q: int, n: int, members: int, max_space: int) -> int:
-    """Return the outside bifix-free candidates of a set of ``members``
-    words in Z_q^n, U_q(n) - members, or raise ValueError when they are more
-    than ``max_space``. A bound on the members, such as the distinct lines of
-    an input not yet parsed, gives a bound on the candidates, so a refusal
-    on it holds for the set too."""
-    candidates = count_bifix_free(q, n) - members
-    if candidates > max_space:
-        raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
-    return candidates
-
-
 def iter_bifix_free(q: int, n: int):
     """Stream the bifix-free words of Z_q^n as symbol tuples in
     lexicographic order: the candidates that an empty set leaves unblocked.
@@ -187,7 +175,49 @@ def iter_bifix_free(q: int, n: int):
     Domain errors are raised on the call, before the first word.
     """
     count_bifix_free(q, n)
-    return (_symbols(code, q, n) for code, _ in _walk(q, n, []))
+    return (symbols_of(code, q, n) for code, _ in _walk(q, n, []))
+
+
+def non_expandable_report(
+    q: int, n: int, codes: list[int], max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
+) -> VerificationReport:
+    """``verify_non_expandable`` on the increasing base-q codes of the
+    members of a set in Z_q^n."""
+    t0 = time.perf_counter()
+
+    def report(ok, witnesses, pairs, candidates, error=None):
+        stats = {
+            "pairs_checked": pairs,
+            "candidates_checked": candidates,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
+
+    candidates = count_bifix_free(q, n) - len(codes)
+    if candidates > max_space:
+        raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
+    bad, bordered = _shared_borders(codes, q, n)
+    if bordered < len(codes):
+        return report(False, [], 0, 0, error=f"member {_word(codes[bordered], q, n).to_text()!r} is not bifix-free")
+    pairs = len(codes) * (len(codes) - 1) // 2
+    if bad:
+        left, right = (_word(codes[i], q, n) for i in bad[0])
+        share = cross_bifix(left, right).word.to_text()
+        error = f"set is not cross-bifix-free: {left.to_text()} / {right.to_text()} share {share}"
+        return report(False, [], pairs, 0, error=error)
+
+    witnesses = []
+    member_word = cache(lambda i: _word(codes[i], q, n))  # one Word per blocking member
+    for code, first in _walk(q, n, codes, all_witnesses):
+        candidate = _word(code, q, n)
+        witness = {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
+        if first < len(codes):
+            member = member_word(first)
+            hit = cross_bifix(candidate, member)
+            witness.update(cross_bifix=hit.word.to_text(), blocking=member.to_text(), prefix_of=hit.prefix_of)
+        witnesses.append(witness)
+    ok = all(w["blocking"] is not None for w in witnesses)
+    return report(ok, witnesses, pairs, candidates)
 
 
 def verify_non_expandable(
@@ -210,38 +240,6 @@ def verify_non_expandable(
     A set with more candidates than ``max_space`` is refused before the
     preconditions, whose cost grows with |S|.
     """
-    t0 = time.perf_counter()
-    q, n = code_set.q, code_set.n
-
-    def report(ok, witnesses, pairs, candidates, error=None):
-        stats = {
-            "pairs_checked": pairs,
-            "candidates_checked": candidates,
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
-
-    candidates = check_candidate_cap(q, n, len(code_set), max_space)
-    words = code_set.words
-    for member in words:
-        if not is_bifix_free(member):
-            return report(False, [], 0, 0, error=f"member {member.to_text()!r} is not bifix-free")
-    pairs = len(words) * (len(words) - 1) // 2
-    codes = _codes(code_set)
-    bad = _violating_pairs(codes, q, n)
-    if bad:
-        left, right = (words[i] for i in bad[0])
-        share = cross_bifix(left, right).word.to_text()
-        error = f"set is not cross-bifix-free: {left.to_text()} / {right.to_text()} share {share}"
-        return report(False, [], pairs, 0, error=error)
-
-    witnesses = []
-    for code, first in _walk(q, n, codes, all_witnesses):
-        candidate = Word(_symbols(code, q, n), q)
-        witness = {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
-        if first < len(words):
-            hit = cross_bifix(candidate, words[first])
-            witness.update(cross_bifix=hit.word.to_text(), blocking=words[first].to_text(), prefix_of=hit.prefix_of)
-        witnesses.append(witness)
-    ok = all(w["blocking"] is not None for w in witnesses)
-    return report(ok, witnesses, pairs, candidates)
+    q = code_set.q
+    codes = [code_of(word.symbols, q) for word in code_set.words]
+    return non_expandable_report(q, code_set.n, codes, max_space, all_witnesses)

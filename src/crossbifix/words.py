@@ -9,7 +9,7 @@ values.
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 FALL = 0
 RISE = 1
@@ -32,21 +32,64 @@ def symbol_step(symbol: int) -> int:
     return 0
 
 
-def parse_symbols(text: str, q: int) -> tuple[int, ...]:
-    """Parse the text form of a word: contiguous digits for q <= 10,
-    comma-separated integers otherwise."""
+def code_of(symbols: Iterable[int], q: int) -> int:
+    """The base-q code of a word; a symbol of q or above raises ValueError."""
+    code = 0
+    for s in symbols:
+        if s >= q:
+            raise ValueError(f"symbol {s!r} outside alphabet of size {q}")
+        code = code * q + s
+    return code
+
+
+def symbols_of(code: int, q: int, n: int) -> tuple[int, ...]:
+    """The length-n word with base-q code ``code``; the inverse of ``code_of``."""
+    symbols = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, symbols[i] = divmod(code, q)
+    return tuple(symbols)
+
+
+def parse_code(text: str, q: int, line: int = 0) -> tuple[int, int]:
+    """``(code, length)`` of a word's text less outer whitespace: ASCII
+    digits for q <= 10, else ASCII decimal integers between commas;
+    ``(0, 0)`` if blank. Other text raises ValueError, naming ``line``."""
     text = text.strip()
+    if q <= 10 and text.isascii() and text.isdigit():
+        try:
+            return int(text, q), len(text)
+        except ValueError:  # a digit >= q, or past int's digit cap
+            return code_of(map(int, text), q), len(text)
+    parts = text.split(",")
+    if q > 10 and text.isascii() and all(map(str.isdigit, parts)):
+        return code_of(map(int, parts), q), len(parts)
     if not text:
-        return ()
-    if q <= 10:
-        return tuple(int(c) for c in text)
-    return tuple(int(part) for part in text.split(","))
+        return 0, 0
+    form = "contiguous digits" if q <= 10 else "comma-separated integers"
+    where = f"line {line}: " if line else ""
+    raise ValueError(f"{where}cannot read {text!r} as a word; expected {form} 0..{q - 1}")
+
+
+def read_codes(text: str, q: int, n: int | None = None) -> tuple[int, list[int]]:
+    """``(n, codes)`` of word-per-line text: the word length, given or the
+    first word's, and the distinct codes in increasing order."""
+    codes = set()
+    for number, line in enumerate(text.splitlines(), 1):
+        code, length = parse_code(line, q, number)
+        if not length:
+            continue
+        if n is None:
+            n = length
+        if length != n:
+            raise ValueError(f"word {format_symbols(symbols_of(code, q, length), q)!r} does not live in Z_{q}^{n}")
+        codes.add(code)
+    if n is None:
+        raise ValueError("cannot infer word length from an empty list")
+    return n, sorted(codes)
 
 
 def format_symbols(symbols: Sequence[int], q: int) -> str:
-    if q <= 10:
-        return "".join(str(s) for s in symbols)
-    return ",".join(str(s) for s in symbols)
+    return ("" if q <= 10 else ",").join(map(str, symbols))
 
 
 class Record:
@@ -122,7 +165,9 @@ class Word(Record):
 
     @classmethod
     def from_text(cls, text: str, q: int) -> "Word":
-        return cls(parse_symbols(text, q), q)
+        check_alphabet(q)
+        code, length = parse_code(text, q)
+        return cls(symbols_of(code, q, length), q)
 
     def to_text(self) -> str:
         return format_symbols(self.symbols, self.q)
@@ -279,26 +324,6 @@ def is_elevated(word: Word) -> bool:
     return h == 1
 
 
-def iter_symbol_lines(text: str, q: int) -> Iterator[tuple[int, ...]]:
-    """The symbols of each non-blank line of word-per-line text, in the form
-    ``parse_symbols`` reads. A line that does not parse raises ValueError
-    naming its 1-based number, its text and the form expected."""
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            symbols = parse_symbols(line, q)
-        except ValueError:
-            form = f"contiguous digits 0..{q - 1}" if q <= 10 else f"comma-separated integers 0..{q - 1}"
-            raise ValueError(f"line {number}: cannot read {line.strip()!r} as a word; expected {form}") from None
-        yield symbols
-
-
-def parse_word_lines(text: str, q: int) -> list[Word]:
-    """Read words from word-per-line text, skipping blank lines."""
-    return [Word(symbols, q) for symbols in iter_symbol_lines(text, q)]
-
-
 # Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
@@ -312,9 +337,3 @@ def format_symbol_lines(rows: Sequence[Sequence[int]], q: int) -> str:
     if q <= 10:
         return (b"\n".join(map(bytes, rows)) + b"\n").translate(_DIGITS).decode("ascii")
     return "".join(format_symbols(row, q) + "\n" for row in rows)
-
-
-def format_word_lines(words: Sequence[Word]) -> str:
-    if not words:
-        return ""
-    return format_symbol_lines([w.symbols for w in words], words[0].q)

@@ -162,6 +162,20 @@ def test_gen_text_builds_no_word_or_code_set(capsys, monkeypatch):
         assert code == 0 and out
 
 
+def test_verify_builds_no_word_or_code_set_for_a_passing_set(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built on the verify path")
+
+    texts = {q: construct_cbfs(q, n).to_text() for q, n in ((3, 8), (12, 3))}
+    monkeypatch.setattr(words.Word, "__post_init__", refuse)
+    monkeypatch.setattr(cbfs.CodeSet, "__post_init__", refuse)
+    for q, text in texts.items():
+        for mode in ("set", "nonexpandable"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, out, err = run(capsys, "verify", "--in", "-", "--q", str(q), "--mode", mode)
+            assert (code, err) == (0, "") and json.loads(out)["ok"] is True, (q, mode)
+
+
 def test_gen_json_writes_the_code_set_json_without_building_it(capsys, monkeypatch):
     # every set at the edges: q > 10, n = 0, 1, 2 and explicit colors
     expected = []
@@ -410,14 +424,28 @@ def test_verify_parse_errors_name_the_line_and_the_form(capsys, monkeypatch):
         (10, "\n-1\n", "line 2: cannot read '-1' as a word; expected contiguous digits 0..9"),
         (12, "1,0\n1,,0\n", "line 2: cannot read '1,,0' as a word; expected comma-separated integers 0..11"),
         (12, "10 11\n", "line 1: cannot read '10 11' as a word; expected comma-separated integers 0..11"),
+        # only ASCII digits, and for q > 10 only ASCII digits between commas
+        (
+            3,
+            "\u0661\u0661\u0660\u0660\n",  # Arabic-Indic digits
+            "line 1: cannot read '\u0661\u0661\u0660\u0660' as a word; expected contiguous digits 0..2",
+        ),
+        (12, "1,+0,1_0\n", "line 1: cannot read '1,+0,1_0' as a word; expected comma-separated integers 0..11"),
+        (3, "1, 0,10\n", "line 1: cannot read '1, 0,10' as a word; expected contiguous digits 0..2"),
+        (3, "1100\n1_0\n", "line 2: cannot read '1_0' as a word; expected contiguous digits 0..2"),
         # a symbol outside the alphabet keeps its message
         (3, "1100\n1150\n", "symbol 5 outside alphabet of size 3"),
+        (12, "1,0\n1,12\n", "symbol 12 outside alphabet of size 12"),
+        # so do a word of another length and an empty list
+        (3, "1100\n110\n", "word '110' does not live in Z_3^4"),
+        (12, "1,0\n01,2,3\n", "word '1,2,3' does not live in Z_12^2"),
+        (3, "\n  \n", "cannot infer word length from an empty list"),
     ):
         for mode in ("set", "nonexpandable"):
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             assert run(capsys, "verify", "--in", "-", "--q", str(q), "--mode", mode) == (2, "", f"error: {message}\n")
     with pytest.raises(ValueError, match="^line 2: cannot read '1a' as a word; expected contiguous digits 0..2$"):
-        words.parse_word_lines("12\n1a\n", 3)
+        words.read_codes("12\n1a\n", 3)
 
 
 def test_verify_missing_file(capsys):

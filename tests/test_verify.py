@@ -8,8 +8,10 @@ report. Past the oracle's reach the fast path is checked on its own.
 
 import ast
 import inspect
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -145,13 +147,13 @@ def test_space_guard_comes_before_the_preconditions(tmp_path, capsys, monkeypatc
         raise AssertionError("a precondition ran before the cap")
 
     monkeypatch.setattr(verify, "verify_cross_bifix_free_set", late)
-    monkeypatch.setattr(verify, "is_bifix_free", late)
+    monkeypatch.setattr(verify, "_shared_borders", late)  # both preconditions' scan
     with pytest.raises(ValueError, match="10499 candidates, above the cap of 10$"):
         verify.verify_non_expandable(cbfs, max_space=10)
     assert main(["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith("10499 candidates, above the cap of 10\n")
-    # the command refuses on the raw lines, before it builds any word
+    # the command reads the members' codes and refuses on them, before it builds any word
     monkeypatch.setattr(words.Word, "__post_init__", late)
     for n in ([], ["--n", "9"]):
         argv = ["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit", "10", *n]
@@ -254,6 +256,53 @@ def test_cli_prints_the_unblocked_candidates_by_default(tmp_path, capsys, texts,
     assert list(printed) == ["kind", "ok", "witnesses", "stats", "error"]
     del printed["stats"]["wall_time_s"]
     assert printed == unblocked_only(comparable(oracle.verify_non_expandable(code_set_of(texts, 3))))
+
+
+def messy_text(texts, seed):
+    """Word-per-line text of ``texts`` in shuffled order, with a third of
+    them repeated, some lines indented or trailed by spaces and tabs, and
+    blank lines between."""
+    rng = random.Random(seed)
+    lines = texts + rng.sample(texts, len(texts) // 3)
+    rng.shuffle(lines)
+    pads = ["", "", " ", "  ", "\t"]
+    return "".join(("\n" if rng.random() < 0.1 else "") + rng.choice(pads) + t + rng.choice(pads) + "\n" for t in lines)
+
+
+def assert_cli_prints_the_oracle_reports(capsys, monkeypatch, code_set, text):
+    """``verify`` on ``text`` prints the oracle's reports on ``code_set``, and
+    their exit codes, in set mode and in both nonexpandable modes."""
+    pairwise = comparable(oracle.verify_cross_bifix_free_set(code_set))
+    brute = comparable(oracle.verify_non_expandable(code_set))
+    nonexpandable_code = 2 if brute["error"] else 0 if brute["ok"] else 1
+    for mode, extra, expected, code in (
+        ("set", [], pairwise, 0 if pairwise["ok"] else 1),
+        ("nonexpandable", [], unblocked_only(brute), nonexpandable_code),
+        ("nonexpandable", ["--all-witnesses"], brute, nonexpandable_code),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["verify", "--in", "-", "--q", str(code_set.q), "--mode", mode, *extra]) == code
+        printed = json.loads(capsys.readouterr().out)
+        del printed["stats"]["wall_time_s"]
+        assert printed == expected, (mode, extra)
+
+
+@pytest.mark.parametrize("q, n", [(3, n) for n in range(3, 9)] + [(4, n) for n in range(3, 7)] + [(12, 3), (12, 4)])
+def test_cli_reads_messy_text_and_prints_the_oracle_reports(capsys, monkeypatch, q, n):
+    code_set = construct_cbfs(q, n)
+    text = messy_text([w.to_text() for w in code_set], seed=q * 100 + n)
+    if q > 10:
+        assert "," in text
+    assert_cli_prints_the_oracle_reports(capsys, monkeypatch, code_set, text)
+
+
+def test_cli_prints_the_oracle_reports_on_every_one_member_mutant(capsys, monkeypatch):
+    for n in range(3, 8):
+        cbfs = construct_cbfs(3, n)
+        for index, member in enumerate(cbfs):
+            mutant = cbfs.without(member)
+            text = messy_text([w.to_text() for w in mutant], seed=n * 1000 + index)
+            assert_cli_prints_the_oracle_reports(capsys, monkeypatch, mutant, text)
 
 
 # Brute enumerations of Z_q^n stay at or below this many words.

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +16,14 @@ from crossbifix.words import (
     Word,
     bifixes,
     cross_bifix,
-    format_word_lines,
+    format_symbol_lines,
     height_profile,
     is_bifix_free,
     is_elevated,
     is_motzkin_word,
-    parse_word_lines,
+    read_codes,
     symbol_step,
+    symbols_of,
 )
 
 
@@ -188,23 +190,55 @@ def test_text_format_round_trip():
     assert wide.to_text() == "1,0,15"
     assert Word.from_text("1,0,15", 16) == wide
     assert Word.from_text("", 16) == Word((), 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^symbol 16 outside alphabet of size 16$"):
         Word.from_text("1,16", 16)
+    assert Word.from_text(" 01,2 ", 12) == Word((1, 2), 12)
+
+
+def test_text_form_is_strict():
+    # only ASCII digits, and for q > 10 only ASCII digits between commas:
+    # no other Unicode digits, signs, underscores or inner spaces
+    for q, text in (
+        (3, "\u0661\u0661\u0660\u0660"),  # Arabic-Indic digits
+        (3, "\uff11\uff10"),  # fullwidth digits
+        (3, "1_0"),
+        (3, "1, 0,10"),
+        (3, "-1"),
+        (3, "1 0"),
+        (12, "1,+0,1_0"),
+        (12, "1, 0,10"),
+        (12, "1,-0"),
+        (12, "1,,0"),
+        (12, "1,"),
+        (12, "\u0661,0"),
+    ):
+        form = f"contiguous digits 0..{q - 1}" if q <= 10 else f"comma-separated integers 0..{q - 1}"
+        message = f"cannot read {text!r} as a word; expected {form}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Word.from_text(f" {text}\t", q)
+        with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+            read_codes(f"0\n{text}\n", q)
 
 
 def test_word_lines_round_trip():
     items = [w("1100"), w("2220")]
-    text = format_word_lines(items)
+    text = format_symbol_lines([x.symbols for x in items], 3)
     assert text == "1100\n2220\n"
-    assert parse_word_lines(text, 3) == items
-    assert parse_word_lines("\n 1100 \n\n2220\n", 3) == items
+    codes = [int("1100", 3), int("2220", 3)]
+    assert read_codes(text, 3) == (4, codes)
+    # blank lines and outer whitespace are skipped, repeats dropped, codes sorted
+    assert read_codes("\n 2220 \n\n1100\n2220\n", 3) == (4, codes)
+    assert [Word(symbols_of(c, 3, 4), 3) for c in codes] == items
+    assert read_codes("", 3, n=5) == (5, [])
+    assert read_codes("1,0,15\n01,2,3\n", 16) == (3, [1 * 256 + 15, 1 * 256 + 2 * 16 + 3])
     # digits up to q = 10, commas above; the block form matches the one-word form
     for q in (2, 3, 10, 11, 16):
         block = [Word(tuple(s % q for s in (9, 0, 1, 15)), q), Word((1, 1, 0, 0), q)]
-        assert format_word_lines(block) == "".join(x.to_text() + "\n" for x in block)
-    assert format_word_lines([Word((9, 0, 1), 10)]) == "901\n"
-    assert format_word_lines([Word((9, 0, 10), 11)]) == "9,0,10\n"
-    assert format_word_lines([]) == ""
+        assert format_symbol_lines([x.symbols for x in block], q) == "".join(x.to_text() + "\n" for x in block)
+    assert format_symbol_lines([(9, 0, 1)], 10) == "901\n"
+    assert format_symbol_lines([(9, 0, 10)], 11) == "9,0,10\n"
+    assert format_symbol_lines([], 3) == ""
+    assert CodeSet(3, 4, tuple(items), ("A", "B")).to_text() == text
 
 
 def test_records_equal_hash_order_and_print_as_frozen_dataclasses_did():
