@@ -22,18 +22,14 @@ __version__ = "0.1.0"
 # The exported names of each module.
 _EXPORTS = {
     "baseline": ("best_sizes", "construct_baseline_set", "f_count", "s_max", "s_star", "zero_run_counts"),
-    "cbfs": ("CodeSet", "VerificationReport", "construct_cbfs", "count_cbfs", "family_sizes", "iter_cbfs"),
-    "motzkin": (
-        "generate_elevated",
-        "generate_motzkin",
-        "has_ground_elevated_factor",
-        "motzkin_count",
-        "motzkin_counts",
-    ),
+    "cbfs": ("CodeSet", "construct_cbfs", "iter_cbfs"),
+    "counting": ("count_cbfs", "family_sizes", "motzkin_count", "motzkin_counts"),
+    "motzkin": ("generate_elevated", "generate_motzkin", "has_ground_elevated_factor"),
     "verify": ("verify_cross_bifix_free_set", "verify_non_expandable"),
     "words": (
         "CrossBifix",
         "HeightProfile",
+        "VerificationReport",
         "Word",
         "bifixes",
         "cross_bifix",

@@ -11,9 +11,13 @@ values our construction is measured against.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+import math
+from typing import TYPE_CHECKING, Iterable
 
-from .cbfs import DEFAULT_MAX_SPACE, CodeSet
+from .counting import DEFAULT_MAX_SPACE
+
+if TYPE_CHECKING:
+    from .cbfs import CodeSet
 
 
 def zero_run_counts(k: int, q: int, lengths: Iterable[int]) -> dict[int, int]:
@@ -66,6 +70,8 @@ def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_
     Admits 1 <= k <= n-2 (k = 1 arises in the extended maximization). The
     enumeration cost is q^(n-k-2); instances beyond max_space are refused.
     """
+    from .cbfs import CodeSet
+
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     if not 1 <= k <= n - 2:
@@ -87,25 +93,51 @@ def best_sizes(q: int, n_values: Iterable[int], k_min: int) -> dict[int, tuple[i
     """(largest baseline size, smallest maximizing k) over k_min <= k <= n-2,
     for every n in ``n_values`` that admits such a k; the others are left out.
 
-    The size at k is (q-1)^2 F_k(n-k-2) <= (q-1)^2 q^(n-k-2), a bound that
-    falls as k grows, so a length stops at the first k where the bound is at
-    most its best size: no larger k can beat it. The run lengths are taken in
-    turn, each with one zero-run walk for all lengths still open.
+    The size at k is (q-1)^2 F_k(m), m = n-k-2. A word avoiding 0^k splits
+    into blocks of k + 1 symbols, each one of the q^(k+1) - 2q + 1 blocks
+    without 0^k, and a shorter rest, so
+
+        F_k(m) <= (q^(k+1) - 2q + 1)^(m // (k+1)) * q^(m % (k+1)),
+
+    which falls ever further below q^m as m grows. The maximum lies near
+    k = log_q n, so that run length, taken for the longest length, is
+    walked first, and then k_min, k_min + 1, ... in turn. A length skips a
+    run length whose bound is below its best size; one whose bound equals
+    it is walked, as it may tie at a smaller k. Past the first run length,
+    a length stops at the first k where (q-1)^2 q^m, a bound that falls as
+    k grows, is at most its best size. Each run length is walked at most
+    once, by one zero-run walk for all the lengths that need it.
     """
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     weight = (q - 1) ** 2
     best: dict[int, tuple[int, int]] = {}
-    k = k_min
-    open_lengths = {n for n in n_values if n - 2 >= k}
-    while open_lengths:
-        counts = zero_run_counts(k, q, {n - k - 2 for n in open_lengths})
+    open_lengths = {n for n in n_values if n - 2 >= k_min}
+    if not open_lengths:
+        return best
+    top = max(open_lengths)
+    first = min(max(round(math.log(top, q)), k_min), top - 2)
+    for k in itertools.chain((first,), range(k_min, first), itertools.count(first + 1)):
+        if k > first:
+            # every run length walked so far is below k, so no tie at k wins
+            open_lengths = {n for n in open_lengths if k <= n - 2 and weight * q ** (n - k - 2) > best[n][0]}
+            if not open_lengths:
+                break
+        blocks = q ** (k + 1) - 2 * q + 1
+        walk = []
         for n in open_lengths:
-            value = weight * counts[n - k - 2]
-            if n not in best or value > best[n][0]:
-                best[n] = (value, k)
-        k += 1
-        open_lengths = {n for n in open_lengths if k <= n - 2 and weight * q ** (n - k - 2) > best[n][0]}
+            m = n - k - 2
+            if m < 0:
+                continue
+            if n in best and weight * blocks ** (m // (k + 1)) * q ** (m % (k + 1)) < best[n][0]:
+                continue
+            walk.append(n)
+        if walk:
+            counts = zero_run_counts(k, q, {n - k - 2 for n in walk})
+            for n in walk:
+                value = weight * counts[n - k - 2]
+                if n not in best or value > best[n][0] or (value == best[n][0] and k < best[n][1]):
+                    best[n] = (value, k)
     return best
 
 

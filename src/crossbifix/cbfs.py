@@ -1,4 +1,4 @@
-"""Construction and exact counting of the cross-bifix-free sets CBFS(q, n).
+"""Construction of the cross-bifix-free sets CBFS(q, n).
 
 CBFS(q, n) is the disjoint union of three families of length-n paths over a
 q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
@@ -11,7 +11,8 @@ q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
 * family C (ends at height -1): a Motzkin word of length n - 1 with no
   ground-level elevated factor of length >= ceil(n / 2), then a fall step.
 
-Counting never materializes words. Generation is one pruned depth-first
+Counting never materializes words, so it lives in ``counting``, which
+needs none of the walk. Generation is one pruned depth-first
 search over path states (``motzkin.lex_groups``) that walks the chosen
 families together. Each family is a shape (a floor per position, an arch
 bound, a forbidden first return); a node carries the mask of the families
@@ -25,8 +26,8 @@ state's list of tails, so that a caller such as ``gen`` can write the
 subtree in one piece; ``iter_cbfs`` flattens the groups into words.
 
 One ``families`` string, such as ``"ABC"`` (the default) or ``"B"``, picks
-the families at every layer: ``count_cbfs`` sums their closed-form sizes
-from ``family_sizes``, and ``cbfs_groups``, ``iter_cbfs`` and
+the families at every layer: ``counting.count_cbfs`` sums their
+closed-form sizes from ``counting.family_sizes``, and ``cbfs_groups``, ``iter_cbfs`` and
 ``construct_cbfs`` walk them.
 """
 
@@ -35,51 +36,13 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .motzkin import lex_groups, motzkin_counts
-from .words import Record, Word, format_symbol_lines, read_codes, symbols_of
+# count_cbfs, family_sizes and VerificationReport are defined in counting and
+# words and re-exported here
+from .counting import _check_families, _require_domain, count_cbfs, family_sizes
+from .motzkin import lex_groups
+from .words import Record, VerificationReport, Word, format_symbol_lines, read_codes, symbols_of
 
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
-# Default cap on the words a verification scan may cover.
-DEFAULT_MAX_SPACE = 10_000_000
-
-
-class VerificationReport(Record):
-    """Outcome of a verification run, with every witness recorded.
-
-    kind is one of "cross-bifix-set", "non-expandable" or "count-agreement".
-    A non-null error marks a failed precondition rather than a verification
-    verdict.
-    """
-
-    __slots__ = _fields = ("kind", "ok", "witnesses", "stats", "error")
-    kind: str
-    ok: bool
-    witnesses: tuple[dict, ...]
-    stats: dict
-    error: str | None
-
-    def __init__(
-        self, kind: str, ok: bool, witnesses: tuple[dict, ...], stats: dict | None = None, error: str | None = None
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "stats", {} if stats is None else stats)
-        object.__setattr__(self, "error", error)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ok": self.ok,
-            "witnesses": [dict(w) for w in self.witnesses],
-            "stats": dict(self.stats),
-            "error": self.error,
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 class CodeSet(Record):
@@ -178,18 +141,6 @@ class CodeSet(Record):
         return cls.build(q, n, pairs)
 
 
-def _require_domain(q: int, n: int) -> None:
-    if q < 3:
-        raise ValueError(f"construction needs an alphabet of size q >= 3, got {q}")
-    if n < 3:
-        raise ValueError(f"construction needs word length n >= 3, got {n}")
-
-
-def _check_families(families: str) -> None:
-    if not families or not set(families) <= set("ABC") or len(set(families)) != len(families):
-        raise ValueError(f"families must be distinct letters of 'ABC', got {families!r}")
-
-
 def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
     """The ``lex_groups`` shape of each family at length n."""
     half = n // 2
@@ -240,76 +191,3 @@ def construct_cbfs(q: int, n: int, families: str = "ABC") -> CodeSet:
     """CBFS(q, n), or the union of the named families, as a canonically
     ordered ``CodeSet`` tagged by family."""
     return CodeSet.from_ordered(q, n, iter_cbfs(q, n, families))
-
-
-def count_cbfs(q: int, n: int, families: str = "ABC") -> int:
-    """|CBFS(q, n)|, or the size of the union of the named families, from
-    the closed forms of ``family_sizes``."""
-    sizes = dict(zip("ABC", family_sizes(q, (n,))[n]))
-    _check_families(families)
-    return sum(sizes[name] for name in families)
-
-
-def family_sizes(q: int, n_values: Iterable[int]) -> dict[int, tuple[int, int, int]]:
-    """(|A|, |B|, |C|) of CBFS(q, n) for every n in ``n_values``.
-
-    Each family is a few half-range sums H(T; lo..hi) = sum_{t=lo}^{hi}
-    M(t) M(T-t) (``_half_sum``), with t = j - 2 in family C's sum:
-
-    * |A| = H(n-2; 0..n//2) - [n even] M(n/2 - 2)^2
-    * |B| = H(n-3; 0..n//2-1)
-    * |C| = M(n-1) - H(n-1; c-2..n-3) + k H(n-2; c-2..n-3), c = ceil(n/2)
-
-    so every length needs only M near n/2 and near n, all taken from one
-    walk of the Motzkin recurrence.
-
-    |C| is M(n-1) less the Motzkin words u beta v with beta a ground-level
-    elevated factor of length j >= c. Two such factors cannot coexist, so
-    each excluded word is counted once, in sum_j M(j-2) (M(n+1-j) - k M(n-j)),
-    where M(m+2) - k M(m+1) counts the pairs (u, v) of total length m.
-    """
-    n_values = tuple(n_values)
-    wanted = set()
-    for n in n_values:
-        _require_domain(q, n)
-        # the indices the formulas read: the edge terms t = 0, 1, both
-        # factors of the terms near T/2, and the Conv(T) values near n
-        wanted.update((0, 1), range(n // 2 - 2, n // 2 + 2), range(n - 2, n + 2))
-    k = q - 2
-    m = motzkin_counts(k, wanted)
-    sizes = {}
-    for n in n_values:
-        c = (n + 1) // 2
-        a = _half_sum(m, k, n - 2, 0, n // 2)
-        if n % 2 == 0:
-            a -= m[n // 2 - 2] ** 2
-        b = _half_sum(m, k, n - 3, 0, n // 2 - 1)
-        sizes[n] = (a, b, m[n - 1] - _half_sum(m, k, n - 1, c - 2, n - 3) + k * _half_sum(m, k, n - 2, c - 2, n - 3))
-    return sizes
-
-
-def _half_sum(m: dict[int, int], k: int, t_sum: int, lo: int, hi: int) -> int:
-    """sum_{t=lo}^{hi} M(t) M(t_sum - t), with M read from ``m``.
-
-    The full sum over 0 <= t <= T (T = t_sum) is Conv(T) = M(T+2) - k M(T+1),
-    and its terms are symmetric under t -> T - t. When the range and its
-    mirror image together cover every t between their edges, adding the
-    two (equal) sums counts Conv(T) once, less the edge terms below
-    e = min(lo, T - hi) and their mirrors, plus once more the terms where
-    range and mirror overlap; those are few and lie near T/2. Otherwise the
-    halves do not meet (small T) and the range is summed directly.
-    """
-    lo, hi = max(lo, 0), min(hi, t_sum)
-    if lo > hi:
-        return 0
-    both_lo, both_hi = max(lo, t_sum - hi), min(hi, t_sum - lo)
-    if both_lo > both_hi + 1:
-        return sum(m[t] * m[t_sum - t] for t in range(lo, hi + 1))
-    edge = min(lo, t_sum - hi)
-    twice = (
-        m[t_sum + 2]
-        - k * m[t_sum + 1]
-        - 2 * sum(m[t] * m[t_sum - t] for t in range(edge))
-        + sum(m[t] * m[t_sum - t] for t in range(both_lo, both_hi + 1))
-    )
-    return twice // 2

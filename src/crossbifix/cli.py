@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 verification failed, 2 usage or domain error.
 
-Each process loads only what its command runs. Every command needs
-``cbfs``, which loads ``motzkin`` and ``words``, so those are imported here;
-``baseline``, ``verify`` and ``csv`` are imported by the commands that use
-them. The JSON of ``gen`` and ``table`` is laid out here, so ``json`` is
-loaded only by the ``to_json`` of a report or a baseline set.
+Each process loads only what its command runs. Only ``counting``, which
+imports nothing else from the package, is imported here; ``count`` and
+``table`` need no more, or ``baseline`` besides. The walk (``cbfs``,
+``motzkin``), ``words``, ``baseline`` and ``verify`` are imported by the
+commands that use them. The JSON of ``gen`` and ``table`` and the CSV of
+``table`` are laid out here, so ``json`` is loaded only by the ``to_json``
+of a report or a baseline set, and ``csv`` never.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice, repeat
 from typing import Iterator
 
-from .cbfs import DEFAULT_MAX_SPACE, cbfs_groups, count_cbfs, family_sizes
-from .motzkin import elevated_groups, motzkin_count, motzkin_groups
-from .words import check_alphabet, format_symbol_lines, format_symbols, read_codes
+from .counting import DEFAULT_MAX_SPACE, count_cbfs, family_sizes, motzkin_count
 
 # Largest word length `count` and `table` take by default: their exact
 # counts cost O(n^2) bit operations, seconds per count at this length.
@@ -124,8 +124,12 @@ def _gen_groups(args):
     ``(head, tails)`` groups in canonical order (as ``motzkin.lex_groups``
     yields them) and the tag of each shape index. No word is produced before
     the checks pass."""
+    from .words import check_alphabet
+
     q, n = args.q, args.n
     if args.set in _FAMILIES:
+        from .cbfs import cbfs_groups
+
         tags = _FAMILIES[args.set]
         expected, groups = count_cbfs(q, n, tags), cbfs_groups(q, n, tags)
     elif args.set == "bifixfree":
@@ -137,6 +141,8 @@ def _gen_groups(args):
         words = iter_bifix_free(q, n)
         groups = (((), zip(chunk, repeat(0))) for chunk in iter(lambda: list(islice(words, GEN_CHUNK)), []))
     else:
+        from .motzkin import elevated_groups, motzkin_groups
+
         colors = args.colors if args.colors is not None else q - 2
         q, tags = colors + 2, ("external",)
         if args.set == "motzkin":
@@ -161,6 +167,8 @@ def _group_texts(q: int, groups) -> Iterator[str]:
     empty head, whose tails may be any iterable, are formatted as they come,
     so the kept text is one block per state met at the cut.
     """
+    from .words import format_symbol_lines, format_symbols
+
     sep = "," if q > 10 else ""
     blocks = {}
     for head, tails in groups:
@@ -209,6 +217,8 @@ def _cmd_gen(args) -> int:
         # provenance list comes first: a first walk of a CBFS set gives the
         # tags, and every word of the other sets is tagged external.
         if args.set in _FAMILIES:
+            from .cbfs import cbfs_groups
+
             items = [f',\n    "{tag}"' for tag in tags]
             provenance = ("".join([items[j] for _, j in tails]) for _, tails in cbfs_groups(q, n, tags))
         else:
@@ -231,6 +241,7 @@ def _cmd_baseline_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import cross_bifix_report, non_expandable_report
+    from .words import check_alphabet, read_codes
 
     check_alphabet(args.q)  # before the input is read
     with nullcontext(sys.stdin) if args.infile == "-" else open(args.infile, encoding="utf-8") as fh:
@@ -259,11 +270,9 @@ def _cmd_table(args) -> int:
             ]
             _write_json_object(fh, members)
         else:
-            import csv
-
-            writer = csv.writer(fh, lineterminator="\n")  # writes None as ""
-            writer.writerow(names)
-            writer.writerows(rows)
+            # no cell or name needs CSV quoting: cells are integers or None
+            fh.write(",".join(names) + "\n")
+            fh.writelines(",".join(["" if v is None else str(v) for v in row]) + "\n" for row in rows)
     return 0
 
 

@@ -1,48 +1,17 @@
-"""Exact counting and exhaustive generation of k-colored Motzkin words.
+"""Exhaustive generation of k-colored Motzkin words.
 
 A k-colored Motzkin word of length n uses the alphabet {0, ..., k+1}: rise
 (1), fall (0) and k level colors (2..k+1). Its path runs from (0,0) to (n,0)
-without dipping below the x-axis.
+without dipping below the x-axis. Their exact counts are in ``counting``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
+# motzkin_count and motzkin_counts are defined in counting and re-exported here
+from .counting import motzkin_count, motzkin_counts
 from .words import FALL, RISE, Word, is_motzkin_word, symbol_step
-
-
-def motzkin_counts(colors: int, lengths: Iterable[int]) -> dict[int, int]:
-    """M(m) for every m in ``lengths``, from one pass of the P-recurrence
-
-        (m + 2) M(m) = k (2m + 1) M(m - 1) + (4 - k^2) (m - 1) M(m - 2)
-
-    with M(0) = 1, M(1) = k, whose division is exact. The pass keeps only
-    the last two values and the requested ones, so nothing outlives the
-    call. Counts are Python integers, exact at any size, and M(m) = 0 for
-    m < 0 so that the family formulas evaluate cleanly at small lengths.
-    """
-    if colors < 0:
-        raise ValueError(f"color count must be non-negative, got {colors}")
-    return _p_walk(colors, set(lengths), (1, colors))
-
-
-def _p_walk(k: int, wanted: set[int], start: tuple[int, int]) -> dict[int, int]:
-    out = {m: 0 if m < 0 else start[m] for m in wanted if m < 2}
-    prev, cur = start  # M(m - 2), M(m - 1) when the loop computes M(m)
-    for m in range(2, max(wanted, default=0) + 1):
-        value, rest = divmod(k * (2 * m + 1) * cur + (4 - k * k) * (m - 1) * prev, m + 2)
-        if rest:
-            raise RuntimeError(f"inexact Motzkin recurrence at k={k}, m={m}")
-        prev, cur = cur, value
-        if m in wanted:
-            out[m] = value
-    return out
-
-
-def motzkin_count(colors: int, n: int) -> int:
-    """Number of Motzkin words of length n with the given level-color count."""
-    return motzkin_counts(colors, (n,))[n]
 
 
 def lex_groups(

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import time
 
-from .cbfs import DEFAULT_MAX_SPACE, CodeSet, VerificationReport, construct_cbfs, count_cbfs
-from .words import Word, cross_bifix, is_bifix_free, prefix_function
+from .cbfs import CodeSet, construct_cbfs
+from .counting import DEFAULT_MAX_SPACE, count_cbfs
+from .words import VerificationReport, Word, cross_bifix, is_bifix_free, prefix_function
 
 
 def _check_space(space: int, max_space: int, what: str) -> None:

@@ -22,8 +22,8 @@ from bisect import bisect_left
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .cbfs import DEFAULT_MAX_SPACE, VerificationReport
-from .words import Word, code_of, cross_bifix, symbols_of
+from .counting import DEFAULT_MAX_SPACE
+from .words import VerificationReport, Word, code_of, cross_bifix, symbols_of
 
 if TYPE_CHECKING:
     from .cbfs import CodeSet

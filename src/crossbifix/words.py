@@ -131,6 +131,45 @@ class Record:
         return type(self), self._values()
 
 
+class VerificationReport(Record):
+    """Outcome of a verification run, with every witness recorded.
+
+    kind is one of "cross-bifix-set", "non-expandable" or "count-agreement".
+    A non-null error marks a failed precondition rather than a verification
+    verdict.
+    """
+
+    __slots__ = _fields = ("kind", "ok", "witnesses", "stats", "error")
+    kind: str
+    ok: bool
+    witnesses: tuple[dict, ...]
+    stats: dict
+    error: str | None
+
+    def __init__(
+        self, kind: str, ok: bool, witnesses: tuple[dict, ...], stats: dict | None = None, error: str | None = None
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
+        object.__setattr__(self, "error", error)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "ok": self.ok,
+            "witnesses": [dict(w) for w in self.witnesses],
+            "stats": dict(self.stats),
+            "error": self.error,
+        }
+
+    def to_json(self) -> str:
+        import json
+
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+
 @total_ordering
 class Word(Record):
     """Immutable word over {0, ..., q-1}.

@@ -198,7 +198,24 @@ def test_bounded_search_far_past_the_old_reach(capsys):
     assert out == f"{best[0]} k={best[1]}\n"
 
 
+def block_bound(k, q, m):
+    # F_k(m) is at most this: blocks of k + 1 symbols without 0^k, then a rest
+    return (q ** (k + 1) - 2 * q + 1) ** (m // (k + 1)) * q ** (m % (k + 1))
+
+
+def test_block_bound_holds_and_is_tight_for_one_block():
+    for q in range(2, 6):
+        for k in range(1, 7):
+            table = zero_run_table(k, q, 60)
+            assert table[k + 1] == block_bound(k, q, k + 1), (q, k)
+            for m in range(61):
+                assert table[m] <= block_bound(k, q, m), (q, k, m)
+
+
 def test_bounded_search_stops_at_the_first_hopeless_run_length(monkeypatch):
+    # the run length near log_q n comes first; after it, a run length is
+    # walked only where its block bound can still reach the best size, and
+    # each run length at most once
     walked = []
     walk = baseline.zero_run_counts
 
@@ -207,11 +224,19 @@ def test_bounded_search_stops_at_the_first_hopeless_run_length(monkeypatch):
         return walk(k, q, lengths)
 
     monkeypatch.setattr(baseline, "zero_run_counts", recording)
-    for n, q in ((3000, 3), (40, 2), (200, 6)):
+    for n, q, expected in ((30000, 3, [9, 7, 8]), (3000, 3, [7, 6]), (40, 2, [5, 3, 4]), (200, 6, [3])):
         walked.clear()
         value, best_k = s_max(n, q)
-        stop = next(k for k in range(best_k + 1, n) if k > n - 2 or (q - 1) ** 2 * q ** (n - k - 2) <= value)
-        assert walked == list(range(2, stop)), (n, q, walked)
+        assert walked == expected, (n, q, walked)
+        for k in range(2, n - 1):
+            if k > best_k and (q - 1) ** 2 * q ** (n - k - 2) <= value:
+                break  # q^m is at least the block bound, and falls as k grows
+            bound = (q - 1) ** 2 * block_bound(k, q, n - k - 2)
+            assert k in walked or bound < value, (n, q, k)
+    for q in (3, 4):
+        walked.clear()
+        best_sizes(q, range(3, 201), 2)
+        assert len(walked) == len(set(walked)), (q, walked)
 
 
 def test_empty_run_length_range_is_an_error():

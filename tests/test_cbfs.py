@@ -13,7 +13,7 @@ from crossbifix.cbfs import (
     family_sizes,
     iter_cbfs,
 )
-from crossbifix import cbfs
+from crossbifix import cbfs, counting
 from crossbifix.cli import main
 from crossbifix.motzkin import motzkin_count, motzkin_counts
 from crossbifix.words import Word, height_profile, is_bifix_free, is_elevated
@@ -145,21 +145,21 @@ def test_half_sums_match_the_direct_sums():
             for lo in range(-2, t_sum + 3):
                 for hi in range(lo - 1, t_sum + 3):
                     direct = sum(motzkin[t] * motzkin[t_sum - t] for t in range(max(lo, 0), min(hi, t_sum) + 1))
-                    assert cbfs._half_sum(motzkin, k, t_sum, lo, hi) == direct, (k, t_sum, lo, hi)
+                    assert counting._half_sum(motzkin, k, t_sum, lo, hi) == direct, (k, t_sum, lo, hi)
 
 
 def test_family_sizes_take_the_direct_sum_only_where_the_halves_do_not_meet(monkeypatch):
     # every half-range sum the family formulas take, checked against its
     # direct sum; the halves fail to meet only in family C at n = 3
     calls = []
-    half_sum = cbfs._half_sum
+    half_sum = counting._half_sum
 
     def recording(m, k, t_sum, lo, hi):
         value = half_sum(m, k, t_sum, lo, hi)
         calls.append((t_sum, lo, hi, value))
         return value
 
-    monkeypatch.setattr(cbfs, "_half_sum", recording)
+    monkeypatch.setattr(counting, "_half_sum", recording)
     for q in (3, 4, 5):
         motzkin = motzkin_counts(q - 2, range(-3, 62))
         for n in range(3, 60):

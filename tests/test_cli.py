@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from crossbifix import baseline, cbfs, cli, motzkin, oracle, verify, words
+from crossbifix import baseline, cbfs, cli, counting, motzkin, oracle, verify, words
 from crossbifix.baseline import s_max, s_star
 from crossbifix.cbfs import CodeSet, construct_cbfs, count_cbfs
 from crossbifix.cli import main, size_table
@@ -495,6 +495,28 @@ def test_table_json_matches_csv_values(capsys):
             assert text == ("" if value is None else str(value))
 
 
+def test_table_csv_is_what_csv_writer_writes(tmp_path, capsys):
+    # the csv module is the oracle for the table's own CSV writer; None
+    # cells (no run length at n = 3) write as empty fields
+    for q_range, n_range, compare, bold in (
+        ("3..6", "3..60", "S", False),
+        ("3..6", "3..60", "Sstar", True),
+        ("3", "3..5", "S", True),
+        ("3..4", "3000..3001", "S", False),
+    ):
+        names, rows = size_table(cli._parse_range(q_range), cli._parse_range(n_range), compare, bold)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(rows)
+        args = ["table", "--q", q_range, "--n", n_range, "--compare", compare] + ["--bold"] * bold
+        code, out, err = run(capsys, *args)
+        assert code == 0 and err == "" and out == expected.getvalue(), args
+        target = tmp_path / "table.csv"
+        assert run(capsys, *args, "--out", str(target))[0] == 0
+        assert target.read_bytes() == expected.getvalue().encode(), args
+
+
 def test_table_json_is_json_dump_written_a_row_at_a_time(monkeypatch):
     class Counting(io.StringIO):
         writes = 0
@@ -578,7 +600,7 @@ def refuse_counting(monkeypatch):
     def refuse(*args):
         raise AssertionError("counting started before the --limit check")
 
-    monkeypatch.setattr(motzkin, "_p_walk", refuse)
+    monkeypatch.setattr(counting, "_p_walk", refuse)
     monkeypatch.setattr(baseline, "zero_run_counts", refuse)
 
 

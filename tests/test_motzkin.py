@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from crossbifix import motzkin
+from crossbifix import counting, motzkin
 from crossbifix.cbfs import _shapes
 from crossbifix.motzkin import (
     generate_elevated,
@@ -64,17 +64,17 @@ def test_color_count_must_be_non_negative():
 
 
 def test_counting_keeps_no_module_state():
-    before = dict(vars(motzkin))
+    before = dict(vars(counting))
     assert motzkin_count(5, 4) == 777
     assert motzkin_counts(5, range(5)) == {0: 1, 1: 5, 2: 26, 3: 140, 4: 777}
     assert motzkin_count(5, 4) == 777
     # the same names bound to the same objects, none of them a container a
     # cache could grow in
-    assert vars(motzkin).keys() == before.keys()
-    assert all(value is before[name] for name, value in vars(motzkin).items())
-    containers = [name for name, value in vars(motzkin).items() if isinstance(value, (dict, list, set))]
+    assert vars(counting).keys() == before.keys()
+    assert all(value is before[name] for name, value in vars(counting).items())
+    containers = [name for name, value in vars(counting).items() if isinstance(value, (dict, list, set))]
     assert containers == ["__builtins__"]
-    assert not any(hasattr(fn, "cache_info") for fn in (motzkin_count, motzkin_counts, motzkin._p_walk))
+    assert not any(hasattr(fn, "cache_info") for fn in (motzkin_count, motzkin_counts, counting._p_walk))
 
 
 def convolution_counts(colors, n_max):
@@ -97,8 +97,8 @@ def test_counts_match_the_convolution_recurrence():
 def test_inexact_recurrence_step_is_a_runtime_error():
     # a wrong M(1) among the walk's start values: 4 M(2) = 5 * 2 + 3 * 1 has no integer solution
     with pytest.raises(RuntimeError):
-        motzkin._p_walk(1, {2}, (1, 2))
-    assert motzkin._p_walk(1, {2}, (1, 1)) == {2: 2}
+        counting._p_walk(1, {2}, (1, 2))
+    assert counting._p_walk(1, {2}, (1, 1)) == {2: 2}
 
 
 def test_zero_colors_specializes_to_catalan():

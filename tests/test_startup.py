@@ -25,17 +25,28 @@ ENV = {
 }
 CBFS_3_6 = construct_cbfs(3, 6).to_text()
 
+# Each command, its stdin and the package modules it loads besides
+# crossbifix.cli and crossbifix.counting. Counting (count, table) loads
+# neither the walk (cbfs, motzkin) nor words.
+WALK = {"crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.words"}
+VERIFY = {"crossbifix.verify", "crossbifix.words"}
 COMMANDS = {
-    "count": (["count", "--q", "3", "--n", "9"], None),
-    "count-S": (["count", "--q", "3", "--n", "9", "--set", "S"], None),
-    "gen": (["gen", "--q", "3", "--n", "6"], None),
-    "gen-json": (["gen", "--q", "3", "--n", "6", "--format", "json"], None),
-    "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None),
-    "verify": (["verify", "--in", "-", "--q", "3"], CBFS_3_6),
-    "verify-nonexpandable": (["verify", "--in", "-", "--q", "3", "--mode", "nonexpandable"], CBFS_3_6),
-    "table": (["table", "--q", "3..4", "--n", "3..8"], None),
-    "table-json": (["table", "--q", "3..4", "--n", "3..8", "--format", "json"], None),
-    "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None),
+    "count": (["count", "--q", "3", "--n", "9"], None, set()),
+    "count-S": (["count", "--q", "3", "--n", "9", "--set", "S"], None, {"crossbifix.baseline"}),
+    "count-motzkin": (["count", "--q", "3", "--n", "9", "--set", "motzkin"], None, set()),
+    "gen": (["gen", "--q", "3", "--n", "6"], None, WALK),
+    "gen-json": (["gen", "--q", "3", "--n", "6", "--format", "json"], None, WALK),
+    "gen-motzkin": (
+        ["gen", "--q", "3", "--n", "6", "--set", "motzkin", "--format", "json"],
+        None,
+        WALK - {"crossbifix.cbfs"},
+    ),
+    "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None, VERIFY),
+    "verify": (["verify", "--in", "-", "--q", "3"], CBFS_3_6, VERIFY),
+    "verify-nonexpandable": (["verify", "--in", "-", "--q", "3", "--mode", "nonexpandable"], CBFS_3_6, VERIFY),
+    "table": (["table", "--q", "3..4", "--n", "3..8"], None, {"crossbifix.baseline"}),
+    "table-json": (["table", "--q", "3..4", "--n", "3..8", "--format", "json"], None, {"crossbifix.baseline"}),
+    "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None, {"crossbifix.baseline"} | WALK),
 }
 
 
@@ -59,7 +70,7 @@ def loaded_modules(script, stdin=None):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_commands_load_only_what_they_run(name):
-    argv, stdin = COMMANDS[name]
+    argv, stdin, modules = COMMANDS[name]
     script = (
         "import runpy\n"
         f"sys.argv = ['crossbifix', *{argv!r}]\n"
@@ -70,22 +81,30 @@ def test_commands_load_only_what_they_run(name):
     )
     loaded, out = loaded_modules(script, stdin)
     assert out
-    assert {"crossbifix.cli", "crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.words"} <= loaded
-    assert not loaded & {"dataclasses", "inspect", "crossbifix.oracle"}
-    if name in ("count", "gen", "gen-json"):
-        assert not loaded & {"crossbifix.verify", "crossbifix.baseline"}
-    assert ("csv" in loaded) == (name == "table")
+    package = {module for module in loaded if module.startswith("crossbifix.")}
+    assert package == {"crossbifix.cli", "crossbifix.counting"} | modules
+    assert not loaded & {"csv", "dataclasses", "inspect"}
 
 
 def test_importing_the_package_loads_none_of_its_modules():
     loaded, _ = loaded_modules("import crossbifix\n")
     assert "crossbifix" in loaded and not {name for name in loaded if name.startswith("crossbifix.")}
     loaded, _ = loaded_modules("from crossbifix import count_cbfs\n")
-    assert {name for name in loaded if name.startswith("crossbifix.")} == {
-        "crossbifix.cbfs",
-        "crossbifix.motzkin",
-        "crossbifix.words",
-    }
+    assert {name for name in loaded if name.startswith("crossbifix.")} == {"crossbifix.counting"}
+
+
+def test_counting_imports_nothing_from_the_package():
+    path = os.path.join(os.path.dirname(cli.__file__), "counting.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        names = [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("crossbifix"), (node.module, names)
+        else:
+            assert not any(name.startswith("crossbifix") for name in names), names
 
 
 # Runs argv and prints its exit code and peak RSS. The peak a process
