@@ -5,6 +5,10 @@ of the package: ``count`` and ``table`` load it without the walk, ``Word``
 or ``CodeSet``. ``motzkin`` re-exports ``motzkin_count`` and
 ``motzkin_counts``, and ``cbfs`` re-exports ``count_cbfs`` and
 ``family_sizes``.
+
+Each family size is a closed form in the Motzkin numbers near n/2 and n,
+so one pass of the recurrence that keeps two running values serves every
+length, and no sum runs term by term.
 """
 
 from __future__ import annotations
@@ -63,71 +67,74 @@ def _check_families(families: str) -> None:
 def count_cbfs(q: int, n: int, families: str = "ABC") -> int:
     """|CBFS(q, n)|, or the size of the union of the named families, from
     the closed forms of ``family_sizes``."""
-    sizes = dict(zip("ABC", family_sizes(q, (n,))[n]))
+    _require_domain(q, n)
     _check_families(families)
+    sizes = dict(zip("ABC", family_sizes(q, (n,))[n]))
     return sum(sizes[name] for name in families)
 
 
 def family_sizes(q: int, n_values: Iterable[int]) -> dict[int, tuple[int, int, int]]:
     """(|A|, |B|, |C|) of CBFS(q, n) for every n in ``n_values``.
 
-    Each family is a few half-range sums H(T; lo..hi) = sum_{t=lo}^{hi}
-    M(t) M(T-t) (``_half_sum``), with t = j - 2 in family C's sum:
+    Each family is a sum of products M(t) M(T-t). The full sum over
+    0 <= t <= T is Conv(T) = M(T+2) - k M(T+1), and its terms are symmetric
+    under t -> T - t, so the terms with t < T/2 sum to the lower half
+    L(T) = (Conv(T) - [T even] M(T/2)^2) / 2 (``_lower_half``). With
+    h = n // 2, each family is then one or two lower halves and at most
+    three products of M near n/2:
 
-    * |A| = H(n-2; 0..n//2) - [n even] M(n/2 - 2)^2
-    * |B| = H(n-3; 0..n//2-1)
-    * |C| = M(n-1) - H(n-1; c-2..n-3) + k H(n-2; c-2..n-3), c = ceil(n/2)
+    * n = 2h:   |A| = L(n-2) + M(h-1)^2 + M(h) M(h-2) - M(h-2)^2
+                |B| = L(n-3) + M(h-1) M(h-2)
+                |C| = 2 M(n-1) - L(n-1) - M(h) M(h-1) - M(h+1) M(h-2)
+                      + k (|A| + M(h-2)^2)
+    * n = 2h+1: |A| = L(n-2) + M(h) M(h-1)
+                |B| = L(n-3) + M(h-1)^2
+                |C| = 2 M(n-1) - L(n-1) - M(h)^2 - M(h+1) M(h-1) + k |A|
 
-    so every length needs only M near n/2 and near n, all taken from one
-    walk of the Motzkin recurrence.
+    so every length reads only M(h-2..h+1) and M(n-2..n+1), all taken from
+    one walk of the Motzkin recurrence, and sums nothing term by term.
 
+    |A| sums t = 0..h with T = n-2, less [n even] M(h-2)^2, the words made
+    of two same-length elevated halves; |B| sums t = 0..h-1 with T = n-3.
     |C| is M(n-1) less the Motzkin words u beta v with beta a ground-level
-    elevated factor of length j >= c. Two such factors cannot coexist, so
-    each excluded word is counted once, in sum_j M(j-2) (M(n+1-j) - k M(n-j)),
-    where M(m+2) - k M(m+1) counts the pairs (u, v) of total length m.
+    elevated factor of length j >= c = ceil(n/2). Two such factors cannot
+    coexist, so each excluded word is counted once, in
+    sum_{t=c-2}^{n-3} M(t) (M(n-1-t) - k M(n-2-t)) with t = j - 2, where
+    M(m+2) - k M(m+1) counts the pairs (u, v) of total length m. The mirror
+    t -> T - t turns its two sums into sums over t = 0..h+1 (T = n-1) and
+    t = 0..h (T = n-2, the sum of |A|), less their edge terms: M(0) M(n-1)
+    = M(n-1), which doubles M(n-1), and M(1) M(n-2) = k M(n-2) and
+    k M(0) M(n-2), which cancel.
     """
     n_values = tuple(n_values)
     wanted = set()
     for n in n_values:
         _require_domain(q, n)
-        # the indices the formulas read: the edge terms t = 0, 1, both
-        # factors of the terms near T/2, and the Conv(T) values near n
-        wanted.update((0, 1), range(n // 2 - 2, n // 2 + 2), range(n - 2, n + 2))
+        wanted.update(range(n // 2 - 2, n // 2 + 2), range(n - 2, n + 2))
     k = q - 2
     m = motzkin_counts(k, wanted)
     sizes = {}
     for n in n_values:
-        c = (n + 1) // 2
-        a = _half_sum(m, k, n - 2, 0, n // 2)
-        if n % 2 == 0:
-            a -= m[n // 2 - 2] ** 2
-        b = _half_sum(m, k, n - 3, 0, n // 2 - 1)
-        sizes[n] = (a, b, m[n - 1] - _half_sum(m, k, n - 1, c - 2, n - 3) + k * _half_sum(m, k, n - 2, c - 2, n - 3))
+        h = n // 2
+        m0, m1, m2, m3 = m[h - 2], m[h - 1], m[h], m[h + 1]
+        # s2 and s1: the sums over t = 0..h at T = n-2 and t = 0..h+1 at T = n-1
+        if n % 2:
+            a = s2 = _lower_half(m, k, n - 2) + m2 * m1
+            b = _lower_half(m, k, n - 3) + m1 * m1
+            s1 = _lower_half(m, k, n - 1) + m2 * m2 + m3 * m1
+        else:
+            s2 = _lower_half(m, k, n - 2) + m1 * m1 + m2 * m0
+            a = s2 - m0 * m0
+            b = _lower_half(m, k, n - 3) + m1 * m0
+            s1 = _lower_half(m, k, n - 1) + m2 * m1 + m3 * m0
+        sizes[n] = (a, b, 2 * m[n - 1] - s1 + k * s2)
     return sizes
 
 
-def _half_sum(m: dict[int, int], k: int, t_sum: int, lo: int, hi: int) -> int:
-    """sum_{t=lo}^{hi} M(t) M(t_sum - t), with M read from ``m``.
-
-    The full sum over 0 <= t <= T (T = t_sum) is Conv(T) = M(T+2) - k M(T+1),
-    and its terms are symmetric under t -> T - t. When the range and its
-    mirror image together cover every t between their edges, adding the
-    two (equal) sums counts Conv(T) once, less the edge terms below
-    e = min(lo, T - hi) and their mirrors, plus once more the terms where
-    range and mirror overlap; those are few and lie near T/2. Otherwise the
-    halves do not meet (small T) and the range is summed directly.
-    """
-    lo, hi = max(lo, 0), min(hi, t_sum)
-    if lo > hi:
-        return 0
-    both_lo, both_hi = max(lo, t_sum - hi), min(hi, t_sum - lo)
-    if both_lo > both_hi + 1:
-        return sum(m[t] * m[t_sum - t] for t in range(lo, hi + 1))
-    edge = min(lo, t_sum - hi)
-    twice = (
-        m[t_sum + 2]
-        - k * m[t_sum + 1]
-        - 2 * sum(m[t] * m[t_sum - t] for t in range(edge))
-        + sum(m[t] * m[t_sum - t] for t in range(both_lo, both_hi + 1))
-    )
-    return twice // 2
+def _lower_half(m: dict[int, int], k: int, t_sum: int) -> int:
+    """L(T) = sum_{t < T/2} M(t) M(T-t) for T = t_sum >= 0, with M read from
+    ``m``: half of Conv(T) = M(T+2) - k M(T+1) less its middle term."""
+    conv = m[t_sum + 2] - k * m[t_sum + 1]
+    if t_sum % 2 == 0:
+        conv -= m[t_sum // 2] ** 2
+    return conv // 2

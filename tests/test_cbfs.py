@@ -138,43 +138,54 @@ def test_counts_match_the_single_sums():
             assert count_cbfs(q, n) == sum(expected[n]), (q, n)
 
 
-def test_half_sums_match_the_direct_sums():
-    for k in (0, 1, 2, 4):
-        motzkin = motzkin_counts(k, range(-3, 20))
-        for t_sum in range(-1, 16):
-            for lo in range(-2, t_sum + 3):
-                for hi in range(lo - 1, t_sum + 3):
-                    direct = sum(motzkin[t] * motzkin[t_sum - t] for t in range(max(lo, 0), min(hi, t_sum) + 1))
-                    assert counting._half_sum(motzkin, k, t_sum, lo, hi) == direct, (k, t_sum, lo, hi)
+def test_lower_halves_match_the_direct_sums():
+    for k in range(5):
+        motzkin = motzkin_counts(k, range(43))
+        for t_sum in range(41):
+            direct = sum(motzkin[t] * motzkin[t_sum - t] for t in range((t_sum + 1) // 2))
+            assert counting._lower_half(motzkin, k, t_sum) == direct, (k, t_sum)
 
 
-def test_family_sizes_take_the_direct_sum_only_where_the_halves_do_not_meet(monkeypatch):
-    # every half-range sum the family formulas take, checked against its
-    # direct sum; the halves fail to meet only in family C at n = 3
-    calls = []
-    half_sum = counting._half_sum
+def test_one_length_family_sizes_match_the_single_sums():
+    # both parity branches, and the smallest lengths, where the products
+    # near n/2 read M at negative indices
+    for q in range(3, 9):
+        motzkin = motzkin_counts(q - 2, range(62))
+        for n in range(3, 61):
+            assert family_sizes(q, [n]) == {n: single_sum_counts(q, n, motzkin)}, (q, n)
 
-    def recording(m, k, t_sum, lo, hi):
-        value = half_sum(m, k, t_sum, lo, hi)
-        calls.append((t_sum, lo, hi, value))
-        return value
 
-    monkeypatch.setattr(counting, "_half_sum", recording)
-    for q in (3, 4, 5):
-        motzkin = motzkin_counts(q - 2, range(-3, 62))
-        for n in range(3, 60):
-            calls.clear()
-            family_sizes(q, [n])
-            assert len(calls) == 4, (q, n)
-            for t_sum, lo, hi, value in calls:
-                direct = sum(motzkin[t] * motzkin[t_sum - t] for t in range(max(lo, 0), min(hi, t_sum) + 1))
-                assert value == direct, (q, n, t_sum, lo, hi)
-            apart = [
-                (t_sum, lo, hi)
-                for t_sum, lo, hi, _ in calls
-                if max(lo, t_sum - hi) > min(hi, t_sum - max(lo, 0)) + 1
-            ]
-            assert apart == ([(2, 0, 0)] if n == 3 else []), (q, n, apart)
+def test_family_sizes_read_only_the_motzkin_numbers_near_half_and_full_length(monkeypatch):
+    # a closed form over every M up to n would hold O(n) big integers
+    asked = []
+    real = counting.motzkin_counts
+
+    def recording(colors, lengths):
+        lengths = list(lengths)
+        asked.extend(lengths)
+        return real(colors, lengths)
+
+    monkeypatch.setattr(counting, "motzkin_counts", recording)
+    for n in [*range(3, 61), 1001, 1002]:
+        asked.clear()
+        family_sizes(3, [n])
+        allowed = {*range(n // 2 - 2, n // 2 + 2), *range(n - 2, n + 2)}
+        assert asked and set(asked) <= allowed, (n, sorted(set(asked) - allowed))
+
+
+def test_count_cbfs_checks_its_arguments_before_it_counts(monkeypatch):
+    def unreachable(q, n_values):
+        raise AssertionError("counted before the arguments were checked")
+
+    monkeypatch.setattr(counting, "family_sizes", unreachable)
+    for bad in ("", "AA", "D", "abc"):
+        with pytest.raises(ValueError) as info:
+            count_cbfs(3, 30000, bad)
+        assert str(info.value) == f"families must be distinct letters of 'ABC', got {bad!r}", bad
+    # a bad domain wins over bad families, as in cbfs_groups
+    for q, n in ((2, 5), (3, 2)):
+        with pytest.raises(ValueError, match="construction needs"):
+            count_cbfs(q, n, "D")
 
 
 def test_count_far_past_the_old_reach(capsys):
