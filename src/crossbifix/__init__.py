@@ -5,10 +5,12 @@ counts them exactly, generates the classic zero-run baseline sets they are
 compared against, and verifies every claimed property. The exported
 verifiers come from ``verify``, which joins prefix and suffix indexes, and
 whose prefix walk also streams the bifix-free words that ``gen --set
-bifixfree`` writes. The independent brute-force scans in ``oracle`` are only
-the reference the tests hold the fast paths to: they are not exported here,
-and neither ``verify`` nor the command line imports them, so no command
-loads ``crossbifix.oracle``.
+bifixfree`` writes. The typed words and sets (``Word``, ``CodeSet``) and
+the paper's bifix predicates on them come from ``codeset``, the API edge;
+the path predicates (``is_motzkin_word``, ``is_elevated``, ...) come from
+``oracle``, whose independent brute-force scans are the reference the tests
+hold the fast paths to and are not exported. The commands handle symbol
+tuples and base-q codes, so no command loads ``codeset`` or ``oracle``.
 
 Importing the package loads none of its modules. Each exported name, and
 each module named in ``_EXPORTS``, is imported on first access (PEP 562),
@@ -22,22 +24,21 @@ __version__ = "0.1.0"
 # The exported names of each module.
 _EXPORTS = {
     "baseline": ("best_sizes", "construct_baseline_set", "f_count", "s_max", "s_star", "zero_run_counts"),
-    "cbfs": ("CodeSet", "construct_cbfs", "iter_cbfs"),
-    "counting": ("count_cbfs", "family_sizes", "motzkin_count", "motzkin_counts"),
-    "motzkin": ("generate_elevated", "generate_motzkin", "has_ground_elevated_factor"),
-    "verify": ("verify_cross_bifix_free_set", "verify_non_expandable"),
-    "words": (
+    "cbfs": ("construct_cbfs", "iter_cbfs"),
+    "codeset": (
+        "CodeSet",
         "CrossBifix",
-        "HeightProfile",
-        "VerificationReport",
         "Word",
         "bifixes",
         "cross_bifix",
-        "height_profile",
+        "generate_elevated",
+        "generate_motzkin",
         "is_bifix_free",
-        "is_elevated",
-        "is_motzkin_word",
     ),
+    "counting": ("count_cbfs", "family_sizes", "motzkin_count", "motzkin_counts"),
+    "oracle": ("HeightProfile", "has_ground_elevated_factor", "height_profile", "is_elevated", "is_motzkin_word"),
+    "verify": ("verify_cross_bifix_free_set", "verify_non_expandable"),
+    "words": ("VerificationReport",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

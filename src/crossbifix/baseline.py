@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .counting import DEFAULT_MAX_SPACE
 
 if TYPE_CHECKING:
-    from .cbfs import CodeSet
+    from .codeset import CodeSet
 
 
 def zero_run_counts(k: int, q: int, lengths: Iterable[int]) -> dict[int, int]:
@@ -64,13 +64,18 @@ def _contains_zero_run(symbols: tuple[int, ...], k: int) -> bool:
     return False
 
 
-def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> CodeSet:
-    """All words of S(k, q, n), by filtered enumeration of the interior.
+def baseline_groups(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> tuple[int, Iterator[tuple]]:
+    """``(size, groups)`` of S(k, q, n): its number of words, and the words
+    in canonical order as ``(head, tails)`` groups, as ``motzkin.lex_groups``
+    yields them. The heads are the zero run, the first symbol and the
+    interior, and every group hands out the same list of tails, the last
+    symbols 1..q-1 each with index 0; callers must not change it.
 
     Admits 1 <= k <= n-2 (k = 1 arises in the extended maximization). The
-    enumeration cost is q^(n-k-2); instances beyond max_space are refused.
+    interior is enumerated and filtered, at a cost of q^(n-k-2); instances
+    beyond max_space are refused. Every check is made on the call.
     """
-    from .cbfs import CodeSet
+    from .words import check_alphabet
 
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
@@ -81,12 +86,23 @@ def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_
         raise ValueError(
             f"interior space {q}^{middle_len} exceeds the cap of {max_space}; raise max_space to force"
         )
+    check_alphabet(q)
     middles = [m for m in itertools.product(range(q), repeat=middle_len) if not _contains_zero_run(m, k)]
     nonzero = range(1, q)
+    tails = [((last,), 0) for last in nonzero]
     # the zero run, then the first symbol, the interior and the last symbol
     # vary slowest to fastest, which is canonical order
-    words = ((0,) * k + (first,) + middle + (last,) for first in nonzero for middle in middles for last in nonzero)
-    return CodeSet.from_ordered(q, n, zip(words, itertools.repeat("baseline")))
+    groups = (((0,) * k + (first,) + middle, tails) for first in nonzero for middle in middles)
+    return len(middles) * len(tails) ** 2, groups
+
+
+def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> CodeSet:
+    """All words of S(k, q, n), from ``baseline_groups``, as a canonically
+    ordered ``CodeSet`` tagged "baseline"."""
+    from .codeset import CodeSet
+
+    _, groups = baseline_groups(k, q, n, max_space)
+    return CodeSet.from_ordered(q, n, ((head + tail, "baseline") for head, tails in groups for tail, _ in tails))
 
 
 def best_sizes(q: int, n_values: Iterable[int], k_min: int) -> dict[int, tuple[int, int]]:

@@ -23,7 +23,9 @@ it has recorded for a path state instead of walking them again, so its
 memory grows with the distinct completions of the second half, not with
 the set. ``cbfs_groups`` hands a replay out whole, as a head and the
 state's list of tails, so that a caller such as ``gen`` can write the
-subtree in one piece; ``iter_cbfs`` flattens the groups into words.
+subtree in one piece; ``iter_cbfs`` flattens the groups into symbol tuples,
+and ``construct_cbfs`` wraps them in a ``codeset.CodeSet``, the only step
+that builds a ``Word``.
 
 One ``families`` string, such as ``"ABC"`` (the default) or ``"B"``, picks
 the families at every layer: ``counting.count_cbfs`` sums their
@@ -33,113 +35,13 @@ closed-form sizes from ``counting.family_sizes``, and ``cbfs_groups``, ``iter_cb
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
-# count_cbfs, family_sizes and VerificationReport are defined in counting and
-# words and re-exported here
-from .counting import _check_families, _require_domain, count_cbfs, family_sizes
+from .counting import _check_families, _require_domain
 from .motzkin import lex_groups
-from .words import Record, VerificationReport, Word, format_symbol_lines, read_codes, symbols_of
 
-PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
-
-
-class CodeSet(Record):
-    """A duplicate-free list of equal-length words in strictly increasing
-    lexicographic order, with a per-word provenance tag."""
-
-    _fields = ("q", "n", "words", "provenance")
-    q: int
-    n: int
-    words: tuple[Word, ...]
-    provenance: tuple[str, ...]
-
-    def __init__(self, q: int, n: int, words: tuple[Word, ...], provenance: tuple[str, ...]) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "provenance", provenance)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if len(self.words) != len(self.provenance):
-            raise ValueError("one provenance tag per word required")
-        for tag in self.provenance:
-            if tag not in PROVENANCE_TAGS:
-                raise ValueError(f"unknown provenance tag {tag!r}")
-        prev = None
-        for w in self.words:
-            if w.q != self.q or len(w) != self.n:
-                raise ValueError(f"word {w.to_text()!r} does not live in Z_{self.q}^{self.n}")
-            if prev is not None and not prev < w:
-                raise ValueError("words must be strictly increasing; duplicates are not allowed")
-            prev = w
-
-    @classmethod
-    def build(cls, q: int, n: int, tagged_words: Iterable[tuple[Word, str]]) -> "CodeSet":
-        """Sort into canonical order and drop duplicates (first tag wins)."""
-        seen = {}
-        for word, tag in tagged_words:
-            seen.setdefault(word.symbols, (word, tag))
-        ordered = [seen[symbols] for symbols in sorted(seen)]
-        return cls(q, n, tuple(word for word, _ in ordered), tuple(tag for _, tag in ordered))
-
-    @classmethod
-    def from_ordered(cls, q: int, n: int, tagged_symbols: Iterable[tuple[tuple[int, ...], str]]) -> "CodeSet":
-        """Wrap a stream of (symbols, tag) pairs that is already in canonical
-        order. Nothing is sorted; the constructor still rejects a stream out
-        of order or with a repeat."""
-        pairs = [(Word(symbols, q), tag) for symbols, tag in tagged_symbols]
-        return cls(q, n, tuple(word for word, _ in pairs), tuple(tag for _, tag in pairs))
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    @cached_property
-    def _keys(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(w.symbols for w in self.words)
-
-    def __contains__(self, word: Word) -> bool:
-        return word.symbols in self._keys
-
-    def without(self, word: Word) -> "CodeSet":
-        """A copy with one member removed (used by mutation checks)."""
-        if word not in self:
-            raise ValueError(f"{word.to_text()!r} is not a member")
-        kept = [(w, t) for w, t in zip(self.words, self.provenance) if w.symbols != word.symbols]
-        return CodeSet(self.q, self.n, tuple(w for w, _ in kept), tuple(t for _, t in kept))
-
-    def to_text(self) -> str:
-        return format_symbol_lines([w.symbols for w in self.words], self.q)
-
-    @classmethod
-    def from_text(cls, text: str, q: int, n: int | None = None, tag: str = "external") -> "CodeSet":
-        n, codes = read_codes(text, q, n)
-        return cls.from_ordered(q, n, ((symbols_of(code, q, n), tag) for code in codes))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "provenance": list(self.provenance),
-            "words": [w.to_text() for w in self.words],
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CodeSet":
-        q, n = data["q"], data["n"]
-        pairs = [(Word.from_text(t, q), tag) for t, tag in zip(data["words"], data["provenance"])]
-        return cls.build(q, n, pairs)
-
+if TYPE_CHECKING:
+    from .codeset import CodeSet
 
 def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
     """The ``lex_groups`` shape of each family at length n."""
@@ -190,4 +92,6 @@ def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int
 def construct_cbfs(q: int, n: int, families: str = "ABC") -> CodeSet:
     """CBFS(q, n), or the union of the named families, as a canonically
     ordered ``CodeSet`` tagged by family."""
+    from .codeset import CodeSet
+
     return CodeSet.from_ordered(q, n, iter_cbfs(q, n, families))

@@ -5,27 +5,26 @@ Exit codes: 0 success, 1 verification failed, 2 usage or domain error.
 Each process loads only what its command runs. Only ``counting``, which
 imports nothing else from the package, is imported here; ``count`` and
 ``table`` need no more, or ``baseline`` besides. The walk (``cbfs``,
-``motzkin``), ``words``, ``baseline`` and ``verify`` are imported by the
-commands that use them. The JSON of ``gen`` and ``table`` and the CSV of
-``table`` are laid out here, so ``json`` is loaded only by the ``to_json``
-of a report or a baseline set, and ``csv`` never.
+``motzkin``), ``words``, ``baseline``, ``verify`` and ``wordlist``, which
+writes the word lists of ``gen`` and ``baseline-gen`` as bytes, are
+imported by the commands that use them. The JSON of ``gen``,
+``baseline-gen`` and ``table`` and the CSV of ``table`` are laid out
+without ``json`` or ``csv``: ``json`` is loaded only by the ``to_json`` of
+a verification report, and ``csv`` never.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import islice, repeat
-from typing import Iterator
 
 from .counting import DEFAULT_MAX_SPACE, count_cbfs, family_sizes, motzkin_count
 
 # Largest word length `count` and `table` take by default: their exact
 # counts cost O(n^2) bit operations, seconds per count at this length.
 DEFAULT_LENGTH_LIMIT = 100_000
-# Words per write call of `gen --set bifixfree`.
-GEN_CHUNK = 4096
 
 # The families of each CBFS --set, as count_cbfs and cbfs_groups take them.
 _FAMILIES = {"cbfs": "ABC", "A": "A", "B": "B", "C": "C"}
@@ -65,14 +64,25 @@ def _parse_range(text: str) -> list[int]:
 
 
 @contextmanager
-def _output(path: str | None):
+def _output(path: str | None, binary: bool = False):
     """Stdout for a missing path or ``-``, else the file at ``path``, opened
-    for writing."""
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    for writing; with ``binary``, either takes bytes. A stdout that is a
+    text-only stream, such as an ``io.StringIO`` put in its place, gets the
+    bytes decoded once the block ends."""
+    if path not in (None, "-"):
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+    elif not binary:
+        yield sys.stdout
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # text written before goes first
+        yield sys.stdout.buffer
+    else:
+        buffer = io.BytesIO()
+        try:
+            yield buffer
+        finally:
+            sys.stdout.write(buffer.getvalue().decode("ascii"))
 
 
 @contextmanager
@@ -118,124 +128,49 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _gen_groups(args):
-    """Check the alphabet and --limit for a `gen` request, then return the
-    alphabet size, the word length, the number of words, their
-    ``(head, tails)`` groups in canonical order (as ``motzkin.lex_groups``
-    yields them) and the tag of each shape index. No word is produced before
-    the checks pass."""
-    from .words import check_alphabet
-
-    q, n = args.q, args.n
-    if args.set in _FAMILIES:
-        from .cbfs import cbfs_groups
-
-        tags = _FAMILIES[args.set]
-        expected, groups = count_cbfs(q, n, tags), cbfs_groups(q, n, tags)
-    elif args.set == "bifixfree":
-        from .verify import count_bifix_free, iter_bifix_free
-
-        expected, tags = count_bifix_free(q, n), ("external",)
-        # chunks of the word stream, as groups with an empty head; their
-        # tails are iterators, so no pair outlives its word's turn
-        words = iter_bifix_free(q, n)
-        groups = (((), zip(chunk, repeat(0))) for chunk in iter(lambda: list(islice(words, GEN_CHUNK)), []))
-    else:
-        from .motzkin import elevated_groups, motzkin_groups
-
-        colors = args.colors if args.colors is not None else q - 2
-        q, tags = colors + 2, ("external",)
-        if args.set == "motzkin":
-            expected, groups = motzkin_count(colors, n), motzkin_groups(colors, n)
-        else:
-            expected, groups = motzkin_count(colors, n - 2), elevated_groups(colors, n)  # 0 for n < 2
-    check_alphabet(q)  # as --format json would on its first word
-    with _exact_int_output():
-        if expected > args.limit:
-            raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
-    return q, n, expected, groups, tags
-
-
-def _group_texts(q: int, groups) -> Iterator[str]:
-    """The word-per-line text of ``(head, tails)`` groups, one piece for
-    each group.
-
-    A list of several tails comes back each time its walk state does, so
-    its text is made once and kept with the list, which holds the list's id
-    for it; each group is then the head's text (and a comma for q > 10)
-    before every line of that block. One-element lists and groups with an
-    empty head, whose tails may be any iterable, are formatted as they come,
-    so the kept text is one block per state met at the cut.
-    """
-    from .words import format_symbol_lines, format_symbols
-
-    sep = "," if q > 10 else ""
-    blocks = {}
-    for head, tails in groups:
-        if head and len(tails) > 1:
-            entry = blocks.get(id(tails))
-            if entry is None:
-                entry = blocks[id(tails)] = (tails, format_symbol_lines([tail for tail, _ in tails], q)[:-1])
-            head_text = format_symbols(head, q) + sep
-            yield head_text + entry[1].replace("\n", "\n" + head_text) + "\n"
-        else:
-            yield format_symbol_lines([head + tail for tail, _ in tails], q)
-
-
-def _write_json_object(fh, members) -> None:
+def _write_json_object(fh, members, text=str) -> None:
     """Write a JSON object and a newline as ``json.dump(..., indent=2)``
     lays them out, from ``(key, value)`` members with plain ASCII keys. A
     value is its JSON text, or for a list an iterator of pieces of its
     items' text, where each item is led by ``,\\n`` and a four-space
     indent. The pieces are written as they come, so no list is held whole.
+    ``text`` turns the layout's own text into what ``fh`` takes: ``str``
+    for a text file, ``str.encode`` for a binary one, whose values are then
+    bytes too.
     """
     lead = "{\n"
     for key, value in members:
-        fh.write(f'{lead}  "{key}": ')
+        fh.write(text(f'{lead}  "{key}": '))
         lead = ",\n"
-        if isinstance(value, str):
+        if isinstance(value, (str, bytes)):
             fh.write(value)
             continue
         first = next(value, None)
         if first is None:
-            fh.write("[]")
+            fh.write(text("[]"))
         else:
-            fh.write("[" + first[1:])  # the first item has no comma before it
+            fh.write(text("[") + first[1:])  # the first item has no comma before it
             fh.writelines(value)
-            fh.write("\n  ]")
-    fh.write("\n}\n")
+            fh.write(text("\n  ]"))
+    fh.write(text("\n}\n"))
 
 
 def _cmd_gen(args) -> int:
-    q, n, expected, groups, tags = _gen_groups(args)
-    texts = _group_texts(q, groups)
-    with _output(args.out) as fh:
-        if args.format == "text":
-            fh.writelines(texts)
-            return 0
-        # The JSON of CodeSet.to_json, written as the words are walked. The
-        # provenance list comes first: a first walk of a CBFS set gives the
-        # tags, and every word of the other sets is tagged external.
-        if args.set in _FAMILIES:
-            from .cbfs import cbfs_groups
+    from .wordlist import gen_groups, write_word_list
 
-            items = [f',\n    "{tag}"' for tag in tags]
-            provenance = ("".join([items[j] for _, j in tails]) for _, tails in cbfs_groups(q, n, tags))
-        else:
-            item = ',\n    "external"'
-            provenance = (item * min(GEN_CHUNK, expected - i) for i in range(0, expected, GEN_CHUNK))
-        words = (',\n    "' + text[:-1].replace("\n", '",\n    "') + '"' for text in texts)
-        _write_json_object(fh, [("q", str(q)), ("n", str(n)), ("provenance", provenance), ("words", words)])
+    q, n, groups, provenance = gen_groups(args)
+    with _output(args.out, binary=True) as fh:
+        write_word_list(fh, args.format, q, n, groups, provenance)
     return 0
 
 
 def _cmd_baseline_gen(args) -> int:
-    from .baseline import construct_baseline_set
+    from .baseline import baseline_groups
+    from .wordlist import tagged, write_word_list
 
-    code_set = construct_baseline_set(args.k, args.q, args.n, max_space=args.limit)
-    text = code_set.to_json() if args.format == "json" else code_set.to_text()
-    with _output(args.out) as fh:
-        fh.write(text)
+    size, groups = baseline_groups(args.k, args.q, args.n, max_space=args.limit)
+    with _output(args.out, binary=True) as fh:
+        write_word_list(fh, args.format, args.q, args.n, groups, tagged("baseline", size))
     return 0
 
 

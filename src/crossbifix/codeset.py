@@ -1,0 +1,274 @@
+"""The typed API edge: validated words, canonical word sets and the
+paper's bifix predicates on them.
+
+``Word`` checks its alphabet and symbols, ``CodeSet`` holds a canonically
+ordered set of words with a provenance tag each, and ``cross_bifix``,
+``bifixes`` and ``is_bifix_free`` state the paper's definitions on words.
+No command loads this module: the walk, ``verify`` and the commands handle
+symbol tuples and base-q codes, and the library builds a ``Word`` only where
+a caller asks for one, as ``construct_cbfs``, ``construct_baseline_set``,
+``generate_motzkin`` and ``generate_elevated`` do.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property, total_ordering
+from typing import Iterable, Iterator, Sequence
+
+from .motzkin import elevated_groups, motzkin_groups
+from .words import Record, check_alphabet, format_symbol_lines, format_symbols, parse_code, read_codes, symbols_of
+
+
+@total_ordering
+class Word(Record):
+    """Immutable word over {0, ..., q-1}.
+
+    Equality is element-wise; ordering is lexicographic on the symbol
+    integers, which fixes the canonical order used everywhere for
+    deterministic generation output.
+    """
+
+    __slots__ = _fields = ("symbols", "q")
+    symbols: tuple[int, ...]
+    q: int
+
+    def __init__(self, symbols: Sequence[int], q: int) -> None:
+        object.__setattr__(self, "symbols", tuple(symbols))
+        object.__setattr__(self, "q", q)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        check_alphabet(self.q)
+        q = self.q
+        for s in self.symbols:
+            # bool subclasses int but is no symbol; testing type() first lets
+            # plain ints, the common case, skip both isinstance calls.
+            if (type(s) is not int and (isinstance(s, bool) or not isinstance(s, int))) or not 0 <= s < q:
+                raise ValueError(f"symbol {s!r} outside alphabet of size {self.q}")
+
+    @classmethod
+    def run(cls, symbol: int, length: int, q: int) -> "Word":
+        """The word symbol^length (a run of one repeated symbol)."""
+        return cls((symbol,) * length, q)
+
+    @classmethod
+    def from_text(cls, text: str, q: int) -> "Word":
+        check_alphabet(q)
+        code, length = parse_code(text, q)
+        return cls(symbols_of(code, q, length), q)
+
+    def to_text(self) -> str:
+        return format_symbols(self.symbols, self.q)
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.symbols)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Word(self.symbols[index], self.q)
+        return self.symbols[index]
+
+    def __add__(self, other: "Word") -> "Word":
+        if not isinstance(other, Word):
+            return NotImplemented
+        if self.q != other.q:
+            raise ValueError("cannot concatenate words over different alphabets")
+        return Word(self.symbols + other.symbols, self.q)
+
+    def __lt__(self, other: "Word") -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self.symbols < other.symbols
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"Word({self.to_text()!r}, q={self.q})"
+
+
+class CrossBifix(Record):
+    """A shortest cross-bifix witness.
+
+    ``word`` is a strict prefix of one argument and a suffix of the other;
+    ``prefix_of`` records which argument contributed the prefix
+    ("first" or "second").
+    """
+
+    __slots__ = _fields = ("word", "prefix_of")
+    word: Word
+    prefix_of: str
+
+    def __init__(self, word: Word, prefix_of: str) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "prefix_of", prefix_of)
+
+
+def prefix_function(symbols: Sequence[int]) -> list[int]:
+    """Textbook failure function: pi[i] is the length of the longest strict
+    border (simultaneous prefix and suffix) of symbols[:i+1]."""
+    pi = [0] * len(symbols)
+    k = 0
+    for i in range(1, len(symbols)):
+        while k and symbols[i] != symbols[k]:
+            k = pi[k - 1]
+        if symbols[i] == symbols[k]:
+            k += 1
+        pi[i] = k
+    return pi
+
+
+def is_bifix_free(word: Word) -> bool:
+    """True iff no non-empty strict prefix of the word is also a suffix."""
+    if len(word) == 0:
+        raise ValueError("bifix-freeness is undefined for the empty word")
+    return prefix_function(word.symbols)[-1] == 0
+
+
+def bifixes(word: Word) -> list[Word]:
+    """All bifixes (non-empty strict borders) of a word, shortest first."""
+    if len(word) == 0:
+        raise ValueError("bifixes are undefined for the empty word")
+    pi = prefix_function(word.symbols)
+    lengths = []
+    k = pi[-1]
+    while k:
+        lengths.append(k)
+        k = pi[k - 1]
+    return [word[:k] for k in reversed(lengths)]
+
+
+def cross_bifix(first: Word, second: Word) -> CrossBifix | None:
+    """Shortest non-empty strict prefix of one word that is a suffix of the
+    other, or None when the pair is cross-bifix-free.
+
+    Ties at the same length are broken toward the prefix of ``first``.
+    """
+    if len(first) != len(second):
+        raise ValueError("cross-bifix comparison needs words of equal length")
+    if first.q != second.q:
+        raise ValueError("cross-bifix comparison needs a common alphabet")
+    a, b, n = first.symbols, second.symbols, len(first)
+    for length in range(1, n):
+        if a[:length] == b[n - length:]:
+            return CrossBifix(first[:length], "first")
+        if b[:length] == a[n - length:]:
+            return CrossBifix(second[:length], "second")
+    return None
+
+
+PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
+
+
+class CodeSet(Record):
+    """A duplicate-free list of equal-length words in strictly increasing
+    lexicographic order, with a per-word provenance tag."""
+
+    _fields = ("q", "n", "words", "provenance")
+    q: int
+    n: int
+    words: tuple[Word, ...]
+    provenance: tuple[str, ...]
+
+    def __init__(self, q: int, n: int, words: tuple[Word, ...], provenance: tuple[str, ...]) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "provenance", provenance)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        if len(self.words) != len(self.provenance):
+            raise ValueError("one provenance tag per word required")
+        for tag in self.provenance:
+            if tag not in PROVENANCE_TAGS:
+                raise ValueError(f"unknown provenance tag {tag!r}")
+        prev = None
+        for w in self.words:
+            if w.q != self.q or len(w) != self.n:
+                raise ValueError(f"word {w.to_text()!r} does not live in Z_{self.q}^{self.n}")
+            if prev is not None and not prev < w:
+                raise ValueError("words must be strictly increasing; duplicates are not allowed")
+            prev = w
+
+    @classmethod
+    def build(cls, q: int, n: int, tagged_words: Iterable[tuple[Word, str]]) -> "CodeSet":
+        """Sort into canonical order and drop duplicates (first tag wins)."""
+        seen = {}
+        for word, tag in tagged_words:
+            seen.setdefault(word.symbols, (word, tag))
+        ordered = [seen[symbols] for symbols in sorted(seen)]
+        return cls(q, n, tuple(word for word, _ in ordered), tuple(tag for _, tag in ordered))
+
+    @classmethod
+    def from_ordered(cls, q: int, n: int, tagged_symbols: Iterable[tuple[tuple[int, ...], str]]) -> "CodeSet":
+        """Wrap a stream of (symbols, tag) pairs that is already in canonical
+        order. Nothing is sorted; the constructor still rejects a stream out
+        of order or with a repeat."""
+        pairs = [(Word(symbols, q), tag) for symbols, tag in tagged_symbols]
+        return cls(q, n, tuple(word for word, _ in pairs), tuple(tag for _, tag in pairs))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.words)
+
+    @cached_property
+    def _keys(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(w.symbols for w in self.words)
+
+    def __contains__(self, word: Word) -> bool:
+        return word.symbols in self._keys
+
+    def without(self, word: Word) -> "CodeSet":
+        """A copy with one member removed (used by mutation checks)."""
+        if word not in self:
+            raise ValueError(f"{word.to_text()!r} is not a member")
+        kept = [(w, t) for w, t in zip(self.words, self.provenance) if w.symbols != word.symbols]
+        return CodeSet(self.q, self.n, tuple(w for w, _ in kept), tuple(t for _, t in kept))
+
+    def to_text(self) -> str:
+        return format_symbol_lines([w.symbols for w in self.words], self.q)
+
+    @classmethod
+    def from_text(cls, text: str, q: int, n: int | None = None, tag: str = "external") -> "CodeSet":
+        n, codes = read_codes(text, q, n)
+        return cls.from_ordered(q, n, ((symbols_of(code, q, n), tag) for code in codes))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "q": self.q,
+            "n": self.n,
+            "provenance": list(self.provenance),
+            "words": [w.to_text() for w in self.words],
+        }
+
+    def to_json(self) -> str:
+        import json
+
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "CodeSet":
+        q, n = data["q"], data["n"]
+        pairs = [(Word.from_text(t, q), tag) for t, tag in zip(data["words"], data["provenance"])]
+        return cls.build(q, n, pairs)
+
+
+def generate_motzkin(colors: int, n: int) -> Iterator[Word]:
+    """Yield every Motzkin word of the given length exactly once, in
+    lexicographic order."""
+    groups = motzkin_groups(colors, n)
+    return (Word(head + tail, colors + 2) for head, tails in groups for tail, _ in tails)
+
+
+def generate_elevated(colors: int, n: int) -> Iterator[Word]:
+    """Yield the elevated Motzkin words 1 alpha 0 of length n, in
+    lexicographic order. Lengths below 2 admit no elevated word, so the
+    stream is empty."""
+    groups = elevated_groups(colors, n)
+    return (Word(head + tail, colors + 2) for head, tails in groups for tail, _ in tails)

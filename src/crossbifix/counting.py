@@ -2,9 +2,7 @@
 
 Counting never builds a word, so this module imports nothing from the rest
 of the package: ``count`` and ``table`` load it without the walk, ``Word``
-or ``CodeSet``. ``motzkin`` re-exports ``motzkin_count`` and
-``motzkin_counts``, and ``cbfs`` re-exports ``count_cbfs`` and
-``family_sizes``.
+or ``CodeSet``. Its names are imported from here, or from the package root.
 
 Each family size is a closed form in the Motzkin numbers near n/2 and n,
 so one pass of the recurrence that keeps two running values serves every

@@ -3,15 +3,19 @@
 A k-colored Motzkin word of length n uses the alphabet {0, ..., k+1}: rise
 (1), fall (0) and k level colors (2..k+1). Its path runs from (0,0) to (n,0)
 without dipping below the x-axis. Their exact counts are in ``counting``.
+
+The walk here yields symbol tuples and builds no ``Word``:
+``codeset.generate_motzkin`` and ``codeset.generate_elevated`` wrap its
+words for the API, and the path predicates that state the definitions
+(``is_motzkin_word``, ``is_elevated``, ``has_ground_elevated_factor``) live
+with the brute-force references in ``oracle``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-# motzkin_count and motzkin_counts are defined in counting and re-exported here
-from .counting import motzkin_count, motzkin_counts
-from .words import FALL, RISE, Word, is_motzkin_word, symbol_step
+from .words import FALL, RISE
 
 
 def lex_groups(
@@ -191,40 +195,3 @@ def elevated_groups(colors: int, n: int) -> Iterator[tuple[tuple[int, ...], list
     if n < 2:
         return iter(())
     return lex_groups(colors + 2, [([0] + [1] * (n - 1) + [0], None, None)])
-
-
-def generate_motzkin(colors: int, n: int) -> Iterator[Word]:
-    """Yield every Motzkin word of the given length exactly once, in
-    lexicographic order."""
-    groups = motzkin_groups(colors, n)
-    return (Word(head + tail, colors + 2) for head, tails in groups for tail, _ in tails)
-
-
-def generate_elevated(colors: int, n: int) -> Iterator[Word]:
-    """Yield the elevated Motzkin words 1 alpha 0 of length n, in
-    lexicographic order. Lengths below 2 admit no elevated word, so the
-    stream is empty."""
-    groups = elevated_groups(colors, n)
-    return (Word(head + tail, colors + 2) for head, tails in groups for tail, _ in tails)
-
-
-def has_ground_elevated_factor(word: Word, min_len: int) -> bool:
-    """True iff the Motzkin word factors as u beta v with u, v Motzkin
-    (possibly empty) and beta elevated with len(beta) >= min_len.
-
-    Such a beta is exactly an arch between two consecutive returns of the
-    path to height 0, so it suffices to measure the gaps between ground
-    contacts. Arches of length 1 are lone level steps, never elevated.
-    """
-    if not is_motzkin_word(word):
-        raise ValueError(f"not a Motzkin word: {word.to_text()!r}")
-    need = max(min_len, 2)
-    height = 0
-    last_ground = 0
-    for j, s in enumerate(word.symbols, start=1):
-        height += symbol_step(s)
-        if height == 0:
-            if j - last_ground >= need:
-                return True
-            last_ground = j
-    return False

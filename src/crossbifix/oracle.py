@@ -2,7 +2,11 @@
 
 Everything here works by exhaustive enumeration, deliberately avoiding the
 closed recurrences and structured generators it is meant to check. Word
-spaces are capped so that exponential scans cannot run by accident.
+spaces are capped so that exponential scans cannot run by accident. The
+path predicates that state the paper's definitions on a ``Word``
+(``height_profile``, ``is_motzkin_word``, ``is_elevated``,
+``has_ground_elevated_factor``) live here too: the tests hold the walk to
+them, and no command runs them.
 """
 
 from __future__ import annotations
@@ -10,9 +14,10 @@ from __future__ import annotations
 import itertools
 import time
 
-from .cbfs import CodeSet, construct_cbfs
+from .cbfs import construct_cbfs
+from .codeset import CodeSet, Word, cross_bifix, is_bifix_free, prefix_function
 from .counting import DEFAULT_MAX_SPACE, count_cbfs
-from .words import VerificationReport, Word, cross_bifix, is_bifix_free, prefix_function
+from .words import FALL, RISE, Record, VerificationReport
 
 
 def _check_space(space: int, max_space: int, what: str) -> None:
@@ -188,3 +193,86 @@ def brute_count_words_avoiding_zero_run(
         else:
             count += 1
     return count
+
+
+def symbol_step(symbol: int) -> int:
+    """Vertical displacement of one symbol: -1 for 0, +1 for 1, 0 for colors."""
+    if symbol == FALL:
+        return -1
+    if symbol == RISE:
+        return 1
+    return 0
+
+
+class HeightProfile(Record):
+    """Partial path heights: heights[j] is the height after the first j
+    symbols, so heights[0] == 0 and the final entry is #rises - #falls."""
+
+    __slots__ = _fields = ("heights",)
+    heights: tuple[int, ...]
+
+    def __init__(self, heights: tuple[int, ...]) -> None:
+        object.__setattr__(self, "heights", heights)
+
+    @property
+    def final(self) -> int:
+        return self.heights[-1]
+
+    @property
+    def minimum(self) -> int:
+        return min(self.heights)
+
+
+def height_profile(word: Word) -> HeightProfile:
+    heights = [0]
+    h = 0
+    for s in word.symbols:
+        h += symbol_step(s)
+        heights.append(h)
+    return HeightProfile(tuple(heights))
+
+
+def is_motzkin_word(word: Word) -> bool:
+    """True iff the path never goes below the x-axis and ends on it."""
+    h = 0
+    for s in word.symbols:
+        h += symbol_step(s)
+        if h < 0:
+            return False
+    return h == 0
+
+
+def is_elevated(word: Word) -> bool:
+    """True iff word = 1 alpha 0 with alpha a Motzkin word, i.e. a Motzkin
+    word whose interior heights are strictly positive."""
+    n = len(word)
+    if n < 2 or word.symbols[0] != RISE or word.symbols[-1] != FALL:
+        return False
+    h = 0
+    for s in word.symbols[:-1]:
+        h += symbol_step(s)
+        if h <= 0:
+            return False
+    return h == 1
+
+
+def has_ground_elevated_factor(word: Word, min_len: int) -> bool:
+    """True iff the Motzkin word factors as u beta v with u, v Motzkin
+    (possibly empty) and beta elevated with len(beta) >= min_len.
+
+    Such a beta is exactly an arch between two consecutive returns of the
+    path to height 0, so it suffices to measure the gaps between ground
+    contacts. Arches of length 1 are lone level steps, never elevated.
+    """
+    if not is_motzkin_word(word):
+        raise ValueError(f"not a Motzkin word: {word.to_text()!r}")
+    need = max(min_len, 2)
+    height = 0
+    last_ground = 0
+    for j, s in enumerate(word.symbols, start=1):
+        height += symbol_step(s)
+        if height == 0:
+            if j - last_ground >= need:
+                return True
+            last_ground = j
+    return False

@@ -7,7 +7,9 @@ length l in 1..n-1, the length-l prefix of one equals the length-l suffix
 of the other (Bilotta, Pergola and Pinzani, "A new approach to
 cross-bifix-free sets", IEEE Trans. Inf. Theory, 2012). Both checks below
 therefore join members and candidates on prefix and suffix codes, one length
-at a time, instead of comparing every pair of words.
+at a time, instead of comparing every pair of words. A witness is found and
+written from the codes as well (``_shortest_border``), so no ``Word`` is
+built.
 
 The reports are the ones the brute scans in ``oracle`` produce, witness for
 witness, except that the non-expandability report lists only unblocked
@@ -23,10 +25,10 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from .counting import DEFAULT_MAX_SPACE
-from .words import VerificationReport, Word, code_of, cross_bifix, symbols_of
+from .words import VerificationReport, code_of, format_symbols, symbols_of
 
 if TYPE_CHECKING:
-    from .cbfs import CodeSet
+    from .codeset import CodeSet
 
 
 def _shared_borders(codes: list[int], q: int, n: int) -> tuple[list[tuple[int, int]], int]:
@@ -55,9 +57,32 @@ def _shared_borders(codes: list[int], q: int, n: int) -> tuple[list[tuple[int, i
     return sorted(pairs), bordered
 
 
-def _word(code: int, q: int, n: int) -> Word:
-    """The length-n word with base-q code ``code``, for a witness's text."""
-    return Word(symbols_of(code, q, n), q)
+def _text(code: int, q: int, n: int) -> str:
+    """The text of the length-n word with base-q code ``code``."""
+    return format_symbols(symbols_of(code, q, n), q)
+
+
+def _shortest_border(a: int, b: int, q: int, n: int) -> tuple[int, str] | None:
+    """``(length, prefix_of)`` of the shortest cross-bifix of the words of
+    Z_q^n with base-q codes ``a`` and ``b``, or None if they share none:
+    for l = 1..n-1, the length-l prefix of ``a`` is tested against the
+    length-l suffix of ``b`` ("first") before the other way round
+    ("second"), the order in which ``codeset.cross_bifix`` breaks ties."""
+    for length in range(1, n):
+        shift, mod = q ** (n - length), q**length
+        if a // shift == b % mod:
+            return length, "first"
+        if b // shift == a % mod:
+            return length, "second"
+    return None
+
+
+def _cross_bifix_text(a: int, b: int, q: int, n: int) -> tuple[str, str]:
+    """The text of the shortest cross-bifix of two words that share one, as
+    base-q codes in Z_q^n, and the argument it is a prefix of."""
+    length, prefix_of = _shortest_border(a, b, q, n)
+    prefix = (a if prefix_of == "first" else b) // q ** (n - length)
+    return _text(prefix, q, length), prefix_of
 
 
 def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
@@ -66,14 +91,13 @@ def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
     t0 = time.perf_counter()
     witnesses = []
     for i, j in _shared_borders(codes, q, n)[0]:
-        first, second = _word(codes[i], q, n), _word(codes[j], q, n)
-        hit = cross_bifix(first, second)
+        share, prefix_of = _cross_bifix_text(codes[i], codes[j], q, n)
         witnesses.append(
             {
-                "first": first.to_text(),
-                "second": second.to_text(),
-                "cross_bifix": hit.word.to_text(),
-                "prefix_of": hit.prefix_of,
+                "first": _text(codes[i], q, n),
+                "second": _text(codes[j], q, n),
+                "cross_bifix": share,
+                "prefix_of": prefix_of,
             }
         )
     stats = {
@@ -198,23 +222,21 @@ def non_expandable_report(
         raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
     bad, bordered = _shared_borders(codes, q, n)
     if bordered < len(codes):
-        return report(False, [], 0, 0, error=f"member {_word(codes[bordered], q, n).to_text()!r} is not bifix-free")
+        return report(False, [], 0, 0, error=f"member {_text(codes[bordered], q, n)!r} is not bifix-free")
     pairs = len(codes) * (len(codes) - 1) // 2
     if bad:
-        left, right = (_word(codes[i], q, n) for i in bad[0])
-        share = cross_bifix(left, right).word.to_text()
-        error = f"set is not cross-bifix-free: {left.to_text()} / {right.to_text()} share {share}"
+        left, right = (codes[i] for i in bad[0])
+        share = _cross_bifix_text(left, right, q, n)[0]
+        error = f"set is not cross-bifix-free: {_text(left, q, n)} / {_text(right, q, n)} share {share}"
         return report(False, [], pairs, 0, error=error)
 
     witnesses = []
-    member_word = cache(lambda i: _word(codes[i], q, n))  # one Word per blocking member
+    member_text = cache(lambda i: _text(codes[i], q, n))  # one text per blocking member
     for code, first in _walk(q, n, codes, all_witnesses):
-        candidate = _word(code, q, n)
-        witness = {"candidate": candidate.to_text(), "cross_bifix": None, "blocking": None, "prefix_of": None}
+        witness = {"candidate": _text(code, q, n), "cross_bifix": None, "blocking": None, "prefix_of": None}
         if first < len(codes):
-            member = member_word(first)
-            hit = cross_bifix(candidate, member)
-            witness.update(cross_bifix=hit.word.to_text(), blocking=member.to_text(), prefix_of=hit.prefix_of)
+            share, prefix_of = _cross_bifix_text(code, codes[first], q, n)
+            witness.update(cross_bifix=share, blocking=member_text(first), prefix_of=prefix_of)
         witnesses.append(witness)
     ok = all(w["blocking"] is not None for w in witnesses)
     return report(ok, witnesses, pairs, candidates)

@@ -8,8 +8,7 @@ values.
 
 from __future__ import annotations
 
-from functools import total_ordering
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 FALL = 0
 RISE = 1
@@ -21,15 +20,6 @@ def check_alphabet(q: int) -> None:
     """Raise ValueError unless q is an alphabet size that a Word takes."""
     if not isinstance(q, int) or not 2 <= q <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q!r}")
-
-
-def symbol_step(symbol: int) -> int:
-    """Vertical displacement of one symbol: -1 for 0, +1 for 1, 0 for colors."""
-    if symbol == FALL:
-        return -1
-    if symbol == RISE:
-        return 1
-    return 0
 
 
 def code_of(symbols: Iterable[int], q: int) -> int:
@@ -168,199 +158,6 @@ class VerificationReport(Record):
         import json
 
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-
-@total_ordering
-class Word(Record):
-    """Immutable word over {0, ..., q-1}.
-
-    Equality is element-wise; ordering is lexicographic on the symbol
-    integers, which fixes the canonical order used everywhere for
-    deterministic generation output.
-    """
-
-    __slots__ = _fields = ("symbols", "q")
-    symbols: tuple[int, ...]
-    q: int
-
-    def __init__(self, symbols: Sequence[int], q: int) -> None:
-        object.__setattr__(self, "symbols", tuple(symbols))
-        object.__setattr__(self, "q", q)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        check_alphabet(self.q)
-        q = self.q
-        for s in self.symbols:
-            # bool subclasses int but is no symbol; testing type() first lets
-            # plain ints, the common case, skip both isinstance calls.
-            if (type(s) is not int and (isinstance(s, bool) or not isinstance(s, int))) or not 0 <= s < q:
-                raise ValueError(f"symbol {s!r} outside alphabet of size {self.q}")
-
-    @classmethod
-    def run(cls, symbol: int, length: int, q: int) -> "Word":
-        """The word symbol^length (a run of one repeated symbol)."""
-        return cls((symbol,) * length, q)
-
-    @classmethod
-    def from_text(cls, text: str, q: int) -> "Word":
-        check_alphabet(q)
-        code, length = parse_code(text, q)
-        return cls(symbols_of(code, q, length), q)
-
-    def to_text(self) -> str:
-        return format_symbols(self.symbols, self.q)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Word(self.symbols[index], self.q)
-        return self.symbols[index]
-
-    def __add__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        if self.q != other.q:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.q)
-
-    def __lt__(self, other: "Word") -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.symbols < other.symbols
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"Word({self.to_text()!r}, q={self.q})"
-
-
-class HeightProfile(Record):
-    """Partial path heights: heights[j] is the height after the first j
-    symbols, so heights[0] == 0 and the final entry is #rises - #falls."""
-
-    __slots__ = _fields = ("heights",)
-    heights: tuple[int, ...]
-
-    def __init__(self, heights: tuple[int, ...]) -> None:
-        object.__setattr__(self, "heights", heights)
-
-    @property
-    def final(self) -> int:
-        return self.heights[-1]
-
-    @property
-    def minimum(self) -> int:
-        return min(self.heights)
-
-
-class CrossBifix(Record):
-    """A shortest cross-bifix witness.
-
-    ``word`` is a strict prefix of one argument and a suffix of the other;
-    ``prefix_of`` records which argument contributed the prefix
-    ("first" or "second").
-    """
-
-    __slots__ = _fields = ("word", "prefix_of")
-    word: Word
-    prefix_of: str
-
-    def __init__(self, word: Word, prefix_of: str) -> None:
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "prefix_of", prefix_of)
-
-
-def prefix_function(symbols: Sequence[int]) -> list[int]:
-    """Textbook failure function: pi[i] is the length of the longest strict
-    border (simultaneous prefix and suffix) of symbols[:i+1]."""
-    pi = [0] * len(symbols)
-    k = 0
-    for i in range(1, len(symbols)):
-        while k and symbols[i] != symbols[k]:
-            k = pi[k - 1]
-        if symbols[i] == symbols[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
-def is_bifix_free(word: Word) -> bool:
-    """True iff no non-empty strict prefix of the word is also a suffix."""
-    if len(word) == 0:
-        raise ValueError("bifix-freeness is undefined for the empty word")
-    return prefix_function(word.symbols)[-1] == 0
-
-
-def bifixes(word: Word) -> list[Word]:
-    """All bifixes (non-empty strict borders) of a word, shortest first."""
-    if len(word) == 0:
-        raise ValueError("bifixes are undefined for the empty word")
-    pi = prefix_function(word.symbols)
-    lengths = []
-    k = pi[-1]
-    while k:
-        lengths.append(k)
-        k = pi[k - 1]
-    return [word[:k] for k in reversed(lengths)]
-
-
-def cross_bifix(first: Word, second: Word) -> CrossBifix | None:
-    """Shortest non-empty strict prefix of one word that is a suffix of the
-    other, or None when the pair is cross-bifix-free.
-
-    Ties at the same length are broken toward the prefix of ``first``.
-    """
-    if len(first) != len(second):
-        raise ValueError("cross-bifix comparison needs words of equal length")
-    if first.q != second.q:
-        raise ValueError("cross-bifix comparison needs a common alphabet")
-    a, b, n = first.symbols, second.symbols, len(first)
-    for length in range(1, n):
-        if a[:length] == b[n - length:]:
-            return CrossBifix(first[:length], "first")
-        if b[:length] == a[n - length:]:
-            return CrossBifix(second[:length], "second")
-    return None
-
-
-def height_profile(word: Word) -> HeightProfile:
-    heights = [0]
-    h = 0
-    for s in word.symbols:
-        h += symbol_step(s)
-        heights.append(h)
-    return HeightProfile(tuple(heights))
-
-
-def is_motzkin_word(word: Word) -> bool:
-    """True iff the path never goes below the x-axis and ends on it."""
-    h = 0
-    for s in word.symbols:
-        h += symbol_step(s)
-        if h < 0:
-            return False
-    return h == 0
-
-
-def is_elevated(word: Word) -> bool:
-    """True iff word = 1 alpha 0 with alpha a Motzkin word, i.e. a Motzkin
-    word whose interior heights are strictly positive."""
-    n = len(word)
-    if n < 2 or word.symbols[0] != RISE or word.symbols[-1] != FALL:
-        return False
-    h = 0
-    for s in word.symbols[:-1]:
-        h += symbol_step(s)
-        if h <= 0:
-            return False
-    return h == 1
 
 
 # Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from crossbifix.baseline import f_count, s_max, s_star
-from crossbifix.cbfs import construct_cbfs, count_cbfs
+from crossbifix.cbfs import construct_cbfs
+from crossbifix.codeset import Word, bifixes, cross_bifix, is_bifix_free
+from crossbifix.counting import count_cbfs, motzkin_count
 from crossbifix.cli import main
 from crossbifix.oracle import (
     brute_count_words_avoiding_zero_run,
@@ -14,8 +16,6 @@ from crossbifix.oracle import (
     verify_cross_bifix_free_set,
     verify_non_expandable,
 )
-from crossbifix.motzkin import motzkin_count
-from crossbifix.words import Word, bifixes, cross_bifix, is_bifix_free
 
 # published size tables, n = 3..16 per column
 CBFS_SIZES = {

@@ -4,6 +4,9 @@ resolves each exported name on first access."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,55 @@ def test_every_exported_name_resolves_through_the_lazy_root():
             getattr(crossbifix, name)
     with pytest.raises(ImportError):
         exec("from crossbifix import no_such_name", {})
+
+
+# The root's exported names before the typed API edge moved to ``codeset``
+# and the path predicates to ``oracle``; each still imports from the root.
+ROOT_NAMES = (
+    "CodeSet",
+    "CrossBifix",
+    "HeightProfile",
+    "VerificationReport",
+    "Word",
+    "best_sizes",
+    "bifixes",
+    "construct_baseline_set",
+    "construct_cbfs",
+    "count_cbfs",
+    "cross_bifix",
+    "f_count",
+    "family_sizes",
+    "generate_elevated",
+    "generate_motzkin",
+    "has_ground_elevated_factor",
+    "height_profile",
+    "is_bifix_free",
+    "is_elevated",
+    "is_motzkin_word",
+    "iter_cbfs",
+    "motzkin_count",
+    "motzkin_counts",
+    "s_max",
+    "s_star",
+    "verify_cross_bifix_free_set",
+    "verify_non_expandable",
+    "zero_run_counts",
+)
+
+
+def test_every_root_name_resolves_in_a_fresh_process():
+    # one interpreter per name, so that an import cycle between the module
+    # a name lives in and the ones it loads cannot hide behind another test
+    assert set(ROOT_NAMES) <= set(crossbifix.__all__)
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for name in crossbifix.__all__:
+        module = crossbifix._MODULE_OF[name]
+        script = (
+            "import crossbifix\n"
+            f"value = crossbifix.{name}\n"
+            f"from crossbifix.{module} import {name} as defined\n"
+            "assert value is defined\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (name, done.stderr)

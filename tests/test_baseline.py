@@ -15,7 +15,7 @@ from crossbifix.baseline import (
 )
 from crossbifix.cli import main
 from crossbifix.oracle import verify_cross_bifix_free_set
-from crossbifix.words import is_bifix_free
+from crossbifix.codeset import is_bifix_free
 
 
 def naive_zero_run_count(k, q, n):

@@ -6,17 +6,12 @@ import tracemalloc
 
 import pytest
 
-from crossbifix.cbfs import (
-    CodeSet,
-    construct_cbfs,
-    count_cbfs,
-    family_sizes,
-    iter_cbfs,
-)
 from crossbifix import cbfs, counting
+from crossbifix.cbfs import construct_cbfs, iter_cbfs
 from crossbifix.cli import main
-from crossbifix.motzkin import motzkin_count, motzkin_counts
-from crossbifix.words import Word, height_profile, is_bifix_free, is_elevated
+from crossbifix.codeset import CodeSet, Word, is_bifix_free
+from crossbifix.counting import count_cbfs, family_sizes, motzkin_counts
+from crossbifix.oracle import height_profile, is_elevated
 
 
 def texts(code_set):

@@ -5,16 +5,19 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
-from crossbifix import baseline, cbfs, cli, counting, motzkin, oracle, verify, words
+from crossbifix import baseline, cli, codeset, counting, motzkin, oracle, verify, words, wordlist
 from crossbifix.baseline import s_max, s_star
-from crossbifix.cbfs import CodeSet, construct_cbfs, count_cbfs
+from crossbifix.cbfs import cbfs_groups, construct_cbfs
 from crossbifix.cli import main, size_table
-from crossbifix.motzkin import motzkin_count
+from crossbifix.codeset import CodeSet
+from crossbifix.counting import count_cbfs, motzkin_count
 from crossbifix.words import format_symbols
 
 
@@ -155,8 +158,8 @@ def test_gen_text_builds_no_word_or_code_set(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError(f"{type(self).__name__} built on the text path")
 
-    monkeypatch.setattr(words.Word, "__post_init__", refuse)
-    monkeypatch.setattr(cbfs.CodeSet, "__post_init__", refuse)
+    monkeypatch.setattr(codeset.Word, "__post_init__", refuse)
+    monkeypatch.setattr(codeset.CodeSet, "__post_init__", refuse)
     for name in ("cbfs", "A", "B", "C", "motzkin", "elevated", "bifixfree"):
         code, out, _ = run(capsys, "gen", "--q", "4", "--n", "6", "--set", name)
         assert code == 0 and out
@@ -167,8 +170,8 @@ def test_verify_builds_no_word_or_code_set_for_a_passing_set(capsys, monkeypatch
         raise AssertionError(f"{type(self).__name__} built on the verify path")
 
     texts = {q: construct_cbfs(q, n).to_text() for q, n in ((3, 8), (12, 3))}
-    monkeypatch.setattr(words.Word, "__post_init__", refuse)
-    monkeypatch.setattr(cbfs.CodeSet, "__post_init__", refuse)
+    monkeypatch.setattr(codeset.Word, "__post_init__", refuse)
+    monkeypatch.setattr(codeset.CodeSet, "__post_init__", refuse)
     for q, text in texts.items():
         for mode in ("set", "nonexpandable"):
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -186,7 +189,7 @@ def test_gen_json_writes_the_code_set_json_without_building_it(capsys, monkeypat
         k = q - 2 if colors is None else colors
         extra = () if colors is None else ("--colors", str(colors))
         for n in (0, 1, 2, 3, 5):
-            for name, generate in (("motzkin", motzkin.generate_motzkin), ("elevated", motzkin.generate_elevated)):
+            for name, generate in (("motzkin", codeset.generate_motzkin), ("elevated", codeset.generate_elevated)):
                 tagged = ((word.symbols, "external") for word in generate(k, n))
                 args = ("--q", str(q), "--n", str(n), "--set", name, *extra)
                 expected.append((args, CodeSet.from_ordered(k + 2, n, tagged)))
@@ -199,8 +202,8 @@ def test_gen_json_writes_the_code_set_json_without_building_it(capsys, monkeypat
     def refuse(self):
         raise AssertionError(f"{type(self).__name__} built by gen --format json")
 
-    monkeypatch.setattr(words.Word, "__post_init__", refuse)
-    monkeypatch.setattr(cbfs.CodeSet, "__post_init__", refuse)
+    monkeypatch.setattr(codeset.Word, "__post_init__", refuse)
+    monkeypatch.setattr(codeset.CodeSet, "__post_init__", refuse)
     for args, text in expected:
         assert run(capsys, "gen", *args, "--format", "json") == (0, text, ""), args
     texts = [text for _, text in expected]
@@ -341,7 +344,7 @@ def test_group_writer_formats_every_group_as_handed():
     # a stream that drops most of its lists once written, so new lists can
     # take the ids of freed ones, and hands some kept lists back later
     rng = random.Random(5)
-    for q in (4, 12):
+    for q in (3, 4, 10, 11, 12):
         expected = []
 
         def groups():
@@ -358,8 +361,51 @@ def test_group_writer_formats_every_group_as_handed():
                 # with an empty head, as for bifix-free chunks, any iterable will do
                 yield head, tails if head or rng.random() < 0.5 else iter(tails)
 
-        pieces = list(cli._group_texts(q, groups()))
-        assert len(pieces) == 3000 and "".join(pieces) == "".join(expected), q
+        pieces = list(wordlist.word_blocks(q, groups()))
+        assert len(pieces) == 3000 and b"".join(pieces) == "".join(expected).encode(), q
+
+
+def test_word_blocks_equal_the_words_written_one_by_one():
+    # replayed lists (cbfs, motzkin, elevated), one-element groups (each
+    # walk's first visit of a state), empty heads (bifix-free chunks and
+    # n = 0) and the baseline's one shared list
+    for q in (3, 4, 10, 11, 12):
+        n = 7 if q < 10 else 4
+        makers = [
+            lambda: cbfs_groups(q, n),
+            lambda: cbfs_groups(q, n - 1, "C"),
+            lambda: motzkin.motzkin_groups(q - 2, n - 1),
+            lambda: motzkin.motzkin_groups(q - 2, 0),
+            lambda: motzkin.elevated_groups(q - 2, n - 1),
+            lambda: [((), zip(verify.iter_bifix_free(q, n - 2), itertools.repeat(0)))],
+            lambda: baseline.baseline_groups(1, q, n - 1)[1],
+        ]
+        for make in makers:
+            expected = "".join(format_symbols(head + tail, q) + "\n" for head, tails in make() for tail, _ in tails)
+            assert expected and b"".join(wordlist.word_blocks(q, make())) == expected.encode("ascii"), q
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--q", "3", "--n", "14"],
+        ["gen", "--q", "3", "--n", "14", "--format", "json"],
+        ["gen", "--q", "3", "--n", "12", "--set", "bifixfree"],
+        ["baseline-gen", "--k", "2", "--q", "3", "--n", "16"],
+    ],
+)
+def test_a_closed_pipe_is_an_error(argv):
+    # as in `gen --q 3 --n 14 | head -1`: the reader takes one line and
+    # closes the pipe while megabytes are still to come
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crossbifix", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_baseline_gen(capsys):
@@ -367,6 +413,30 @@ def test_baseline_gen(capsys):
     assert code == 0 and out == "0011\n0012\n0021\n0022\n"
     code, _, err = run(capsys, "baseline-gen", "--k", "3", "--q", "3", "--n", "4")
     assert code == 2 and "run length" in err
+
+
+def test_baseline_gen_writes_the_code_set_without_building_it(tmp_path, capsys, monkeypatch):
+    cases = [(2, 3, 4), (2, 3, 7), (1, 2, 6), (1, 3, 5), (3, 4, 8), (2, 10, 5), (2, 11, 5), (1, 12, 4)]
+    expected = {}
+    for k, q, n in cases:
+        code_set = baseline.construct_baseline_set(k, q, n)
+        expected[k, q, n] = {"text": code_set.to_text(), "json": code_set.to_json()}
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built by baseline-gen")
+
+    monkeypatch.setattr(codeset.Word, "__post_init__", refuse)
+    monkeypatch.setattr(codeset.CodeSet, "__post_init__", refuse)
+    target = tmp_path / "words"
+    for (k, q, n), texts in expected.items():
+        for fmt, text in texts.items():
+            args = ["baseline-gen", "--k", str(k), "--q", str(q), "--n", str(n), "--format", fmt]
+            assert run(capsys, *args) == (0, text, ""), args
+            assert run(capsys, *args, "--out", str(target)) == (0, "", "")
+            assert target.read_bytes() == text.encode(), args
+    # a refused alphabet is refused as a word of the set would refuse it
+    code, _, err = run(capsys, "baseline-gen", "--k", "1", "--q", "70000", "--n", "3")
+    assert code == 2 and "alphabet size must be in [2, 65536], got 70000" in err
 
 
 def test_verify_set_ok(tmp_path, capsys):

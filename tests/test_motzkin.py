@@ -8,15 +8,10 @@ import pytest
 
 from crossbifix import counting, motzkin
 from crossbifix.cbfs import _shapes
-from crossbifix.motzkin import (
-    generate_elevated,
-    generate_motzkin,
-    has_ground_elevated_factor,
-    lex_groups,
-    motzkin_count,
-    motzkin_counts,
-)
-from crossbifix.words import Word, is_elevated, is_motzkin_word
+from crossbifix.codeset import Word, generate_elevated, generate_motzkin
+from crossbifix.counting import motzkin_count, motzkin_counts
+from crossbifix.motzkin import lex_groups
+from crossbifix.oracle import has_ground_elevated_factor, is_elevated, is_motzkin_word
 
 # frozen from the full-space enumeration oracle (see brute agreement below);
 # this is the classical one-color sequence

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from crossbifix.cbfs import CodeSet, construct_cbfs, count_cbfs
+from crossbifix.cbfs import construct_cbfs
+from crossbifix.codeset import CodeSet, Word
+from crossbifix.counting import count_cbfs
 from crossbifix.oracle import (
     brute_count_words_avoiding_zero_run,
     brute_motzkin_count,
@@ -14,7 +16,6 @@ from crossbifix.oracle import (
     verify_cross_bifix_free_set,
     verify_non_expandable,
 )
-from crossbifix.words import Word
 
 
 def code_set_of(texts, q):

@@ -27,27 +27,49 @@ CBFS_3_6 = construct_cbfs(3, 6).to_text()
 
 # Each command, its stdin and the package modules it loads besides
 # crossbifix.cli and crossbifix.counting. Counting (count, table) loads
-# neither the walk (cbfs, motzkin) nor words.
-WALK = {"crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.words"}
+# neither the walk (cbfs, motzkin) nor words; only gen and baseline-gen load
+# the word-list writer, and no command loads the API edge (codeset) or the
+# brute-force references (oracle).
+WALK = {"crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.words", "crossbifix.wordlist"}
 VERIFY = {"crossbifix.verify", "crossbifix.words"}
+WORDLIST = {"crossbifix.wordlist", "crossbifix.words"}
 COMMANDS = {
     "count": (["count", "--q", "3", "--n", "9"], None, set()),
     "count-S": (["count", "--q", "3", "--n", "9", "--set", "S"], None, {"crossbifix.baseline"}),
     "count-motzkin": (["count", "--q", "3", "--n", "9", "--set", "motzkin"], None, set()),
     "gen": (["gen", "--q", "3", "--n", "6"], None, WALK),
     "gen-json": (["gen", "--q", "3", "--n", "6", "--format", "json"], None, WALK),
+    "gen-A": (["gen", "--q", "12", "--n", "4", "--set", "A"], None, WALK),
     "gen-motzkin": (
         ["gen", "--q", "3", "--n", "6", "--set", "motzkin", "--format", "json"],
         None,
         WALK - {"crossbifix.cbfs"},
     ),
-    "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None, VERIFY),
+    "gen-elevated": (["gen", "--q", "3", "--n", "6", "--set", "elevated"], None, WALK - {"crossbifix.cbfs"}),
+    "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None, VERIFY | WORDLIST),
+    "gen-bifixfree-json": (
+        ["gen", "--q", "3", "--n", "6", "--set", "bifixfree", "--format", "json"],
+        None,
+        VERIFY | WORDLIST,
+    ),
     "verify": (["verify", "--in", "-", "--q", "3"], CBFS_3_6, VERIFY),
     "verify-nonexpandable": (["verify", "--in", "-", "--q", "3", "--mode", "nonexpandable"], CBFS_3_6, VERIFY),
+    "verify-all-witnesses": (
+        ["verify", "--in", "-", "--q", "3", "--mode", "nonexpandable", "--all-witnesses"],
+        CBFS_3_6,
+        VERIFY,
+    ),
     "table": (["table", "--q", "3..4", "--n", "3..8"], None, {"crossbifix.baseline"}),
     "table-json": (["table", "--q", "3..4", "--n", "3..8", "--format", "json"], None, {"crossbifix.baseline"}),
-    "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None, {"crossbifix.baseline"} | WALK),
+    "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None, {"crossbifix.baseline"} | WORDLIST),
+    "baseline-gen-json": (
+        ["baseline-gen", "--k", "2", "--q", "3", "--n", "6", "--format", "json"],
+        None,
+        {"crossbifix.baseline"} | WORDLIST,
+    ),
 }
+# Modules that no gen or verify process may load.
+API_EDGE = {"crossbifix.codeset", "crossbifix.oracle"}
 
 
 def loaded_modules(script, stdin=None):
@@ -83,7 +105,28 @@ def test_commands_load_only_what_they_run(name):
     assert out
     package = {module for module in loaded if module.startswith("crossbifix.")}
     assert package == {"crossbifix.cli", "crossbifix.counting"} | modules
+    assert not package & API_EDGE
     assert not loaded & {"csv", "dataclasses", "inspect"}
+
+
+def test_no_gen_or_verify_loads_the_api_edge():
+    # every --set of gen and every verify mode, in both formats or with
+    # every witness, run in one fresh process so the union is checked
+    sets = ("cbfs", "A", "B", "C", "motzkin", "elevated", "bifixfree")
+    variants = [["gen", "--q", "4", "--n", "5", "--set", name] for name in sets]
+    variants += [argv + ["--format", "json"] for argv in variants]
+    variants += [["gen", "--q", "12", "--n", "4", "--set", name] for name in ("cbfs", "motzkin", "bifixfree")]
+    modes = [["--mode", "set"], ["--mode", "nonexpandable"], ["--mode", "nonexpandable", "--all-witnesses"]]
+    inputs = {"1100\n1120\n": 3, "1100\n1000\n": 3, "1010\n": 3, "10,11\n": 12}
+    script = "import io\nfrom crossbifix.cli import main\nreal = sys.stdin\n"
+    for argv in variants:
+        script += f"assert main({argv!r}) == 0\n"
+    for text, q in inputs.items():
+        for mode in modes:
+            script += f"sys.stdin = io.StringIO({text!r})\n"
+            script += f"assert main(['verify', '--in', '-', '--q', '{q}', *{mode!r}]) in (0, 1, 2)\n"
+    loaded, out = loaded_modules(script + "sys.stdin = real\n")
+    assert out and not loaded & API_EDGE
 
 
 def test_importing_the_package_loads_none_of_its_modules():

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix import cli, oracle, verify, words
-from crossbifix.cbfs import CodeSet, construct_cbfs
+from crossbifix import cli, codeset, oracle, verify, wordlist, words
+from crossbifix.cbfs import construct_cbfs
 from crossbifix.cli import main
-from crossbifix.words import Word
+from crossbifix.codeset import CodeSet, Word, cross_bifix
+from crossbifix.words import symbols_of
 
 PAIRWISE_SIZES = [(3, n) for n in range(3, 10)] + [(4, n) for n in range(3, 8)]
 NON_EXPANDABLE_SIZES = [(3, n) for n in range(3, 8)] + [(4, n) for n in range(3, 6)]
@@ -154,7 +155,7 @@ def test_space_guard_comes_before_the_preconditions(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith("10499 candidates, above the cap of 10\n")
     # the command reads the members' codes and refuses on them, before it builds any word
-    monkeypatch.setattr(words.Word, "__post_init__", late)
+    monkeypatch.setattr(codeset.Word, "__post_init__", late)
     for n in ([], ["--n", "9"]):
         argv = ["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit", "10", *n]
         assert main(argv) == 2
@@ -331,14 +332,42 @@ def test_bifix_free_count_domain_errors():
         assert str(fast.value) == str(stream.value) == str(brute.value)
 
 
+def test_shortest_border_matches_cross_bifix_on_words():
+    # every ordered pair of Z_3^n for n <= 5, then a fixed-seed sample of Z_12^4
+    def agree(q, n, a, b, first, second):
+        hit = cross_bifix(first, second)
+        expected = None if hit is None else (len(hit.word), hit.prefix_of)
+        assert verify._shortest_border(a, b, q, n) == expected, (q, n, a, b)
+        if hit is not None:
+            assert verify._cross_bifix_text(a, b, q, n) == (hit.word.to_text(), hit.prefix_of)
+
+    for n in range(1, 6):
+        space = [Word(symbols_of(code, 3, n), 3) for code in range(3**n)]
+        for a, first in enumerate(space):
+            for b, second in enumerate(space):
+                agree(3, n, a, b, first, second)
+    rng = random.Random(1612)
+    hits = 0
+    for _ in range(20000):
+        a, b = rng.randrange(12**4), rng.randrange(12**4)
+        if rng.random() < 0.5:  # a pair sharing a random border, so that most pairs hit
+            length = rng.randrange(1, 4)
+            b = b - b % 12**length + a // 12 ** (4 - length)
+        first, second = Word(symbols_of(a, 12, 4), 12), Word(symbols_of(b, 12, 4), 12)
+        agree(12, 4, a, b, first, second)
+        hits += cross_bifix(first, second) is not None
+    assert hits > 10000
+
+
 def test_oracle_does_not_use_the_fast_path():
-    lines = inspect.getsource(oracle).splitlines()
-    imports = [line for line in lines if line.startswith(("import ", "from "))]
+    source = inspect.getsource(oracle)
+    imports = [line for line in source.splitlines() if line.startswith(("import ", "from "))]
     assert imports and not any("verify" in line for line in imports)
+    assert "_shortest_border" not in source and "_cross_bifix_text" not in source
 
 
 def test_production_does_not_use_the_oracle():
-    for module in (cli, verify):
+    for module in (cli, verify, wordlist):
         names = []
         for node in ast.walk(ast.parse(inspect.getsource(module))):
             if isinstance(node, ast.ImportFrom):

@@ -9,22 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix.cbfs import CodeSet, VerificationReport
-from crossbifix.words import (
-    CrossBifix,
-    HeightProfile,
-    Word,
-    bifixes,
-    cross_bifix,
-    format_symbol_lines,
-    height_profile,
-    is_bifix_free,
-    is_elevated,
-    is_motzkin_word,
-    read_codes,
-    symbol_step,
-    symbols_of,
-)
+from crossbifix.codeset import CodeSet, CrossBifix, Word, bifixes, cross_bifix, is_bifix_free
+from crossbifix.oracle import HeightProfile, height_profile, is_elevated, is_motzkin_word, symbol_step
+from crossbifix.words import VerificationReport, format_symbol_lines, read_codes, symbols_of
 
 
 def w(text, q=3):
