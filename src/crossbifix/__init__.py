@@ -6,11 +6,12 @@ compared against, and verifies every claimed property. The exported
 verifiers come from ``verify``, which joins prefix and suffix indexes, and
 whose prefix walk also streams the bifix-free words that ``gen --set
 bifixfree`` writes. The typed words and sets (``Word``, ``CodeSet``) and
-the paper's bifix predicates on them come from ``codeset``, the API edge;
-the path predicates (``is_motzkin_word``, ``is_elevated``, ...) come from
-``oracle``, whose independent brute-force scans are the reference the tests
-hold the fast paths to and are not exported. The commands handle symbol
-tuples and base-q codes, so no command loads ``codeset`` or ``oracle``.
+the paper's bifix predicates on them come from ``codeset``, the API edge.
+The root exports nothing from ``oracle``: its path predicates
+(``is_motzkin_word``, ``is_elevated``, ...) and independent brute-force
+scans are the reference the tests hold the fast paths to, and import from
+``crossbifix.oracle``. The commands handle symbol tuples and base-q codes,
+so no command loads ``codeset`` or ``oracle``.
 
 Importing the package loads none of its modules. Each exported name, and
 each module named in ``_EXPORTS``, is imported on first access (PEP 562),
@@ -36,7 +37,6 @@ _EXPORTS = {
         "is_bifix_free",
     ),
     "counting": ("count_cbfs", "family_sizes", "motzkin_count", "motzkin_counts"),
-    "oracle": ("HeightProfile", "has_ground_elevated_factor", "height_profile", "is_elevated", "is_motzkin_word"),
     "verify": ("verify_cross_bifix_free_set", "verify_non_expandable"),
     "words": ("VerificationReport",),
 }

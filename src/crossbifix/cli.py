@@ -53,27 +53,27 @@ def size_table(q_values, n_values, compare: str, bold: bool) -> tuple[list[str],
 
 
 def _parse_range(text: str) -> list[int]:
-    """A single integer or an inclusive range like 3..16."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text!r}")
-        return values
-    return [int(text)]
+    """A single integer or an inclusive range like 3..16; argparse prints
+    what is wrong with any other text."""
+    parts = text.split("..", 1)
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or a range like 3..16, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 @contextmanager
-def _output(path: str | None, binary: bool = False):
-    """Stdout for a missing path or ``-``, else the file at ``path``, opened
-    for writing; with ``binary``, either takes bytes. A stdout that is a
-    text-only stream, such as an ``io.StringIO`` put in its place, gets the
-    bytes decoded once the block ends."""
+def _output(path: str | None):
+    """A binary file to write: stdout for a missing path or ``-``, else the
+    file at ``path``. A stdout that is a text-only stream, such as an
+    ``io.StringIO`` put in its place, gets the bytes decoded once the block
+    ends."""
     if path not in (None, "-"):
-        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") as fh:
             yield fh
-    elif not binary:
-        yield sys.stdout
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # text written before goes first
         yield sys.stdout.buffer
@@ -128,38 +128,36 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _write_json_object(fh, members, text=str) -> None:
-    """Write a JSON object and a newline as ``json.dump(..., indent=2)``
-    lays them out, from ``(key, value)`` members with plain ASCII keys. A
-    value is its JSON text, or for a list an iterator of pieces of its
-    items' text, where each item is led by ``,\\n`` and a four-space
-    indent. The pieces are written as they come, so no list is held whole.
-    ``text`` turns the layout's own text into what ``fh`` takes: ``str``
-    for a text file, ``str.encode`` for a binary one, whose values are then
-    bytes too.
+def _write_json_object(fh, members) -> None:
+    """Write a JSON object and a newline to the binary file ``fh`` as
+    ``json.dump(..., indent=2)`` lays them out, from ``(key, value)``
+    members with plain ASCII keys. A value is the bytes of its JSON text,
+    or for a list an iterator of pieces of its items' text, where each item
+    is led by ``,\\n`` and a four-space indent. The pieces are written as
+    they come, so no list is held whole.
     """
     lead = "{\n"
     for key, value in members:
-        fh.write(text(f'{lead}  "{key}": '))
+        fh.write(f'{lead}  "{key}": '.encode())
         lead = ",\n"
-        if isinstance(value, (str, bytes)):
+        if isinstance(value, bytes):
             fh.write(value)
             continue
         first = next(value, None)
         if first is None:
-            fh.write(text("[]"))
+            fh.write(b"[]")
         else:
-            fh.write(text("[") + first[1:])  # the first item has no comma before it
+            fh.write(b"[" + first[1:])  # the first item has no comma before it
             fh.writelines(value)
-            fh.write(text("\n  ]"))
-    fh.write(text("\n}\n"))
+            fh.write(b"\n  ]")
+    fh.write(b"\n}\n")
 
 
 def _cmd_gen(args) -> int:
     from .wordlist import gen_groups, write_word_list
 
     q, n, groups, provenance = gen_groups(args)
-    with _output(args.out, binary=True) as fh:
+    with _output(args.out) as fh:
         write_word_list(fh, args.format, q, n, groups, provenance)
     return 0
 
@@ -169,7 +167,7 @@ def _cmd_baseline_gen(args) -> int:
     from .wordlist import tagged, write_word_list
 
     size, groups = baseline_groups(args.k, args.q, args.n, max_space=args.limit)
-    with _output(args.out, binary=True) as fh:
+    with _output(args.out) as fh:
         write_word_list(fh, args.format, args.q, args.n, groups, tagged("baseline", size))
     return 0
 
@@ -198,16 +196,16 @@ def _cmd_table(args) -> int:
             fields = [f'      "{name}": ' for name in names]
             cells = (",\n".join([f"{f}{'null' if v is None else v}" for f, v in zip(fields, row)]) for row in rows)
             members = [
-                ("compare", f'"{args.compare}"'),
-                ("q_values", iter(["".join(f",\n    {q}" for q in args.q)])),
-                ("n_values", iter(["".join(f",\n    {n}" for n in args.n)])),
-                ("rows", (",\n    {\n" + text + "\n    }" for text in cells)),
+                ("compare", f'"{args.compare}"'.encode()),
+                ("q_values", iter(["".join(f",\n    {q}" for q in args.q).encode()])),
+                ("n_values", iter(["".join(f",\n    {n}" for n in args.n).encode()])),
+                ("rows", ((",\n    {\n" + text + "\n    }").encode() for text in cells)),
             ]
             _write_json_object(fh, members)
         else:
             # no cell or name needs CSV quoting: cells are integers or None
-            fh.write(",".join(names) + "\n")
-            fh.writelines(",".join(["" if v is None else str(v) for v in row]) + "\n" for row in rows)
+            fh.write((",".join(names) + "\n").encode())
+            fh.writelines((",".join(["" if v is None else str(v) for v in row]) + "\n").encode() for row in rows)
     return 0
 
 

@@ -16,7 +16,7 @@ from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Sequence
 
 from .motzkin import elevated_groups, motzkin_groups
-from .words import Record, check_alphabet, format_symbol_lines, format_symbols, parse_code, read_codes, symbols_of
+from .words import Record, check_alphabet, format_symbols, parse_code, read_codes, symbols_of
 
 
 @total_ordering
@@ -47,11 +47,6 @@ class Word(Record):
                 raise ValueError(f"symbol {s!r} outside alphabet of size {self.q}")
 
     @classmethod
-    def run(cls, symbol: int, length: int, q: int) -> "Word":
-        """The word symbol^length (a run of one repeated symbol)."""
-        return cls((symbol,) * length, q)
-
-    @classmethod
     def from_text(cls, text: str, q: int) -> "Word":
         check_alphabet(q)
         code, length = parse_code(text, q)
@@ -70,13 +65,6 @@ class Word(Record):
         if isinstance(index, slice):
             return Word(self.symbols[index], self.q)
         return self.symbols[index]
-
-    def __add__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        if self.q != other.q:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.q)
 
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
@@ -195,15 +183,6 @@ class CodeSet(Record):
             prev = w
 
     @classmethod
-    def build(cls, q: int, n: int, tagged_words: Iterable[tuple[Word, str]]) -> "CodeSet":
-        """Sort into canonical order and drop duplicates (first tag wins)."""
-        seen = {}
-        for word, tag in tagged_words:
-            seen.setdefault(word.symbols, (word, tag))
-        ordered = [seen[symbols] for symbols in sorted(seen)]
-        return cls(q, n, tuple(word for word, _ in ordered), tuple(tag for _, tag in ordered))
-
-    @classmethod
     def from_ordered(cls, q: int, n: int, tagged_symbols: Iterable[tuple[tuple[int, ...], str]]) -> "CodeSet":
         """Wrap a stream of (symbols, tag) pairs that is already in canonical
         order. Nothing is sorted; the constructor still rejects a stream out
@@ -232,7 +211,7 @@ class CodeSet(Record):
         return CodeSet(self.q, self.n, tuple(w for w, _ in kept), tuple(t for _, t in kept))
 
     def to_text(self) -> str:
-        return format_symbol_lines([w.symbols for w in self.words], self.q)
+        return "".join([w.to_text() + "\n" for w in self.words])
 
     @classmethod
     def from_text(cls, text: str, q: int, n: int | None = None, tag: str = "external") -> "CodeSet":
@@ -251,12 +230,6 @@ class CodeSet(Record):
         import json
 
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CodeSet":
-        q, n = data["q"], data["n"]
-        pairs = [(Word.from_text(t, q), tag) for t, tag in zip(data["words"], data["provenance"])]
-        return cls.build(q, n, pairs)
 
 
 def generate_motzkin(colors: int, n: int) -> Iterator[Word]:

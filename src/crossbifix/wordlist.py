@@ -16,7 +16,10 @@ from typing import Iterator
 
 from .cli import _FAMILIES, _exact_int_output, _write_json_object
 from .counting import count_cbfs, motzkin_count
-from .words import _DIGITS, check_alphabet, format_symbols
+from .words import check_alphabet, format_symbols
+
+# Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 # Words per write call of `gen --set bifixfree`, and provenance items per
 # piece of a uniformly tagged list.
@@ -128,4 +131,4 @@ def write_word_list(fh, fmt: str, q: int, n: int, groups, provenance: Iterator[b
         return
     words = (b',\n    "' + block[:-1].replace(b"\n", b'",\n    "') + b'"' for block in blocks)
     members = [("q", b"%d" % q), ("n", b"%d" % n), ("provenance", provenance), ("words", words)]
-    _write_json_object(fh, members, str.encode)
+    _write_json_object(fh, members)

@@ -62,7 +62,10 @@ def parse_code(text: str, q: int, line: int = 0) -> tuple[int, int]:
 
 def read_codes(text: str, q: int, n: int | None = None) -> tuple[int, list[int]]:
     """``(n, codes)`` of word-per-line text: the word length, given or the
-    first word's, and the distinct codes in increasing order."""
+    first word's, and the distinct codes in increasing order. A given
+    length below 1 raises ValueError, whatever the text."""
+    if n is not None and n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
     codes = set()
     for number, line in enumerate(text.splitlines(), 1):
         code, length = parse_code(line, q, number)
@@ -159,17 +162,3 @@ class VerificationReport(Record):
 
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
-
-# Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
-def format_symbol_lines(rows: Sequence[Sequence[int]], q: int) -> str:
-    """The word-per-line text of symbol tuples over an alphabet of size q,
-    in the same form as ``format_symbols``. For q <= 10 the whole block is
-    joined as bytes and translated to digits in one pass."""
-    if not rows:
-        return ""
-    if q <= 10:
-        return (b"\n".join(map(bytes, rows)) + b"\n").translate(_DIGITS).decode("ascii")
-    return "".join(format_symbols(row, q) + "\n" for row in rows)

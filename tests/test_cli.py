@@ -518,6 +518,15 @@ def test_verify_parse_errors_name_the_line_and_the_form(capsys, monkeypatch):
         words.read_codes("12\n1a\n", 3)
 
 
+def test_verify_refuses_lengths_below_one(capsys, monkeypatch):
+    for n in ("0", "-3"):
+        for text in ("", "1100\n"):
+            for mode in ("set", "nonexpandable"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                code, out, err = run(capsys, "verify", "--in", "-", "--q", "3", "--n", n, "--mode", mode)
+                assert (code, out, err) == (2, "", f"error: length must be >= 1, got {n}\n"), (n, text, mode)
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--in", "/nonexistent/words.txt", "--q", "3")
     assert code == 2 and err.startswith("error:")
@@ -588,12 +597,12 @@ def test_table_csv_is_what_csv_writer_writes(tmp_path, capsys):
 
 
 def test_table_json_is_json_dump_written_a_row_at_a_time(monkeypatch):
-    class Counting(io.StringIO):
+    class Counting(io.BytesIO):
         writes = 0
 
-        def write(self, text):
+        def write(self, data):
             self.writes += 1
-            return super().write(text)
+            return super().write(data)
 
     for q_values, n_values, extra in (
         ([3, 4], list(range(3, 60)), ()),
@@ -604,11 +613,12 @@ def test_table_json_is_json_dump_written_a_row_at_a_time(monkeypatch):
         names, rows = size_table(q_values, n_values, compare, "--bold" in extra)
         rows = [dict(zip(names, row)) for row in rows]
         data = {"compare": compare, "q_values": q_values, "n_values": n_values, "rows": rows}
+        # the table writes bytes to the binary buffer under stdout
         out = Counting()
-        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="ascii"))
         q_arg, n_arg = f"{q_values[0]}..{q_values[-1]}", f"{n_values[0]}..{n_values[-1]}"
         assert main(["table", "--q", q_arg, "--n", n_arg, "--format", "json", *extra]) == 0
-        assert out.getvalue() == json.dumps(data, indent=2) + "\n"
+        assert out.getvalue().decode() == json.dumps(data, indent=2) + "\n"
         assert out.writes <= len(rows) + 12, out.writes
 
 
@@ -640,15 +650,23 @@ def test_size_table_equals_the_per_cell_counts():
 
 
 def test_table_matches_its_recorded_digests(tmp_path, capsys):
-    # the first is the digest the benchmark records for its table workload
+    # the first is the digest the benchmark records for its table workload;
+    # the last three are pinned in CI too
     for args, digest in (
         (("--q", "3..6", "--n", "3..200", "--compare", "S"), "000d401d634ad1ee5fcc7bdc58d980fab1126b1f52bb2d695612ffa6de204e73"),
         (("--q", "3..6", "--n", "3..200", "--format", "json", "--bold"), "e4d539194a909094840b55dd7cf7b7abc0cd79181c123988d85fea997a2f062f"),
         (("--q", "3..6", "--n", "3..200", "--compare", "Sstar", "--bold"), "980ee0023157ed78d94d5cd83e93eade57c993a46cf51d434d38e28d47c822ad"),
         (("--q", "3..4", "--n", "3000..3001"), "6ca73cdb6a8516fa74571077d92f3f22dfe9ca77bc9efed9b09bb6aa7aff463d"),
+        (("--q", "3..4", "--n", "3..20", "--format", "json"), "0c100ad050323d22986d4b3b2d51c1a3f07edae6573de703155b05ada9d91464"),
+        (("--q", "3..4", "--n", "3..20", "--compare", "Sstar", "--bold"), "4686ee5d2bf8c5e365e4ac7de48d7ce548bd8c15256a019046d5a6dfa65bf25d"),
+        (
+            ("--q", "3..4", "--n", "3..20", "--compare", "Sstar", "--bold", "--format", "json"),
+            "5aef13e429ad0985cadf76221b92c18b15331032d1f16f48f637aa319dfbe2c3",
+        ),
     ):
         code, out, err = run(capsys, "table", *args)
         assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest, args
+        assert run(capsys, "table", *args, "--out", "-") == (0, out, ""), args
         target = tmp_path / "table.out"
         assert run(capsys, "table", *args, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode(), args
@@ -705,9 +723,18 @@ def test_table_domain_refusal_writes_no_file(tmp_path, capsys):
 
 
 def test_bad_range_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["table", "--n", "6..3"])
-    assert excinfo.value.code == 2
+    for text, message in (
+        ("5..3", "empty range '5..3'"),
+        ("x..5", "expected an integer or a range like 3..16, got 'x..5'"),
+        ("3..", "expected an integer or a range like 3..16, got '3..'"),
+        ("abc", "expected an integer or a range like 3..16, got 'abc'"),
+    ):
+        for option in ("--q", "--n"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["table", option, text])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.endswith(f": error: argument {option}: {message}\n")
 
 
 def test_unknown_set_is_a_usage_error(capsys):

@@ -19,8 +19,7 @@ from crossbifix.oracle import (
 
 
 def code_set_of(texts, q):
-    n = len(texts[0])
-    return CodeSet.build(q, n, [(Word.from_text(t, q), "external") for t in texts])
+    return CodeSet.from_text("\n".join(texts), q)
 
 
 def test_enumerate_bifix_free_small():

@@ -60,7 +60,7 @@ def assert_same_reports(code_set):
 
 
 def code_set_of(texts, q):
-    return CodeSet.build(q, len(texts[0]), [(Word.from_text(t, q), "external") for t in texts])
+    return CodeSet.from_text("\n".join(texts), q)
 
 
 @pytest.mark.parametrize("q, n", PAIRWISE_SIZES)
@@ -178,7 +178,7 @@ def small_sets(draw):
         n = draw(st.integers(3, 6))
         members = construct_cbfs(q, n).words
         words = [w.symbols for w in draw(st.lists(st.sampled_from(members), min_size=1, max_size=12))]
-    return CodeSet.build(q, n, [(Word(w, q), "external") for w in words])
+    return CodeSet.from_ordered(q, n, ((w, "external") for w in sorted(set(words))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from crossbifix.codeset import CodeSet, CrossBifix, Word, bifixes, cross_bifix, is_bifix_free
 from crossbifix.oracle import HeightProfile, height_profile, is_elevated, is_motzkin_word, symbol_step
-from crossbifix.words import VerificationReport, format_symbol_lines, read_codes, symbols_of
+from crossbifix.wordlist import word_blocks
+from crossbifix.words import VerificationReport, read_codes, symbols_of
 
 
 def w(text, q=3):
@@ -146,7 +147,7 @@ def test_height_profile_steps_match_symbols(word):
 
 
 def test_word_construction_and_validation():
-    assert Word.run(2, 3, q=3).to_text() == "222"
+    assert Word((2,) * 3, 3).to_text() == "222"
     assert len(Word((), 4)) == 0
     with pytest.raises(ValueError):
         Word((3,), 3)
@@ -166,9 +167,7 @@ def test_word_ordering_slicing_concatenation():
     assert sorted([b, a]) == [a, b]
     assert a[:2].to_text() == "11"
     assert a[1] == 1
-    assert (a[:2] + a[2:]) == a
-    with pytest.raises(ValueError):
-        a + Word((0,), 4)
+    assert Word(a[:2].symbols + a[2:].symbols, 3) == a
 
 
 def test_text_format_round_trip():
@@ -209,7 +208,7 @@ def test_text_form_is_strict():
 
 def test_word_lines_round_trip():
     items = [w("1100"), w("2220")]
-    text = format_symbol_lines([x.symbols for x in items], 3)
+    text = CodeSet(3, 4, tuple(items), ("A", "B")).to_text()
     assert text == "1100\n2220\n"
     codes = [int("1100", 3), int("2220", 3)]
     assert read_codes(text, 3) == (4, codes)
@@ -218,14 +217,19 @@ def test_word_lines_round_trip():
     assert [Word(symbols_of(c, 3, 4), 3) for c in codes] == items
     assert read_codes("", 3, n=5) == (5, [])
     assert read_codes("1,0,15\n01,2,3\n", 16) == (3, [1 * 256 + 15, 1 * 256 + 2 * 16 + 3])
-    # digits up to q = 10, commas above; the block form matches the one-word form
+    with pytest.raises(ValueError, match="^length must be >= 1, got 0$"):
+        read_codes(text, 3, n=0)
+    # digits up to q = 10, commas above; the block forms of the writer and
+    # of a code set match the one-word form
     for q in (2, 3, 10, 11, 16):
-        block = [Word(tuple(s % q for s in (9, 0, 1, 15)), q), Word((1, 1, 0, 0), q)]
-        assert format_symbol_lines([x.symbols for x in block], q) == "".join(x.to_text() + "\n" for x in block)
-    assert format_symbol_lines([(9, 0, 1)], 10) == "901\n"
-    assert format_symbol_lines([(9, 0, 10)], 11) == "9,0,10\n"
-    assert format_symbol_lines([], 3) == ""
-    assert CodeSet(3, 4, tuple(items), ("A", "B")).to_text() == text
+        block = sorted([Word(tuple(s % q for s in (9, 0, 1, 15)), q), Word((1, 1, 0, 0), q)])
+        one_by_one = "".join(x.to_text() + "\n" for x in block)
+        assert b"".join(word_blocks(q, [((), [(x.symbols, 0) for x in block])])) == one_by_one.encode()
+        assert CodeSet(q, 4, tuple(block), ("A", "B")).to_text() == one_by_one
+    assert list(word_blocks(10, [((), [((9, 0, 1), 0)])])) == [b"901\n"]
+    assert list(word_blocks(11, [((), [((9, 0, 10), 0)])])) == [b"9,0,10\n"]
+    assert list(word_blocks(3, [((), [])])) == []
+    assert CodeSet(3, 4, (), ()).to_text() == ""
 
 
 def test_records_equal_hash_order_and_print_as_frozen_dataclasses_did():
