@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -52,13 +53,27 @@ def size_table(q_values, n_values, compare: str, bold: bool) -> tuple[list[str],
     return names, rows
 
 
+def _integer(text: str) -> int:
+    """An integer option's value, ASCII ``-?[0-9]+``. Other Unicode digits,
+    a plus sign, spaces, underscores and more digits than int reads under
+    its digit cap are refused, so options are read as strictly as words;
+    argparse prints the message with the option's name."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # past int's digit cap
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _parse_range(text: str) -> list[int]:
-    """A single integer or an inclusive range like 3..16; argparse prints
-    what is wrong with any other text."""
+    """A single integer or an inclusive range like 3..16, each end read as
+    ``_integer`` reads it; argparse prints what is wrong with any other
+    text."""
     parts = text.split("..", 1)
     try:
-        lo, hi = int(parts[0]), int(parts[-1])
-    except ValueError:
+        lo, hi = _integer(parts[0]), _integer(parts[-1])
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected an integer or a range like 3..16, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
@@ -87,9 +102,10 @@ def _output(path: str | None):
 
 @contextmanager
 def _exact_int_output():
-    """Lift Python's cap on int-to-str conversion (4300 digits by default,
-    where the interpreter has one) so that exact counts print in full, and
-    restore it afterwards. The cap stays in force while input is parsed."""
+    """Lift Python's cap on int-str conversion (4300 digits by default,
+    where the interpreter has one) so that exact counts print in full and
+    long words are read, and restore it afterwards. ``main`` runs each
+    command in it, once argv is parsed."""
     get_cap = getattr(sys, "get_int_max_str_digits", None)
     if get_cap is None:
         yield
@@ -117,14 +133,12 @@ def _cmd_count(args) -> int:
         value, k = best(args.n, args.q)
         suffix = f" k={k}"
     elif args.set == "motzkin":
-        colors = args.colors if args.colors is not None else args.q - 2
-        value = motzkin_count(colors, args.n)  # checks the colors; 0 for n < 0
+        value = motzkin_count(args.q - 2, args.n)  # checks the colors; 0 for n < 0
         if args.n < 0:
             raise ValueError(f"length must be non-negative, got {args.n}")
     else:
         value = count_cbfs(args.q, args.n, _FAMILIES[args.set])
-    with _exact_int_output():
-        print(f"{value}{suffix}")
+    print(f"{value}{suffix}")
     return 0
 
 
@@ -156,9 +170,9 @@ def _write_json_object(fh, members) -> None:
 def _cmd_gen(args) -> int:
     from .wordlist import gen_groups, write_word_list
 
-    q, n, groups, provenance = gen_groups(args)
+    groups, provenance = gen_groups(args)
     with _output(args.out) as fh:
-        write_word_list(fh, args.format, q, n, groups, provenance)
+        write_word_list(fh, args.format, args.q, args.n, groups, provenance)
     return 0
 
 
@@ -190,7 +204,7 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     _check_length(max(args.n), args.limit)
     names, rows = size_table(args.q, args.n, args.compare, args.bold)
-    with _exact_int_output(), _output(args.out) as fh:
+    with _output(args.out) as fh:
         if args.format == "json":
             # one piece for each list of values and for each row
             fields = [f'      "{name}": ' for name in names]
@@ -218,49 +232,49 @@ def build_parser() -> argparse.ArgumentParser:
     length_help = f"refuse word lengths n above this (default: {DEFAULT_LENGTH_LIMIT})"
 
     p_count = sub.add_parser("count", help="print an exact cardinality")
-    p_count.add_argument("--q", type=int, required=True, help="alphabet size")
-    p_count.add_argument("--n", type=int, required=True, help="word length")
+    p_count.add_argument("--q", type=_integer, required=True, help="alphabet size")
+    p_count.add_argument("--n", type=_integer, required=True, help="word length")
     p_count.add_argument(
         "--set",
         default="cbfs",
         choices=("cbfs", "A", "B", "C", "S", "Sstar", "motzkin"),
         help="which family to count (default: cbfs)",
     )
-    p_count.add_argument("--colors", type=int, default=None, help="level colors for --set motzkin (default: q-2)")
-    p_count.add_argument("--limit", type=int, default=DEFAULT_LENGTH_LIMIT, help=length_help)
+    p_count.add_argument("--limit", type=_integer, default=DEFAULT_LENGTH_LIMIT, help=length_help)
     p_count.set_defaults(func=_cmd_count)
 
     p_gen = sub.add_parser("gen", help="write a word list in canonical order")
-    p_gen.add_argument("--q", type=int, required=True)
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--q", type=_integer, required=True)
+    p_gen.add_argument("--n", type=_integer, required=True)
     p_gen.add_argument(
         "--set",
         default="cbfs",
         choices=("cbfs", "A", "B", "C", "motzkin", "elevated", "bifixfree"),
     )
-    p_gen.add_argument("--colors", type=int, default=None, help="level colors for motzkin/elevated (default: q-2)")
     p_gen.add_argument("--out", default=None, help="output path (default: stdout)")
     p_gen.add_argument("--format", default="text", choices=("text", "json"))
-    p_gen.add_argument("--limit", type=int, default=DEFAULT_MAX_SPACE, help="refuse outputs larger than this many words")
+    p_gen.add_argument(
+        "--limit", type=_integer, default=DEFAULT_MAX_SPACE, help="refuse outputs larger than this many words"
+    )
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bgen = sub.add_parser("baseline-gen", help="write a baseline set S(k, q, n)")
-    p_bgen.add_argument("--k", type=int, required=True, help="zero-run length")
-    p_bgen.add_argument("--q", type=int, required=True)
-    p_bgen.add_argument("--n", type=int, required=True)
+    p_bgen.add_argument("--k", type=_integer, required=True, help="zero-run length")
+    p_bgen.add_argument("--q", type=_integer, required=True)
+    p_bgen.add_argument("--n", type=_integer, required=True)
     p_bgen.add_argument("--out", default=None)
     p_bgen.add_argument("--format", default="text", choices=("text", "json"))
-    p_bgen.add_argument("--limit", type=int, default=DEFAULT_MAX_SPACE)
+    p_bgen.add_argument("--limit", type=_integer, default=DEFAULT_MAX_SPACE)
     p_bgen.set_defaults(func=_cmd_baseline_gen)
 
     p_verify = sub.add_parser("verify", help="verify a word-list file, print a JSON report")
     p_verify.add_argument("--in", dest="infile", required=True, help="word-per-line file, or - for stdin")
-    p_verify.add_argument("--q", type=int, required=True)
-    p_verify.add_argument("--n", type=int, default=None, help="word length (default: inferred)")
+    p_verify.add_argument("--q", type=_integer, required=True)
+    p_verify.add_argument("--n", type=_integer, default=None, help="word length (default: inferred)")
     p_verify.add_argument("--mode", default="set", choices=("set", "nonexpandable"))
     p_verify.add_argument(
         "--limit",
-        type=int,
+        type=_integer,
         default=DEFAULT_MAX_SPACE,
         help="nonexpandable mode: refuse sets with more outside bifix-free candidates, U_q(n) - |S|, than this",
     )
@@ -278,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", default="csv", choices=("csv", "json"))
     p_table.add_argument("--bold", action="store_true", help="add columns marking where cbfs exceeds the comparator")
     p_table.add_argument("--out", default=None)
-    p_table.add_argument("--limit", type=int, default=DEFAULT_LENGTH_LIMIT, help=length_help)
+    p_table.add_argument("--limit", type=_integer, default=DEFAULT_LENGTH_LIMIT, help=length_help)
     p_table.set_defaults(func=_cmd_table)
 
     return parser
@@ -287,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _exact_int_output():  # argv is read under the cap, the command without it
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,6 +85,17 @@ def _cross_bifix_text(a: int, b: int, q: int, n: int) -> tuple[str, str]:
     return _text(prefix, q, length), prefix_of
 
 
+def _report(kind: str, t0: float, ok: bool, witnesses, members: int, candidates: int, error=None):
+    """The VerificationReport of a check of ``kind`` begun at ``t0``, whose
+    stats count the |S| (|S| - 1) / 2 pairs of its ``members`` members."""
+    stats = {
+        "pairs_checked": members * (members - 1) // 2,
+        "candidates_checked": candidates,
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return VerificationReport(kind, ok, tuple(witnesses), stats, error)
+
+
 def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
     """``verify_cross_bifix_free_set`` on the increasing base-q codes of
     the members of a set in Z_q^n."""
@@ -100,12 +111,7 @@ def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
                 "prefix_of": prefix_of,
             }
         )
-    stats = {
-        "pairs_checked": len(codes) * (len(codes) - 1) // 2,
-        "candidates_checked": 0,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return VerificationReport("cross-bifix-set", not witnesses, tuple(witnesses), stats)
+    return _report("cross-bifix-set", t0, not witnesses, witnesses, len(codes), 0)
 
 
 def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
@@ -208,27 +214,18 @@ def non_expandable_report(
     """``verify_non_expandable`` on the increasing base-q codes of the
     members of a set in Z_q^n."""
     t0 = time.perf_counter()
-
-    def report(ok, witnesses, pairs, candidates, error=None):
-        stats = {
-            "pairs_checked": pairs,
-            "candidates_checked": candidates,
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        return VerificationReport("non-expandable", ok, tuple(witnesses), stats, error)
-
     candidates = count_bifix_free(q, n) - len(codes)
     if candidates > max_space:
         raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
     bad, bordered = _shared_borders(codes, q, n)
     if bordered < len(codes):
-        return report(False, [], 0, 0, error=f"member {_text(codes[bordered], q, n)!r} is not bifix-free")
-    pairs = len(codes) * (len(codes) - 1) // 2
+        error = f"member {_text(codes[bordered], q, n)!r} is not bifix-free"
+        return _report("non-expandable", t0, False, [], 0, 0, error)
     if bad:
         left, right = (codes[i] for i in bad[0])
         share = _cross_bifix_text(left, right, q, n)[0]
         error = f"set is not cross-bifix-free: {_text(left, q, n)} / {_text(right, q, n)} share {share}"
-        return report(False, [], pairs, 0, error=error)
+        return _report("non-expandable", t0, False, [], len(codes), 0, error)
 
     witnesses = []
     member_text = cache(lambda i: _text(codes[i], q, n))  # one text per blocking member
@@ -239,7 +236,7 @@ def non_expandable_report(
             witness.update(cross_bifix=share, blocking=member_text(first), prefix_of=prefix_of)
         witnesses.append(witness)
     ok = all(w["blocking"] is not None for w in witnesses)
-    return report(ok, witnesses, pairs, candidates)
+    return _report("non-expandable", t0, ok, witnesses, len(codes), candidates)
 
 
 def verify_non_expandable(

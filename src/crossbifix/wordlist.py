@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import islice, repeat
 from typing import Iterator
 
-from .cli import _FAMILIES, _exact_int_output, _write_json_object
+from .cli import _FAMILIES, _write_json_object
 from .counting import count_cbfs, motzkin_count
 from .words import check_alphabet, format_symbols
 
@@ -35,11 +35,12 @@ def tagged(tag: str, count: int) -> Iterator[bytes]:
 
 def gen_groups(args):
     """Check the alphabet and --limit for a `gen` request, then return the
-    alphabet size, the word length, the ``(head, tails)`` groups of its
-    words in canonical order and the pieces of their JSON provenance list.
-    A CBFS set's tags come from a second walk, made only if the list is
-    written; every word of the other sets is tagged external. No word is
-    produced before the checks pass."""
+    ``(head, tails)`` groups of its words in canonical order and the pieces
+    of their JSON provenance list. The Motzkin and elevated sets take
+    ``q - 2`` level colors, as the CBFS sets do. A CBFS set's tags come
+    from a second walk, made only if the list is written; every word of the
+    other sets is tagged external. No word is produced before the checks
+    pass."""
     q, n = args.q, args.n
     if args.set in _FAMILIES:
         from .cbfs import cbfs_groups
@@ -60,18 +61,15 @@ def gen_groups(args):
         else:
             from .motzkin import elevated_groups, motzkin_groups
 
-            colors = args.colors if args.colors is not None else q - 2
-            q = colors + 2
             if args.set == "motzkin":
-                expected, groups = motzkin_count(colors, n), motzkin_groups(colors, n)
+                expected, groups = motzkin_count(q - 2, n), motzkin_groups(q - 2, n)
             else:
-                expected, groups = motzkin_count(colors, n - 2), elevated_groups(colors, n)  # 0 for n < 2
+                expected, groups = motzkin_count(q - 2, n - 2), elevated_groups(q - 2, n)  # 0 for n < 2
         provenance = tagged("external", expected)
     check_alphabet(q)  # as a Word of the set would
-    with _exact_int_output():
-        if expected > args.limit:
-            raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
-    return q, n, groups, provenance
+    if expected > args.limit:
+        raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
+    return groups, provenance
 
 
 def word_blocks(q: int, groups) -> Iterator[bytes]:

@@ -37,7 +37,7 @@ def test_count_cbfs(capsys):
 def test_count_families_and_motzkin(capsys):
     code, out, _ = run(capsys, "count", "--q", "3", "--n", "4", "--set", "A")
     assert code == 0 and out == "4\n"
-    code, out, _ = run(capsys, "count", "--q", "3", "--n", "0", "--set", "motzkin", "--colors", "1")
+    code, out, _ = run(capsys, "count", "--q", "3", "--n", "0", "--set", "motzkin")
     assert code == 0 and out == "1\n"
     code, out, _ = run(capsys, "count", "--q", "4", "--n", "3", "--set", "motzkin")
     assert code == 0 and out == "14\n"
@@ -53,7 +53,7 @@ def test_exact_values_print_past_the_int_digit_cap(capsys):
         count_out = run(capsys, "count", "--q", "3", "--n", "10000")
         csv_out = run(capsys, "table", "--q", str(q), "--n", "110")
         json_out = run(capsys, "table", "--q", str(q), "--n", "110", "--format", "json")
-        assert sys.get_int_max_str_digits() == cap  # lifted for the output only
+        assert sys.get_int_max_str_digits() == cap  # lifted for each command only
         expected = count_cbfs(3, 10000)
         row = {"n": 110, f"cbfs_q{q}": count_cbfs(q, 110), f"cmp_q{q}": s_max(110, q)[0]}
         sys.set_int_max_str_digits(0)
@@ -180,19 +180,17 @@ def test_verify_builds_no_word_or_code_set_for_a_passing_set(capsys, monkeypatch
 
 
 def test_gen_json_writes_the_code_set_json_without_building_it(capsys, monkeypatch):
-    # every set at the edges: q > 10, n = 0, 1, 2 and explicit colors
+    # every set at the edges: q > 10 and n = 0, 1, 2
     expected = []
     for q, n in ((3, 3), (3, 5), (11, 3), (12, 4)):
         for name, families in (("cbfs", "ABC"), ("A", "A"), ("B", "B"), ("C", "C")):
             expected.append((("--q", str(q), "--n", str(n), "--set", name), construct_cbfs(q, n, families)))
-    for q, colors in ((2, None), (3, None), (4, 1), (3, 10), (12, None)):
-        k = q - 2 if colors is None else colors
-        extra = () if colors is None else ("--colors", str(colors))
+    for q in (2, 3, 12):
         for n in (0, 1, 2, 3, 5):
             for name, generate in (("motzkin", codeset.generate_motzkin), ("elevated", codeset.generate_elevated)):
-                tagged = ((word.symbols, "external") for word in generate(k, n))
-                args = ("--q", str(q), "--n", str(n), "--set", name, *extra)
-                expected.append((args, CodeSet.from_ordered(k + 2, n, tagged)))
+                tagged = ((word.symbols, "external") for word in generate(q - 2, n))
+                args = ("--q", str(q), "--n", str(n), "--set", name)
+                expected.append((args, CodeSet.from_ordered(q, n, tagged)))
     for q in (2, 3, 12):
         for n in (1, 2, 3, 5):
             tagged = ((symbols, "external") for symbols in verify.iter_bifix_free(q, n))
@@ -238,7 +236,7 @@ def test_gen_refusal_writes_no_file(tmp_path, capsys):
     refusals += [
         (("--q", "2", "--n", "5", "--set", "cbfs"), "q >= 3"),
         (("--q", "3", "--n", "0", "--set", "bifixfree"), "length"),
-        (("--q", "3", "--n", "4", "--set", "motzkin", "--colors", "-1"), "color count"),
+        (("--q", "1", "--n", "4", "--set", "motzkin"), "color count must be non-negative, got -1"),
     ]
     for i, (args, message) in enumerate(refusals):
         for fmt in ("text", "json"):
@@ -277,7 +275,7 @@ def test_gen_refusal_prints_counts_past_the_int_digit_cap(tmp_path, capsys):
             target = tmp_path / f"{i}.txt"
             printed.append(run(capsys, "gen", *args, "--limit", "10", "--out", str(target)))
             assert not target.exists()
-        assert sys.get_int_max_str_digits() == cap  # lifted for the message only
+        assert sys.get_int_max_str_digits() == cap  # lifted for each command only
         sys.set_int_max_str_digits(0)
         for (code, out, err), (args, expected) in zip(printed, cases):
             assert code == 2 and out == "", args
@@ -293,8 +291,8 @@ def test_gen_refuses_alphabets_that_no_word_takes(tmp_path, capsys):
         (("--q", "70000", "--n", "3", "--set", "A"), 70000),
         (("--q", "65537", "--n", "3"), 65537),
         (("--q", str(10**40), "--n", "110", "--set", "cbfs"), 10**40),
-        (("--q", "3", "--n", "3", "--set", "motzkin", "--colors", "65535"), 65537),
-        (("--q", "3", "--n", "4", "--set", "elevated", "--colors", "70000"), 70002),
+        (("--q", "65537", "--n", "3", "--set", "motzkin"), 65537),
+        (("--q", "70002", "--n", "4", "--set", "elevated"), 70002),
         (("--q", "70000", "--n", "2", "--set", "bifixfree"), 70000),
     ]
     for i, (args, q) in enumerate(cases):
@@ -735,6 +733,97 @@ def test_bad_range_is_a_usage_error(capsys):
             assert excinfo.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.endswith(f": error: argument {option}: {message}\n")
+
+
+def test_integer_options_take_only_ascii_digits(capsys):
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    options = []
+    for command, parser in commands.items():
+        for action in parser._actions:
+            assert action.type is not int, (command, action.dest)
+            if action.type in (cli._integer, cli._parse_range):
+                options.append((command, action.option_strings[0], action.type))
+    assert len(options) == 16  # --q, --n and --limit of every command, and --k
+    valid = {
+        "count": ["--q", "3", "--n", "5", "--limit", "9"],
+        "gen": ["--q", "3", "--n", "5", "--limit", "9"],
+        "baseline-gen": ["--k", "2", "--q", "3", "--n", "5", "--limit", "9"],
+        "verify": ["--in", "-", "--q", "3", "--n", "5", "--limit", "9"],
+        "table": ["--q", "3", "--n", "5", "--limit", "9"],
+    }
+    for command, option, kind in options:
+        for text in ("\u0663", "+5", " 5", "5 ", "3_0", "0x5", "", "-", "3..\u0665"):
+            argv = list(valid[command])
+            argv[argv.index(option) + 1] = text
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, *argv])
+            assert excinfo.value.code == 2
+            expected = "an integer" if kind is cli._integer else "an integer or a range like 3..16"
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.endswith(
+                f": error: argument {option}: expected {expected}, got {text!r}\n"
+            ), (command, option, text)
+    # negative integers are still read, and reach the commands' own checks
+    assert cli._integer("-1") == -1 and cli._integer("007") == 7
+    assert cli._parse_range("-2..-1") == [-2, -1]
+    assert run(capsys, "count", "--q", "3", "--n", "-1", "--set", "cbfs")[0] == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap")
+def test_integer_options_refuse_values_past_the_int_digit_cap(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        text = "1" * 4301
+        for argv, option in (
+            (["count", "--q", "3", "--n", text], "--n"),
+            (["table", "--q", text], "--q"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2 and f"error: argument {option}: expected" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap")
+def test_the_int_digit_cap_is_lifted_for_the_command_only(capsys, monkeypatch):
+    saved = sys.get_int_max_str_digits()
+    cap = 4300  # Python's default
+    sys.set_int_max_str_digits(cap)
+    try:
+        # the refusal of a 9,100-symbol word prints its count of 4,342 digits
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1" * 9099 + "0\n"))
+        code, out, err = run(capsys, "verify", "--in", "-", "--q", "3", "--mode", "nonexpandable")
+        assert sys.get_int_max_str_digits() == cap
+        sys.set_int_max_str_digits(0)
+        candidates = verify.count_bifix_free(3, 9100) - 1
+        assert len(str(candidates)) > cap
+        message = f"error: non-expandability needs a walk over {candidates} candidates, above the cap of 10000000\n"
+        assert (code, out, err) == (2, "", message)
+        sys.set_int_max_str_digits(cap)
+
+        # a command that raises past main restores the cap too
+        def fail(args):
+            assert sys.get_int_max_str_digits() == 0
+            raise RuntimeError("failed")
+
+        monkeypatch.setattr(cli, "_cmd_count", fail)
+        with pytest.raises(RuntimeError, match="failed"):
+            main(["count", "--q", "3", "--n", "4"])
+        assert sys.get_int_max_str_digits() == cap
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_the_colors_option_is_gone(capsys):
+    # every set takes q - 2 level colors
+    for command in ("count", "gen"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--q", "3", "--n", "4", "--set", "motzkin", "--colors", "1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(": error: unrecognized arguments: --colors 1\n")
 
 
 def test_unknown_set_is_a_usage_error(capsys):
