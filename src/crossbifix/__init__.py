@@ -3,10 +3,11 @@
 The package constructs the non-expandable cross-bifix-free sets CBFS(q, n),
 counts them exactly, generates the classic zero-run baseline sets they are
 compared against, and verifies every claimed property. The exported
-verifiers come from ``verify``, which joins prefix and suffix indexes, and
-whose prefix walk also streams the bifix-free words that ``gen --set
-bifixfree`` writes. The typed words and sets (``Word``, ``CodeSet``) and
-the paper's bifix predicates on them come from ``codeset``, the API edge.
+verifiers come from ``verify``, which joins prefix and suffix indexes and
+walks prefixes with ``bifixfree``; that walk also streams the bifix-free
+words that ``gen --set bifixfree`` writes. The typed words and sets
+(``Word``, ``CodeSet``) and the paper's bifix predicates on them come from
+``codeset``, the API edge.
 The root exports nothing from ``oracle``: its path predicates
 (``is_motzkin_word``, ``is_elevated``, ...) and independent brute-force
 scans are the reference the tests hold the fast paths to, and import from
@@ -22,6 +23,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# Default cap on the words a command writes or a verification scan covers;
+# here, so that reading it loads no other module.
+DEFAULT_MAX_SPACE = 10_000_000
+
 # The exported names of each module.
 _EXPORTS = {
     "baseline": ("best_sizes", "construct_baseline_set", "f_count", "s_max", "s_star", "zero_run_counts"),
@@ -36,9 +41,9 @@ _EXPORTS = {
         "generate_motzkin",
         "is_bifix_free",
     ),
+    "codes": ("VerificationReport",),
     "counting": ("count_cbfs", "family_sizes", "motzkin_count", "motzkin_counts"),
     "verify": ("verify_cross_bifix_free_set", "verify_non_expandable"),
-    "words": ("VerificationReport",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .counting import DEFAULT_MAX_SPACE
+from . import DEFAULT_MAX_SPACE
 
 if TYPE_CHECKING:
     from .codeset import CodeSet

@@ -15,8 +15,9 @@ from __future__ import annotations
 from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Sequence
 
+from .codes import Record, parse_code, read_codes
 from .motzkin import elevated_groups, motzkin_groups
-from .words import Record, check_alphabet, format_symbols, parse_code, read_codes, symbols_of
+from .words import check_alphabet, format_symbols, symbols_of
 
 
 @total_ordering

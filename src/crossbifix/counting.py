@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-# Default cap on the words a verification scan may cover.
-DEFAULT_MAX_SPACE = 10_000_000
-
 
 def motzkin_counts(colors: int, lengths: Iterable[int]) -> dict[int, int]:
     """M(m) for every m in ``lengths``, from one pass of the P-recurrence

@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 import time
 
+from . import DEFAULT_MAX_SPACE
 from .cbfs import construct_cbfs
+from .codes import Record, VerificationReport
 from .codeset import CodeSet, Word, cross_bifix, is_bifix_free, prefix_function
-from .counting import DEFAULT_MAX_SPACE, count_cbfs
-from .words import FALL, RISE, Record, VerificationReport
+from .counting import count_cbfs
+from .words import FALL, RISE
 
 
 def _check_space(space: int, max_space: int, what: str) -> None:

@@ -1,0 +1,83 @@
+"""The ``count`` and ``table`` commands: exact sizes, one at a time or as a
+table, with no word built.
+
+Only these two commands load this module. Their counts come from
+``counting`` and, for the baseline's maxima, ``baseline``; the table is
+written a row at a time as CSV, or as JSON through ``jsontext``, which only
+the JSON form loads.
+"""
+
+from __future__ import annotations
+
+from .cli import _FAMILIES, _output
+from .counting import count_cbfs, family_sizes, motzkin_count
+
+
+def _check_length(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"word length n={n} above --limit {limit}")
+
+
+def _cmd_count(args) -> int:
+    _check_length(args.n, args.limit)
+    suffix = ""
+    if args.set in ("S", "Sstar"):
+        from .baseline import s_max, s_star
+
+        best = s_max if args.set == "S" else s_star
+        value, k = best(args.n, args.q)
+        suffix = f" k={k}"
+    elif args.set == "motzkin":
+        value = motzkin_count(args.q - 2, args.n)  # checks the colors; 0 for n < 0
+        if args.n < 0:
+            raise ValueError(f"length must be non-negative, got {args.n}")
+    else:
+        value = count_cbfs(args.q, args.n, _FAMILIES[args.set])
+    print(f"{value}{suffix}")
+    return 0
+
+
+def size_table(q_values, n_values, compare: str, bold: bool) -> tuple[list[str], list[list]]:
+    """The column names and rows of the size table: for each n, then for
+    each q, |CBFS(q, n)| and the comparator's maximum (the baseline S or its
+    extension Sstar, None where the maximization has no run length) and,
+    with ``bold``, 1 where CBFS is larger, 0 where not, None with no
+    comparator."""
+    from .baseline import best_sizes
+
+    k_min = {"S": 2, "Sstar": 1}[compare]
+    columns = ("cbfs", "cmp", "bold") if bold else ("cbfs", "cmp")
+    names = ["n"] + [f"{column}_q{q}" for q in q_values for column in columns]
+    rows = [[n] for n in n_values]
+    for q in q_values:
+        sizes = family_sizes(q, n_values)
+        best = best_sizes(q, n_values, k_min)
+        for n, row in zip(n_values, rows):
+            ours = sum(sizes[n])
+            other = best[n][0] if n in best else None
+            row += [ours, other, None if other is None else int(ours > other)][: len(columns)]
+    return names, rows
+
+
+def _cmd_table(args) -> int:
+    _check_length(max(args.n), args.limit)
+    names, rows = size_table(args.q, args.n, args.compare, args.bold)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            from .jsontext import write_object
+
+            # one piece for each list of values and for each row
+            fields = [f'      "{name}": ' for name in names]
+            cells = (",\n".join([f"{f}{'null' if v is None else v}" for f, v in zip(fields, row)]) for row in rows)
+            members = [
+                ("compare", f'"{args.compare}"'.encode()),
+                ("q_values", iter(["".join(f",\n    {q}" for q in args.q).encode()])),
+                ("n_values", iter(["".join(f",\n    {n}" for n in args.n).encode()])),
+                ("rows", ((",\n    {\n" + text + "\n    }").encode() for text in cells)),
+            ]
+            write_object(fh, members)
+        else:
+            # no cell or name needs CSV quoting: cells are integers or None
+            fh.write((",".join(names) + "\n").encode())
+            fh.writelines((",".join(["" if v is None else str(v) for v in row]) + "\n").encode() for row in rows)
+    return 0

@@ -7,53 +7,81 @@ length l in 1..n-1, the length-l prefix of one equals the length-l suffix
 of the other (Bilotta, Pergola and Pinzani, "A new approach to
 cross-bifix-free sets", IEEE Trans. Inf. Theory, 2012). Both checks below
 therefore join members and candidates on prefix and suffix codes, one length
-at a time, instead of comparing every pair of words. A witness is found and
-written from the codes as well (``_shortest_border``), so no ``Word`` is
-built.
+at a time, instead of comparing every pair of words. One index, built once
+per check (``_index``), maps each length's prefixes and suffixes to the
+first member that has them; the pairwise join (``_shared_borders``) and the
+candidates' walk (``_walk``) both read it. A witness is found and written
+from the codes as well (``_shortest_border``), so no ``Word`` is built.
 
 The reports are the ones the brute scans in ``oracle`` produce, witness for
 witness, except that the non-expandability report lists only unblocked
 candidates unless every witness is asked for; the tests hold the two side by
 side.
+
+The ``verify`` command's handler lives here. A ``verify`` process loads
+this module, ``bifixfree`` (the index and the walk), ``codes`` (the parser
+and the report), ``words`` and ``jsontext`` (which writes the report)
+besides ``cli``: no ``json``, and nothing of counting or of the other
+commands.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_left
+from contextlib import nullcontext
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .counting import DEFAULT_MAX_SPACE
-from .words import VerificationReport, code_of, format_symbols, symbols_of
+from . import DEFAULT_MAX_SPACE
+from .bifixfree import _index, _walk, count_bifix_free
+from .codes import VerificationReport, code_of, read_codes
+from .words import check_alphabet, format_symbols, symbols_of
 
 if TYPE_CHECKING:
     from .codeset import CodeSet
 
 
-def _shared_borders(codes: list[int], q: int, n: int) -> tuple[list[tuple[int, int]], int]:
+def _cmd_verify(args) -> int:
+    """The ``verify`` command: read the word list, check it in the chosen
+    mode and print the report. Exit 0 when the check holds, 1 when it
+    fails and 2 when a precondition fails."""
+    check_alphabet(args.q)  # before the input is read
+    with nullcontext(sys.stdin) if args.infile == "-" else open(args.infile, encoding="utf-8") as fh:
+        n, codes = read_codes(fh.read(), args.q, args.n)
+    if args.mode == "set":
+        report = cross_bifix_report(args.q, n, codes)
+    else:
+        report = non_expandable_report(args.q, n, codes, args.limit, args.all_witnesses)
+    sys.stdout.write(report.to_json())
+    return 2 if report.error is not None else 0 if report.ok else 1
+
+
+def _shared_borders(codes: list[int], index) -> tuple[list[tuple[int, int]], int]:
     """The index pairs (i, j), i < j, of members sharing a cross-bifix, in
     ``itertools.combinations`` order, and the smallest index of a member
     with a border, or ``len(codes)`` if every member is bifix-free.
 
-    Members with a given length-l prefix x form the contiguous run of codes
-    in [x * q**(n-l), (x + 1) * q**(n-l)), so each member's suffix is looked
-    up in the set of prefixes and only a hit is resolved by bisection. A
-    member in the run of its own suffix has a border of length l.
+    ``index`` is ``_index`` of the members' codes. A length where no
+    member's suffix is any member's prefix is passed over; at any other,
+    each member's suffix is looked up among the prefixes, and the run of
+    members with that prefix is found by bisection. A member in the run of
+    its own suffix has a border of that length.
     """
     pairs = set()
     bordered = len(codes)
-    for length in range(1, n):
-        shift, mod = q ** (n - length), q**length
-        prefixes = {code // shift for code in codes}
-        for j, code in enumerate(codes):
-            x = code % mod
-            if x in prefixes:
-                lo = bisect_left(codes, x * shift)
-                hi = bisect_left(codes, (x + 1) * shift, lo)
-                if lo <= j < hi:
-                    bordered = min(bordered, j)
-                pairs.update((i, j) if i < j else (j, i) for i in range(lo, hi) if i != j)
+    for shift, mod, prefixes, suffixes in index:
+        if not prefixes.keys().isdisjoint(suffixes):
+            for j, code in enumerate(codes):
+                x = code % mod
+                lo = prefixes.get(x)
+                if lo is not None:
+                    hi = bisect_left(codes, (x + 1) * shift, lo)
+                    if lo <= j < hi:
+                        bordered = min(bordered, j)
+                    pairs.update((i, j) if i < j else (j, i) for i in range(lo, hi) if i != j)
+        del prefixes, suffixes  # so that a streamed index holds one length's maps at a time
     return sorted(pairs), bordered
 
 
@@ -101,7 +129,7 @@ def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
     the members of a set in Z_q^n."""
     t0 = time.perf_counter()
     witnesses = []
-    for i, j in _shared_borders(codes, q, n)[0]:
+    for i, j in _shared_borders(codes, _index(codes, q, n))[0]:
         share, prefix_of = _cross_bifix_text(codes[i], codes[j], q, n)
         witnesses.append(
             {
@@ -124,90 +152,6 @@ def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
     return cross_bifix_report(q, code_set.n, [code_of(word.symbols, q) for word in code_set.words])
 
 
-def count_bifix_free(q: int, n: int) -> int:
-    """Number of bifix-free (unbordered) words in Z_q^n, by the recurrence
-    U(1) = q, U(2m + 1) = q U(2m), U(2m) = q U(2m - 1) - U(m)."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    u = [0, q]
-    for m in range(2, n + 1):
-        u.append(q * u[m - 1] - (0 if m % 2 else u[m // 2]))
-    return u[n]
-
-
-def _walk(q: int, n: int, codes: list[int], all_witnesses: bool = False):
-    """Yield ``(code, first)`` for the outside bifix-free candidates of
-    Z_q^n in lexicographic order, where ``codes`` are the members' base-q
-    codes in increasing order and ``first`` is the smallest index of a
-    member that blocks the candidate, or ``len(codes)`` if none does.
-
-    A candidate is blocked exactly when one of its proper prefixes is a
-    suffix of a member or one of its proper suffixes is a prefix of a
-    member. The candidates are walked depth first over their prefixes, and
-    a prefix that is a member's suffix blocks every word below it. By
-    default that subtree is cut and only unblocked candidates are yielded;
-    with ``all_witnesses`` nothing is cut and every candidate is yielded.
-    """
-    unblocked = len(codes)  # an index past every member
-    # Per length l = 1..n-1: the smallest member index with a given length-l
-    # suffix, for the walk, and q**(n-l), q**l and the smallest member index
-    # with a given length-l prefix, for the candidates' tails.
-    by_suffix = [{}]
-    tails = []
-    for length in range(1, n):
-        shift, mod = q ** (n - length), q**length
-        suffixes, prefixes = {}, {}
-        for i, code in enumerate(codes):
-            suffixes.setdefault(code % mod, i)
-            prefixes.setdefault(code // shift, i)
-        by_suffix.append(suffixes)
-        tails.append((shift, mod, prefixes))
-    members = set(codes)
-    # Entries: a prefix code, its length, and the smallest member index with
-    # a suffix equal to one of the prefix's own prefixes (``unblocked`` if
-    # none). Children are pushed last first, so they come off in order.
-    stack = [(0, 0, unblocked)]
-    while stack:
-        prefix, length, blocking = stack.pop()
-        base = prefix * q
-        if length < n - 1:
-            suffixes = by_suffix[length + 1]
-            for code in range(base + q - 1, base - 1, -1):
-                hit = suffixes.get(code, unblocked)
-                if hit == unblocked:
-                    stack.append((code, length + 1, blocking))
-                elif all_witnesses:
-                    stack.append((code, length + 1, min(hit, blocking)))
-            continue
-        for code in range(base, base + q):
-            if code in members:
-                continue
-            first = blocking
-            for shift, mod, prefixes in tails:
-                tail = code % mod
-                if code // shift == tail:
-                    break  # a border: the word is not bifix-free
-                hit = prefixes.get(tail, unblocked)
-                if hit < first:
-                    first = hit
-                    if not all_witnesses:
-                        break  # blocked, and only unblocked words are listed
-            else:
-                yield code, first
-
-
-def iter_bifix_free(q: int, n: int):
-    """Stream the bifix-free words of Z_q^n as symbol tuples in
-    lexicographic order: the candidates that an empty set leaves unblocked.
-
-    Domain errors are raised on the call, before the first word.
-    """
-    count_bifix_free(q, n)
-    return (symbols_of(code, q, n) for code, _ in _walk(q, n, []))
-
-
 def non_expandable_report(
     q: int, n: int, codes: list[int], max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
 ) -> VerificationReport:
@@ -217,7 +161,8 @@ def non_expandable_report(
     candidates = count_bifix_free(q, n) - len(codes)
     if candidates > max_space:
         raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
-    bad, bordered = _shared_borders(codes, q, n)
+    index = list(_index(codes, q, n))
+    bad, bordered = _shared_borders(codes, index)
     if bordered < len(codes):
         error = f"member {_text(codes[bordered], q, n)!r} is not bifix-free"
         return _report("non-expandable", t0, False, [], 0, 0, error)
@@ -229,7 +174,7 @@ def non_expandable_report(
 
     witnesses = []
     member_text = cache(lambda i: _text(codes[i], q, n))  # one text per blocking member
-    for code, first in _walk(q, n, codes, all_witnesses):
+    for code, first in _walk(q, n, codes, index, all_witnesses):
         witness = {"candidate": _text(code, q, n), "cross_bifix": None, "blocking": None, "prefix_of": None}
         if first < len(codes):
             share, prefix_of = _cross_bifix_text(code, codes[first], q, n)

@@ -1,10 +1,11 @@
-"""The word lists of ``gen`` and ``baseline-gen``, written as bytes.
+"""The ``gen`` and ``baseline-gen`` commands: word lists, written as bytes.
 
-Only these two commands load this module. ``gen_groups`` checks a ``gen``
-request and picks its walk; ``word_blocks`` turns ``(head, tails)`` groups,
-as ``motzkin.lex_groups`` yields them, into ASCII bytes, one block for each
-group; ``write_word_list`` writes the blocks as word-per-line text or as the
-JSON of ``codeset.CodeSet.to_json``. A word's line is the text that
+Only these two commands load this module, and their handlers live here.
+``gen_groups`` checks a ``gen`` request and picks its walk; ``word_blocks``
+turns ``(head, tails)`` groups, as ``motzkin.lex_groups`` yields them, into
+ASCII bytes, one block for each group; ``write_word_list`` writes the blocks
+as word-per-line text or as the JSON of ``codeset.CodeSet.to_json``, through
+``jsontext``, which only the JSON form loads. A word's line is the text that
 ``words.format_symbols`` gives it: digits for q <= 10, decimal integers
 between commas above.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from itertools import islice, repeat
 from typing import Iterator
 
-from .cli import _FAMILIES, _write_json_object
+from .cli import _FAMILIES, _output
 from .counting import count_cbfs, motzkin_count
 from .words import check_alphabet, format_symbols
 
@@ -24,6 +25,22 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # Words per write call of `gen --set bifixfree`, and provenance items per
 # piece of a uniformly tagged list.
 GEN_CHUNK = 4096
+
+
+def _cmd_gen(args) -> int:
+    groups, provenance = gen_groups(args)
+    with _output(args.out) as fh:
+        write_word_list(fh, args.format, args.q, args.n, groups, provenance)
+    return 0
+
+
+def _cmd_baseline_gen(args) -> int:
+    from .baseline import baseline_groups
+
+    size, groups = baseline_groups(args.k, args.q, args.n, max_space=args.limit)
+    with _output(args.out) as fh:
+        write_word_list(fh, args.format, args.q, args.n, groups, tagged("baseline", size))
+    return 0
 
 
 def tagged(tag: str, count: int) -> Iterator[bytes]:
@@ -51,7 +68,7 @@ def gen_groups(args):
         provenance = (b"".join([items[j] for _, j in tails]) for _, tails in cbfs_groups(q, n, tags))
     else:
         if args.set == "bifixfree":
-            from .verify import count_bifix_free, iter_bifix_free
+            from .bifixfree import count_bifix_free, iter_bifix_free
 
             expected = count_bifix_free(q, n)
             # chunks of the word stream, as groups with an empty head; their
@@ -127,6 +144,8 @@ def write_word_list(fh, fmt: str, q: int, n: int, groups, provenance: Iterator[b
     if fmt == "text":
         fh.writelines(blocks)
         return
+    from .jsontext import write_object
+
     words = (b',\n    "' + block[:-1].replace(b"\n", b'",\n    "') + b'"' for block in blocks)
     members = [("q", b"%d" % q), ("n", b"%d" % n), ("provenance", provenance), ("words", words)]
-    _write_json_object(fh, members)
+    write_object(fh, members)

@@ -12,12 +12,13 @@ import sys
 
 import pytest
 
-from crossbifix import baseline, cli, codeset, counting, motzkin, oracle, verify, words, wordlist
+from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, wordlist
 from crossbifix.baseline import s_max, s_star
 from crossbifix.cbfs import cbfs_groups, construct_cbfs
-from crossbifix.cli import main, size_table
+from crossbifix.cli import main
 from crossbifix.codeset import CodeSet
 from crossbifix.counting import count_cbfs, motzkin_count
+from crossbifix.sizes import size_table
 from crossbifix.words import format_symbols
 
 
@@ -193,7 +194,7 @@ def test_gen_json_writes_the_code_set_json_without_building_it(capsys, monkeypat
                 expected.append((args, CodeSet.from_ordered(q, n, tagged)))
     for q in (2, 3, 12):
         for n in (1, 2, 3, 5):
-            tagged = ((symbols, "external") for symbols in verify.iter_bifix_free(q, n))
+            tagged = ((symbols, "external") for symbols in bifixfree.iter_bifix_free(q, n))
             expected.append((("--q", str(q), "--n", str(n), "--set", "bifixfree"), CodeSet.from_ordered(q, n, tagged)))
     expected = [(args, code_set.to_json()) for args, code_set in expected]
 
@@ -256,6 +257,18 @@ def test_gen_bifix_free_refuses_by_its_output_size(tmp_path, capsys):
     code, out, err = run(capsys, *args, "11033", "--out", str(target))
     assert (code, out) == (2, "") and not target.exists()
     assert err == "error: bifixfree at q=3, n=9 holds 11034 words, above --limit 11033\n"
+
+
+def test_gen_bifix_free_refuses_before_the_walk_builds_its_index(capsys, monkeypatch):
+    # the walk's index holds q**l for every l < n: at n = 40000 it took 17 s
+    # and 350 MB when the stream built it on opening, before the refusal
+    def refuse(*args):
+        raise AssertionError("the index was built before the refusal")
+        yield  # a generator function, as _index is
+
+    monkeypatch.setattr(bifixfree, "_index", refuse)
+    code, out, err = run(capsys, "gen", "--q", "3", "--n", "40000", "--set", "bifixfree", "--limit", "10")
+    assert (code, out) == (2, "") and err.startswith("error: bifixfree at q=3, n=40000 holds ")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap")
@@ -375,7 +388,7 @@ def test_word_blocks_equal_the_words_written_one_by_one():
             lambda: motzkin.motzkin_groups(q - 2, n - 1),
             lambda: motzkin.motzkin_groups(q - 2, 0),
             lambda: motzkin.elevated_groups(q - 2, n - 1),
-            lambda: [((), zip(verify.iter_bifix_free(q, n - 2), itertools.repeat(0)))],
+            lambda: [((), zip(bifixfree.iter_bifix_free(q, n - 2), itertools.repeat(0)))],
             lambda: baseline.baseline_groups(1, q, n - 1)[1],
         ]
         for make in makers:
@@ -513,7 +526,7 @@ def test_verify_parse_errors_name_the_line_and_the_form(capsys, monkeypatch):
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             assert run(capsys, "verify", "--in", "-", "--q", str(q), "--mode", mode) == (2, "", f"error: {message}\n")
     with pytest.raises(ValueError, match="^line 2: cannot read '1a' as a word; expected contiguous digits 0..2$"):
-        words.read_codes("12\n1a\n", 3)
+        codes.read_codes("12\n1a\n", 3)
 
 
 def test_verify_refuses_lengths_below_one(capsys, monkeypatch):
@@ -797,7 +810,7 @@ def test_the_int_digit_cap_is_lifted_for_the_command_only(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", "--in", "-", "--q", "3", "--mode", "nonexpandable")
         assert sys.get_int_max_str_digits() == cap
         sys.set_int_max_str_digits(0)
-        candidates = verify.count_bifix_free(3, 9100) - 1
+        candidates = bifixfree.count_bifix_free(3, 9100) - 1
         assert len(str(candidates)) > cap
         message = f"error: non-expandability needs a walk over {candidates} candidates, above the cap of 10000000\n"
         assert (code, out, err) == (2, "", message)
@@ -808,7 +821,7 @@ def test_the_int_digit_cap_is_lifted_for_the_command_only(capsys, monkeypatch):
             assert sys.get_int_max_str_digits() == 0
             raise RuntimeError("failed")
 
-        monkeypatch.setattr(cli, "_cmd_count", fail)
+        monkeypatch.setattr(sizes, "_cmd_count", fail)
         with pytest.raises(RuntimeError, match="failed"):
             main(["count", "--q", "3", "--n", "4"])
         assert sys.get_int_max_str_digits() == cap

@@ -26,31 +26,35 @@ ENV = {
 CBFS_3_6 = construct_cbfs(3, 6).to_text()
 
 # Each command, its stdin and the package modules it loads besides
-# crossbifix.cli and crossbifix.counting. Counting (count, table) loads
-# neither the walk (cbfs, motzkin) nor words; only gen and baseline-gen load
-# the word-list writer, and no command loads the API edge (codeset) or the
+# crossbifix.cli. Counting (count, table) loads neither the walk (cbfs,
+# motzkin) nor words; verify loads neither counting nor the walk; only gen
+# and baseline-gen load the word-list writer, only the JSON forms and verify
+# load the JSON writer, and no command loads the API edge (codeset) or the
 # brute-force references (oracle).
-WALK = {"crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.words", "crossbifix.wordlist"}
-VERIFY = {"crossbifix.verify", "crossbifix.words"}
-WORDLIST = {"crossbifix.wordlist", "crossbifix.words"}
+SIZES = {"crossbifix.sizes", "crossbifix.counting"}
+WORDLIST = {"crossbifix.wordlist", "crossbifix.words", "crossbifix.counting"}
+WALK = {"crossbifix.cbfs", "crossbifix.motzkin"} | WORDLIST
+BIFIX_FREE = {"crossbifix.bifixfree"} | WORDLIST
+VERIFY = {"crossbifix.verify", "crossbifix.bifixfree", "crossbifix.codes", "crossbifix.words", "crossbifix.jsontext"}
+JSON = {"crossbifix.jsontext"}
 COMMANDS = {
-    "count": (["count", "--q", "3", "--n", "9"], None, set()),
-    "count-S": (["count", "--q", "3", "--n", "9", "--set", "S"], None, {"crossbifix.baseline"}),
-    "count-motzkin": (["count", "--q", "3", "--n", "9", "--set", "motzkin"], None, set()),
+    "count": (["count", "--q", "3", "--n", "9"], None, SIZES),
+    "count-S": (["count", "--q", "3", "--n", "9", "--set", "S"], None, SIZES | {"crossbifix.baseline"}),
+    "count-motzkin": (["count", "--q", "3", "--n", "9", "--set", "motzkin"], None, SIZES),
     "gen": (["gen", "--q", "3", "--n", "6"], None, WALK),
-    "gen-json": (["gen", "--q", "3", "--n", "6", "--format", "json"], None, WALK),
+    "gen-json": (["gen", "--q", "3", "--n", "6", "--format", "json"], None, WALK | JSON),
     "gen-A": (["gen", "--q", "12", "--n", "4", "--set", "A"], None, WALK),
     "gen-motzkin": (
         ["gen", "--q", "3", "--n", "6", "--set", "motzkin", "--format", "json"],
         None,
-        WALK - {"crossbifix.cbfs"},
+        WALK - {"crossbifix.cbfs"} | JSON,
     ),
     "gen-elevated": (["gen", "--q", "3", "--n", "6", "--set", "elevated"], None, WALK - {"crossbifix.cbfs"}),
-    "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None, VERIFY | WORDLIST),
+    "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None, BIFIX_FREE),
     "gen-bifixfree-json": (
         ["gen", "--q", "3", "--n", "6", "--set", "bifixfree", "--format", "json"],
         None,
-        VERIFY | WORDLIST,
+        BIFIX_FREE | JSON,
     ),
     "verify": (["verify", "--in", "-", "--q", "3"], CBFS_3_6, VERIFY),
     "verify-nonexpandable": (["verify", "--in", "-", "--q", "3", "--mode", "nonexpandable"], CBFS_3_6, VERIFY),
@@ -59,13 +63,17 @@ COMMANDS = {
         CBFS_3_6,
         VERIFY,
     ),
-    "table": (["table", "--q", "3..4", "--n", "3..8"], None, {"crossbifix.baseline"}),
-    "table-json": (["table", "--q", "3..4", "--n", "3..8", "--format", "json"], None, {"crossbifix.baseline"}),
+    "table": (["table", "--q", "3..4", "--n", "3..8"], None, SIZES | {"crossbifix.baseline"}),
+    "table-json": (
+        ["table", "--q", "3..4", "--n", "3..8", "--format", "json"],
+        None,
+        SIZES | {"crossbifix.baseline"} | JSON,
+    ),
     "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None, {"crossbifix.baseline"} | WORDLIST),
     "baseline-gen-json": (
         ["baseline-gen", "--k", "2", "--q", "3", "--n", "6", "--format", "json"],
         None,
-        {"crossbifix.baseline"} | WORDLIST,
+        {"crossbifix.baseline"} | WORDLIST | JSON,
     ),
 }
 # Modules that no gen or verify process may load.
@@ -104,9 +112,9 @@ def test_commands_load_only_what_they_run(name):
     loaded, out = loaded_modules(script, stdin)
     assert out
     package = {module for module in loaded if module.startswith("crossbifix.")}
-    assert package == {"crossbifix.cli", "crossbifix.counting"} | modules
+    assert package == {"crossbifix.cli"} | modules
     assert not package & API_EDGE
-    assert not loaded & {"csv", "dataclasses", "inspect"}
+    assert not loaded & {"csv", "dataclasses", "inspect", "json"}
 
 
 def test_no_gen_or_verify_loads_the_api_edge():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix import cli, codeset, oracle, verify, wordlist, words
+from crossbifix import bifixfree, cli, codes, codeset, oracle, sizes, verify, wordlist, words
 from crossbifix.cbfs import construct_cbfs
 from crossbifix.cli import main
 from crossbifix.codeset import CodeSet, Word, cross_bifix
@@ -30,8 +30,20 @@ NON_EXPANDABLE_SIZES = [(3, n) for n in range(3, 8)] + [(4, n) for n in range(3,
 
 
 def comparable(report):
+    """The report's dict less its wall time, once its JSON text is held to
+    the bytes that ``json`` writes for it."""
     data = report.to_json_dict()
+    assert report.to_json() == json.dumps(data, indent=2) + "\n"
     del data["stats"]["wall_time_s"]
+    return data
+
+
+def printed_report(capsys):
+    """The report a ``verify`` command printed, once its bytes are held to
+    the bytes that ``json`` writes for the value they hold."""
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert out == json.dumps(data, indent=2) + "\n"
     return data
 
 
@@ -133,7 +145,7 @@ def test_cli_limit_caps_the_candidates_not_the_word_space(tmp_path, capsys):
     path.write_text(construct_cbfs(3, 9).to_text())
     argv = ["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit"]
     assert main(argv + ["10499"]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert printed_report(capsys)["ok"] is True
     assert main(argv + ["10498"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "above the cap of 10498" in captured.err
@@ -199,7 +211,7 @@ def test_fast_path_past_the_oracle_range():
 
     for q, n in [(3, 10), (3, 12), (4, 10)]:
         cbfs = construct_cbfs(q, n)
-        candidates = verify.count_bifix_free(q, n) - len(cbfs)
+        candidates = bifixfree.count_bifix_free(q, n) - len(cbfs)
         report = verify.verify_non_expandable(cbfs)
         assert report.ok and report.error is None and report.witnesses == ()
         assert report.stats["candidates_checked"] == candidates
@@ -230,7 +242,7 @@ def test_cli_prints_the_oracle_report(tmp_path, capsys, texts, q, mode, code):
     path.write_text("".join(t + "\n" for t in reversed(texts)))
     argv = ["verify", "--in", str(path), "--q", str(q), "--mode", mode]
     assert main(argv + (["--all-witnesses"] if mode == "nonexpandable" else [])) == code
-    printed = json.loads(capsys.readouterr().out)
+    printed = printed_report(capsys)
     del printed["stats"]["wall_time_s"]
     code_set = code_set_of(texts, q)
     if mode == "set":
@@ -253,7 +265,7 @@ def test_cli_prints_the_unblocked_candidates_by_default(tmp_path, capsys, texts,
     path = tmp_path / "words.txt"
     path.write_text("".join(t + "\n" for t in reversed(texts)))
     assert main(["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable"]) == code
-    printed = json.loads(capsys.readouterr().out)
+    printed = printed_report(capsys)
     assert list(printed) == ["kind", "ok", "witnesses", "stats", "error"]
     del printed["stats"]["wall_time_s"]
     assert printed == unblocked_only(comparable(oracle.verify_non_expandable(code_set_of(texts, 3))))
@@ -283,7 +295,7 @@ def assert_cli_prints_the_oracle_reports(capsys, monkeypatch, code_set, text):
     ):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert main(["verify", "--in", "-", "--q", str(code_set.q), "--mode", mode, *extra]) == code
-        printed = json.loads(capsys.readouterr().out)
+        printed = printed_report(capsys)
         del printed["stats"]["wall_time_s"]
         assert printed == expected, (mode, extra)
 
@@ -315,18 +327,28 @@ def test_bifix_free_count_matches_enumeration(q):
     n = 1
     while q**n <= BRUTE_SCAN_CAP:
         words = [w.symbols for w in oracle.enumerate_bifix_free(q, n)]
-        assert verify.count_bifix_free(q, n) == len(words), n
-        assert list(verify.iter_bifix_free(q, n)) == words, n
+        assert bifixfree.count_bifix_free(q, n) == len(words), n
+        assert list(bifixfree.iter_bifix_free(q, n)) == words, n
         n += 1
     assert n > 7
+
+
+def test_bifix_free_count_matches_the_full_list_recurrence():
+    # the recurrence with every U(m) kept, as it ran before only the values
+    # read again were kept
+    for q in range(2, 6):
+        u = [0, q]
+        for m in range(2, 301):
+            u.append(q * u[m - 1] - (0 if m % 2 else u[m // 2]))
+        assert [bifixfree.count_bifix_free(q, n) for n in range(1, 301)] == u[1:], q
 
 
 def test_bifix_free_count_domain_errors():
     for q, n in [(1, 3), (3, 0)]:
         with pytest.raises(ValueError) as fast:
-            verify.count_bifix_free(q, n)
+            bifixfree.count_bifix_free(q, n)
         with pytest.raises(ValueError) as stream:
-            verify.iter_bifix_free(q, n)
+            bifixfree.iter_bifix_free(q, n)
         with pytest.raises(ValueError) as brute:
             next(oracle.enumerate_bifix_free(q, n))
         assert str(fast.value) == str(stream.value) == str(brute.value)
@@ -367,7 +389,7 @@ def test_oracle_does_not_use_the_fast_path():
 
 
 def test_production_does_not_use_the_oracle():
-    for module in (cli, verify, wordlist):
+    for module in (bifixfree, cli, codes, sizes, verify, wordlist, words):
         names = []
         for node in ast.walk(ast.parse(inspect.getsource(module))):
             if isinstance(node, ast.ImportFrom):

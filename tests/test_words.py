@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import pickle
 import re
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from crossbifix.codeset import CodeSet, CrossBifix, Word, bifixes, cross_bifix, is_bifix_free
 from crossbifix.oracle import HeightProfile, height_profile, is_elevated, is_motzkin_word, symbol_step
 from crossbifix.wordlist import word_blocks
-from crossbifix.words import VerificationReport, read_codes, symbols_of
+from crossbifix.codes import VerificationReport, read_codes
+from crossbifix.words import symbols_of
 
 
 def w(text, q=3):
@@ -274,3 +276,30 @@ def test_records_equal_hash_order_and_print_as_frozen_dataclasses_did():
     assert sorted([w("2"), w("1"), w("10")]) == [w("1"), w("10"), w("2")]
     with pytest.raises(TypeError):
         w("1") < (1,)
+
+
+# Characters that json escapes or that a naive writer gets wrong: a quote, a
+# backslash, control characters, DEL, non-ASCII, a line separator, the last
+# BMP character, non-BMP characters and a lone surrogate.
+AWKWARD = '"\\\x00\x08\x0c\x1f\x7f\x80\xe9\u2028\uffff\U0001f600\U0010ffff\ud800'
+TEXTS = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD)), max_size=12)
+REPORTS = st.builds(
+    VerificationReport,
+    TEXTS,
+    st.booleans(),
+    st.lists(st.dictionaries(TEXTS, st.one_of(st.none(), TEXTS), max_size=4), max_size=4).map(tuple),
+    st.dictionaries(TEXTS, st.one_of(st.integers(), st.floats()), max_size=4),
+    st.one_of(st.none(), TEXTS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+def test_report_json_is_the_text_json_writes(report):
+    assert report.to_json() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def test_report_json_escapes_every_awkward_character():
+    report = VerificationReport(AWKWARD, True, ({AWKWARD: AWKWARD},), {AWKWARD: float("nan"), "": -0.0}, AWKWARD)
+    text = report.to_json()
+    assert text.isascii() and text == json.dumps(report.to_json_dict(), indent=2) + "\n"
