@@ -5,9 +5,9 @@ A word is read as its base-q integer code. ``_index`` maps, for each
 length l = 1..n-1, the members' length-l prefixes and suffixes to the first
 member that has them; ``_walk`` goes depth first over the prefixes of the
 words of Z_q^n and yields the bifix-free words outside the set, each with
-the first member that blocks it. ``verify`` reads both for its checks, and
-joins the same index for its pairwise check. With no members the walk
-yields every bifix-free word (``iter_bifix_free``), which ``gen --set
+the first member that blocks it. ``verify``'s non-expandability check reads
+both, and joins the same index for its preconditions. With no members the
+walk yields every bifix-free word (``iter_bifix_free``), which ``gen --set
 bifixfree`` writes; that command loads this module, not ``verify``.
 """
 
@@ -41,8 +41,7 @@ def _index(codes: list[int], q: int, n: int):
     it, and ``suffixes`` does the same for suffixes. ``codes`` are the
     members' base-q codes in increasing order, so the members with a given
     length-l prefix x are the run of codes from ``prefixes[x]`` below
-    (x + 1) * q**(n-l). A check that needs one length at a time holds one
-    length's maps at a time."""
+    (x + 1) * q**(n-l)."""
     # from the last member to the first, so that each key keeps its smallest
     # index; a list, so that every map shares one int object per index
     backwards = list(range(len(codes) - 1, -1, -1))

@@ -7,10 +7,12 @@ length l in 1..n-1, the length-l prefix of one equals the length-l suffix
 of the other (Bilotta, Pergola and Pinzani, "A new approach to
 cross-bifix-free sets", IEEE Trans. Inf. Theory, 2012). Both checks below
 therefore join members and candidates on prefix and suffix codes, one length
-at a time, instead of comparing every pair of words. One index, built once
-per check (``_index``), maps each length's prefixes and suffixes to the
-first member that has them; the pairwise join (``_shared_borders``) and the
-candidates' walk (``_walk``) both read it. A witness is found and written
+at a time, instead of comparing every pair of words. The non-expandability
+check builds one index (``_index``), which maps each length's prefixes and
+suffixes to the first member that has them; the pairwise join
+(``_shared_borders``) and the candidates' walk (``_walk``) both read it. The
+pairwise check alone builds no index: its join holds one length's prefixes
+at a time, as a set. A witness is found and written
 from the codes as well (``_shortest_border``), so no ``Word`` is built.
 
 The reports are the ones the brute scans in ``oracle`` produce, witness for
@@ -58,30 +60,40 @@ def _cmd_verify(args) -> int:
     return 2 if report.error is not None else 0 if report.ok else 1
 
 
-def _shared_borders(codes: list[int], index) -> tuple[list[tuple[int, int]], int]:
+def _shared_borders(codes: list[int], q: int, n: int, index=None) -> tuple[list[tuple[int, int]], int]:
     """The index pairs (i, j), i < j, of members sharing a cross-bifix, in
     ``itertools.combinations`` order, and the smallest index of a member
     with a border, or ``len(codes)`` if every member is bifix-free.
 
-    ``index`` is ``_index`` of the members' codes. A length where no
-    member's suffix is any member's prefix is passed over; at any other,
-    each member's suffix is looked up among the prefixes, and the run of
-    members with that prefix is found by bisection. A member in the run of
-    its own suffix has a border of that length.
+    ``index`` is the list of ``_index`` of the members' codes, where the
+    walk has built it; without one, each length's prefixes are collected
+    here into a set, one length at a time. A length where no member's
+    suffix is any member's prefix is passed over; at any other, each
+    member's suffix is looked up among the prefixes, and the run of members
+    with that prefix, the codes in [x * q**(n-l), (x + 1) * q**(n-l)), is
+    found by bisection. A member in the run of its own suffix has a border
+    of that length.
     """
     pairs = set()
     bordered = len(codes)
-    for shift, mod, prefixes, suffixes in index:
-        if not prefixes.keys().isdisjoint(suffixes):
-            for j, code in enumerate(codes):
-                x = code % mod
-                lo = prefixes.get(x)
-                if lo is not None:
-                    hi = bisect_left(codes, (x + 1) * shift, lo)
-                    if lo <= j < hi:
-                        bordered = min(bordered, j)
-                    pairs.update((i, j) if i < j else (j, i) for i in range(lo, hi) if i != j)
-        del prefixes, suffixes  # so that a streamed index holds one length's maps at a time
+    for length in range(1, n):
+        shift, mod = q ** (n - length), q**length
+        if index is None:
+            prefixes = {code // shift for code in codes}
+            if prefixes.isdisjoint(code % mod for code in codes):
+                continue
+        else:
+            prefixes, suffixes = index[length - 1][2:]
+            if prefixes.keys().isdisjoint(suffixes):
+                continue
+        for j, code in enumerate(codes):
+            x = code % mod
+            if x in prefixes:
+                lo = bisect_left(codes, x * shift)
+                hi = bisect_left(codes, (x + 1) * shift, lo)
+                if lo <= j < hi:
+                    bordered = min(bordered, j)
+                pairs.update((i, j) if i < j else (j, i) for i in range(lo, hi) if i != j)
     return sorted(pairs), bordered
 
 
@@ -129,7 +141,7 @@ def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
     the members of a set in Z_q^n."""
     t0 = time.perf_counter()
     witnesses = []
-    for i, j in _shared_borders(codes, _index(codes, q, n))[0]:
+    for i, j in _shared_borders(codes, q, n)[0]:
         share, prefix_of = _cross_bifix_text(codes[i], codes[j], q, n)
         witnesses.append(
             {
@@ -162,7 +174,7 @@ def non_expandable_report(
     if candidates > max_space:
         raise ValueError(f"non-expandability needs a walk over {candidates} candidates, above the cap of {max_space}")
     index = list(_index(codes, q, n))
-    bad, bordered = _shared_borders(codes, index)
+    bad, bordered = _shared_borders(codes, q, n, index)
     if bordered < len(codes):
         error = f"member {_text(codes[bordered], q, n)!r} is not bifix-free"
         return _report("non-expandable", t0, False, [], 0, 0, error)

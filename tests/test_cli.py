@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -7,10 +8,13 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, wordlist
 from crossbifix.baseline import s_max, s_star
@@ -843,3 +847,108 @@ def test_unknown_set_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["count", "--q", "3", "--n", "4", "--set", "nope"])
     assert excinfo.value.code == 2
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.from_regex(r"-?[0-9]+", fullmatch=True),
+        st.sampled_from(["", "-", "--5", "+5", "-+5", " 5", "5 ", "3_0", "\u0663", "-\u0665", "\u00b2", "0x5"]),
+    )
+)
+def test_integer_reads_what_the_ascii_pattern_matches(text):
+    if re.fullmatch(r"-?[0-9]+", text):
+        assert cli._integer(text) == int(text)
+    else:
+        with pytest.raises(argparse.ArgumentTypeError, match="expected an integer, got"):
+            cli._integer(text)
+
+
+PARSER = cli.build_parser()
+
+# Tokens that no canonical argv holds where they are put: abbreviations,
+# --opt=value, help, unknown options, negative numbers and stray values.
+NOISE = ["--lim", "--q=3", "--n=5", "-h", "--help", "--nope", "-q", "--", "-1", "x", "", "-", "3..", "json", "count"]
+
+
+def option_values(kind, clean):
+    """A valid value for an option of ``kind``, or with ``clean`` false a
+    valid one three times as often as each invalid one."""
+    if kind == "integer":
+        valid, invalid = ["0", "3", "5", "007"], ["-1", "x", "", "+5", "\u0663", "3..5"]
+    elif kind == "range":
+        valid, invalid = ["3", "3..5", "5..5"], ["-2..-1", "5..3", "3..", "x", "-"]
+    elif kind == "string":
+        valid, invalid = ["-", "words.txt", "", "a b"], ["--q", "-x"]
+    else:  # a choice
+        valid, invalid = list(kind), ["nope", ""]
+    return st.sampled_from(valid if clean else valid * 3 + invalid)
+
+
+@st.composite
+def argvs(draw):
+    """An argv of some command's options in any order. Half of them are
+    clean: every required option and some others, each once with a valid
+    value. The others give each option zero to two times with any value,
+    put noise tokens in and may cut the last token."""
+    clean = draw(st.booleans())
+    command = draw(st.sampled_from(list(cli._COMMANDS) if clean else [*cli._COMMANDS, "nope", "--help"]))
+    options = cli._COMMANDS[command][2] if command in cli._COMMANDS else ()
+    pieces = []
+    for flag, _, kind, _, required, _ in options:
+        times = st.sampled_from([int(required), 1]) if clean else st.sampled_from([0, 1, 1, 1, 1, 2])
+        for _ in range(draw(times)):
+            pieces.append([flag] if kind == "store_true" else [flag, draw(option_values(kind, clean))])
+    argv = [command, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
+    if clean:
+        return argv
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(NOISE)))
+    return argv[: len(argv) - draw(st.sampled_from([0, 0, 0, 1]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_the_reader_returns_what_argparse_returns_or_none(argv):
+    namespace = cli._read_argv(argv)
+    if namespace is not None:
+        assert vars(namespace) == vars(PARSER.parse_args(argv))
+
+
+def test_the_reader_takes_the_canonical_form():
+    for argv in (
+        ["count", "--q", "3", "--n", "3"],
+        ["count", "--set", "S", "--limit", "10", "--n", "12", "--q", "3"],
+        ["gen", "--q", "4", "--n", "11", "--set", "cbfs"],
+        ["gen", "--q", "3", "--n", "6", "--out", "-", "--format", "json", "--limit", "0", "--set", "bifixfree"],
+        ["baseline-gen", "--k", "2", "--q", "3", "--n", "6"],
+        ["verify", "--in", "-", "--q", "3", "--mode", "nonexpandable"],
+        ["verify", "--all-witnesses", "--in", "words.txt", "--q", "3", "--n", "9", "--mode", "nonexpandable"],
+        ["table"],
+        ["table", "--q", "3..6", "--n", "3..200", "--compare", "S", "--bold", "--format", "json"],
+        ["table", "--n", "7", "--q", "3..3"],
+    ):
+        namespace = cli._read_argv(argv)
+        assert namespace is not None and vars(namespace) == vars(PARSER.parse_args(argv)), argv
+
+
+def test_the_reader_leaves_every_other_form_to_argparse():
+    read = ["count", "--q", "3", "--n", "5"]
+    for argv in (
+        ["count", "--q", "3", "--n", "5", "--lim", "5"],  # an abbreviation, which argparse takes
+        ["count", "--q=3", "--n", "5"],  # --opt=value, which argparse takes
+        ["count", "--q", "3", "--q", "4", "--n", "5"],  # a repeat, where argparse takes the last
+        ["count", "--q", "3", "--n", "-1"],  # a negative value, which argparse takes
+        ["count", "-h"],
+        [*read, "--help"],
+        [*read, "--nope"],
+        [*read, "--set", "nope"],
+        ["count", "--q", "x", "--n", "5"],
+        ["count", "--q", "3"],
+        ["table", "--n", "5..3"],
+        ["verify", "--in", "-", "--q", "3", "--all-witnesses", "x"],
+        ["cnt", "--q", "3", "--n", "5"],
+        [],
+    ):
+        assert cli._read_argv(argv) is None, argv
+    assert cli._read_argv(read) is not None

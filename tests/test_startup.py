@@ -114,7 +114,27 @@ def test_commands_load_only_what_they_run(name):
     package = {module for module in loaded if module.startswith("crossbifix.")}
     assert package == {"crossbifix.cli"} | modules
     assert not package & API_EDGE
-    assert not loaded & {"csv", "dataclasses", "inspect", "json"}
+    assert not loaded & {"argparse", "csv", "dataclasses", "gettext", "inspect", "json", "locale"}
+
+
+def test_a_refused_argv_exits_2_with_the_argparse_message():
+    done = subprocess.run(
+        [sys.executable, "-m", "crossbifix", "count", "--q", "x", "--n", "5"],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: crossbifix count [-h] --q Q --n N")
+    assert done.stderr.endswith("\ncrossbifix count: error: argument --q: expected an integer, got 'x'\n")
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_re():
+    # re counts only where site has not loaded it already, as a bare
+    # interpreter has not
+    loaded, _ = loaded_modules("import crossbifix.cli\n")
+    assert not loaded & {"argparse", "gettext", "locale", "re"}
 
 
 def test_no_gen_or_verify_loads_the_api_edge():
