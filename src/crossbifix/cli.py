@@ -17,8 +17,9 @@ Each command's handler lives in the module of the layer it runs, which
 ``main`` imports once argv is read: ``count`` and ``table`` in ``sizes``,
 ``gen`` and ``baseline-gen`` in ``wordlist``, ``verify`` in ``verify``. So
 a process loads, and without cached bytecode compiles, only what its
-command runs. Every command's JSON is written by ``jsontext``, without
-``json``, and ``table``'s CSV without ``csv``.
+command runs. Every command's JSON is written by ``jsontext``, the one
+module that knows JSON text, without ``json``, and ``table``'s CSV without
+``csv``. ``main`` lifts Python's int-str digit cap for the command it runs.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ _COMMANDS = {
         ("sizes", "_cmd_table"),
         "emit size comparison tables",
         (
-            ("--q", "q", "range", list(range(3, 7)), False, "alphabet sizes, e.g. 3..6"),
-            ("--n", "n", "range", list(range(3, 17)), False, "word lengths, e.g. 3..16"),
+            ("--q", "q", "range", range(3, 7), False, "alphabet sizes, e.g. 3..6"),
+            ("--n", "n", "range", range(3, 17), False, "word lengths, e.g. 3..16"),
             ("--compare", "compare", ("S", "Sstar"), "S", False, None),
             ("--format", "format", ("csv", "json"), "csv", False, None),
             ("--bold", "bold", "store_true", False, False, "add columns marking where cbfs exceeds the comparator"),
@@ -142,13 +143,14 @@ def _read_integer(text: str) -> int | None:
     return None
 
 
-def _read_range(text: str) -> list[int] | None:
+def _read_range(text: str) -> range | None:
     """The integers of a single integer or an inclusive range like 3..16,
-    each end read as ``_read_integer`` reads it; None for any other text.
-    A range whose ends are out of order is empty."""
+    each end read as ``_read_integer`` reads it, as a ``range``, so that a
+    long one costs nothing before ``--limit`` refuses it; None for any other
+    text. A range whose ends are out of order is empty."""
     parts = text.split("..", 1)
     lo, hi = _read_integer(parts[0]), _read_integer(parts[-1])
-    return None if lo is None or hi is None else list(range(lo, hi + 1))
+    return None if lo is None or hi is None else range(lo, hi + 1)
 
 
 def _integer(text: str) -> int:
@@ -163,7 +165,7 @@ def _integer(text: str) -> int:
     return value
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     """argparse's type for a range option: ``_read_range``, with what is
     wrong with any other text or an empty range."""
     span = _read_range(text)
@@ -236,24 +238,6 @@ def _output(path: str | None):
             sys.stdout.write(buffer.getvalue().decode("ascii"))
 
 
-@contextmanager
-def _exact_int_output():
-    """Lift Python's cap on int-str conversion (4300 digits by default,
-    where the interpreter has one) so that exact counts print in full and
-    long words are read, and restore it afterwards. ``main`` runs each
-    command in it, once argv is read."""
-    get_cap = getattr(sys, "get_int_max_str_digits", None)
-    if get_cap is None:
-        yield
-        return
-    cap = get_cap()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(cap)
-
-
 def build_parser():
     """The argparse parser of the grammar in ``_COMMANDS``."""
     import argparse
@@ -283,12 +267,20 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv) or build_parser().parse_args(argv)
     module, name = args.handler  # the module that holds the command's handler
+    # Python's cap on int-str conversion (4300 digits by default, where the
+    # interpreter has one) is lifted once argv is read, so that exact counts
+    # print in full and long words are read, and restored after the command.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        with _exact_int_output():  # argv is read under the cap, the command without it
-            return getattr(import_module(f".{module}", __package__), name)(args)
+        return getattr(import_module(f".{module}", __package__), name)(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -2,16 +2,16 @@
 package's immutable records, the verification report among them.
 
 Only ``verify``, the API edge (``codeset``) and the brute references
-(``oracle``) load this module, so ``gen`` compiles none of it. A report
-lays out its values as ``json`` would (``_json_text``) and is written by
-the package's one JSON writer, ``jsontext.write_object``.
+(``oracle``) load this module, so ``gen`` compiles none of it. A report's
+JSON is the package's one JSON writer, ``jsontext.text``, applied to its
+dict.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Iterable
 
+from .jsontext import text
 from .words import format_symbols, symbols_of
 
 
@@ -64,54 +64,6 @@ def read_codes(text: str, q: int, n: int | None = None) -> tuple[int, list[int]]
     if n is None:
         raise ValueError("cannot infer word length from an empty list")
     return n, sorted(codes)
-
-
-# The escapes json writes for itself; any other character outside ' '..'~'
-# is written as \uXXXX, a character past the BMP as a surrogate pair.
-_SHORT = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(char: str) -> str:
-    if char in _SHORT:
-        return _SHORT[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code < 0x10000:
-        return f"\\u{code:04x}"
-    code -= 0x10000
-    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-
-
-def _json_text(value, indent: str = "") -> str:
-    """The JSON text of a report's value as ``json.dumps(..., indent=2)``
-    lays it out at ``indent``: None, a bool, an int, a float (its ``repr``,
-    or ``NaN`` and ``Infinity`` as ``json`` writes them), a string, escaped
-    as ``json`` escapes it by default, so in ASCII, or a dict with string
-    keys of such values, as a witness and the stats are."""
-    if isinstance(value, str):
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
-            return f'"{value}"'
-        return '"' + "".join(map(_escape, value)) + '"'
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (float("inf"), float("-inf")):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    if not isinstance(value, dict):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        return "{}"
-    inner = indent + "  "
-    items = [f"{inner}{_json_text(key)}: {_json_text(item, inner)}" for key, item in value.items()]
-    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
 class Record:
@@ -188,14 +140,5 @@ class VerificationReport(Record):
 
     def to_json(self) -> str:
         """The text of ``json.dumps(self.to_json_dict(), indent=2)`` and a
-        newline, written by ``jsontext.write_object``."""
-        from .jsontext import write_object
-
-        data = self.to_json_dict()
-        # each member's text, with the witnesses written a witness at a time
-        witnesses = (b",\n    " + _json_text(w, "    ").encode() for w in data["witnesses"])
-        members = [(key, witnesses if key == "witnesses" else _json_text(value, "  ").encode()) for key, value in data.items()]
-        buffer = io.BytesIO()
-        write_object(buffer, members)
-        return buffer.getvalue().decode("ascii")
-
+        newline."""
+        return text(self.to_json_dict()) + "\n"

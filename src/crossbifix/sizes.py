@@ -4,7 +4,9 @@ table, with no word built.
 Only these two commands load this module. Their counts come from
 ``counting`` and, for the baseline's maxima, ``baseline``; the table is
 written a row at a time as CSV, or as JSON through ``jsontext``, which only
-the JSON form loads.
+the JSON form loads and which lays out its values and rows. A ``--q`` or
+``--n`` comes as a ``range``, so ``--limit`` reads its last length without
+a list of them being built.
 """
 
 from __future__ import annotations
@@ -60,22 +62,14 @@ def size_table(q_values, n_values, compare: str, bold: bool) -> tuple[list[str],
 
 
 def _cmd_table(args) -> int:
-    _check_length(max(args.n), args.limit)
+    _check_length(args.n[-1], args.limit)  # the largest n of an increasing range
     names, rows = size_table(args.q, args.n, args.compare, args.bold)
     with _output(args.out) as fh:
         if args.format == "json":
-            from .jsontext import write_object
+            from .jsontext import ITEM, text, write_object
 
-            # one piece for each list of values and for each row
-            fields = [f'      "{name}": ' for name in names]
-            cells = (",\n".join([f"{f}{'null' if v is None else v}" for f, v in zip(fields, row)]) for row in rows)
-            members = [
-                ("compare", f'"{args.compare}"'.encode()),
-                ("q_values", iter(["".join(f",\n    {q}" for q in args.q).encode()])),
-                ("n_values", iter(["".join(f",\n    {n}" for n in args.n).encode()])),
-                ("rows", ((",\n    {\n" + text + "\n    }").encode() for text in cells)),
-            ]
-            write_object(fh, members)
+            rows = (ITEM + text(dict(zip(names, row)), "    ").encode() for row in rows)
+            write_object(fh, [("compare", args.compare), ("q_values", args.q), ("n_values", args.n), ("rows", rows)])
         else:
             # no cell or name needs CSV quoting: cells are integers or None
             fh.write((",".join(names) + "\n").encode())

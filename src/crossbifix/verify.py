@@ -22,8 +22,8 @@ side.
 
 The ``verify`` command's handler lives here. A ``verify`` process loads
 this module, ``bifixfree`` (the index and the walk), ``codes`` (the parser
-and the report), ``words`` and ``jsontext`` (which writes the report)
-besides ``cli``: no ``json``, and nothing of counting or of the other
+and the report), ``words`` and ``jsontext`` (which lays out the report's
+JSON) besides ``cli``: no ``json``, and nothing of counting or of the other
 commands.
 """
 

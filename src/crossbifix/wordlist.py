@@ -5,7 +5,9 @@ Only these two commands load this module, and their handlers live here.
 turns ``(head, tails)`` groups, as ``motzkin.lex_groups`` yields them, into
 ASCII bytes, one block for each group; ``write_word_list`` writes the blocks
 as word-per-line text or as the JSON of ``codeset.CodeSet.to_json``, through
-``jsontext``, which only the JSON form loads. A word's line is the text that
+``jsontext``, which only the JSON form loads: the word and provenance lists
+are pieces led by ``jsontext.ITEM``, and the provenance generators import
+it only when they are first read. A word's line is the text that
 ``words.format_symbols`` gives it: digits for q <= 10, decimal integers
 between commas above.
 """
@@ -46,8 +48,22 @@ def _cmd_baseline_gen(args) -> int:
 def tagged(tag: str, count: int) -> Iterator[bytes]:
     """The pieces of a JSON provenance list of ``count`` copies of ``tag``,
     as ``write_word_list`` takes them."""
-    item = b',\n    "' + tag.encode() + b'"'
-    return (item * min(GEN_CHUNK, count - i) for i in range(0, count, GEN_CHUNK))
+    from .jsontext import ITEM, text
+
+    item = ITEM + text(tag).encode()
+    for i in range(0, count, GEN_CHUNK):
+        yield item * min(GEN_CHUNK, count - i)
+
+
+def family_tags(q: int, n: int, tags: str) -> Iterator[bytes]:
+    """The pieces of the JSON provenance list of ``CBFS(q, n)`` built from
+    the families ``tags``, one piece for each group of its walk."""
+    from .cbfs import cbfs_groups
+    from .jsontext import ITEM, text
+
+    items = [ITEM + text(tag).encode() for tag in tags]
+    for _, tails in cbfs_groups(q, n, tags):
+        yield b"".join([items[j] for _, j in tails])
 
 
 def gen_groups(args):
@@ -64,8 +80,7 @@ def gen_groups(args):
 
         tags = _FAMILIES[args.set]
         expected, groups = count_cbfs(q, n, tags), cbfs_groups(q, n, tags)
-        items = [b',\n    "' + tag.encode() + b'"' for tag in tags]
-        provenance = (b"".join([items[j] for _, j in tails]) for _, tails in cbfs_groups(q, n, tags))
+        provenance = family_tags(q, n, tags)
     else:
         if args.set == "bifixfree":
             from .bifixfree import count_bifix_free, iter_bifix_free
@@ -144,8 +159,8 @@ def write_word_list(fh, fmt: str, q: int, n: int, groups, provenance: Iterator[b
     if fmt == "text":
         fh.writelines(blocks)
         return
-    from .jsontext import write_object
+    from .jsontext import ITEM, write_object
 
-    words = (b',\n    "' + block[:-1].replace(b"\n", b'",\n    "') + b'"' for block in blocks)
-    members = [("q", b"%d" % q), ("n", b"%d" % n), ("provenance", provenance), ("words", words)]
-    write_object(fh, members)
+    lead = ITEM + b'"'
+    words = (lead + block[:-1].replace(b"\n", b'"' + lead) + b'"' for block in blocks)
+    write_object(fh, [("q", q), ("n", n), ("provenance", provenance), ("words", words)])

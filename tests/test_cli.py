@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -637,6 +638,24 @@ def test_table_json_is_json_dump_written_a_row_at_a_time(monkeypatch):
         assert out.writes <= len(rows) + 12, out.writes
 
 
+def test_a_text_only_stdout_gets_the_bytes_written_to_out(tmp_path):
+    # a stdout with no binary buffer under it, as redirect_stdout puts in place
+    target = tmp_path / "out"
+    for argv in (
+        ["gen", "--q", "3", "--n", "6"],
+        ["gen", "--q", "12", "--n", "4", "--format", "json"],
+        ["baseline-gen", "--k", "2", "--q", "3", "--n", "6"],
+        ["baseline-gen", "--k", "2", "--q", "3", "--n", "6", "--format", "json"],
+        ["table", "--q", "3..4", "--n", "3..20", "--bold"],
+        ["table", "--q", "3..4", "--n", "3..20", "--bold", "--format", "json"],
+    ):
+        assert main([*argv, "--out", str(target)]) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        assert stdout.getvalue() and stdout.getvalue().encode() == target.read_bytes(), argv
+
+
 def test_table_runs_are_byte_identical(capsys):
     first = run(capsys, "table", "--q", "3..6", "--n", "3..16")
     second = run(capsys, "table", "--q", "3..6", "--n", "3..16")
@@ -782,7 +801,7 @@ def test_integer_options_take_only_ascii_digits(capsys):
             ), (command, option, text)
     # negative integers are still read, and reach the commands' own checks
     assert cli._integer("-1") == -1 and cli._integer("007") == 7
-    assert cli._parse_range("-2..-1") == [-2, -1]
+    assert list(cli._parse_range("-2..-1")) == [-2, -1]
     assert run(capsys, "count", "--q", "3", "--n", "-1", "--set", "cbfs")[0] == 2
 
 

@@ -200,3 +200,16 @@ def test_gen_json_peaks_within_5_mb_of_the_text():
         code, peaks[fmt] = map(int, done.stdout.split())
         assert code == 0, done.stderr
     assert peaks["json"] < peaks["text"] + 5 * 1024, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_table_refuses_a_long_range_in_the_memory_of_a_short_one():
+    # both lengths are above --limit, so both are refused before any count
+    peaks = {}
+    for lengths in ("3..20", "3..2000000"):
+        command = [sys.executable, "-m", "crossbifix", "table", "--q", "3", "--n", lengths, "--limit", "10"]
+        spawn = [sys.executable, "-c", SPAWN, *command]
+        done = subprocess.run(spawn, env=ENV, capture_output=True, text=True, timeout=60)
+        code, peaks[lengths] = map(int, done.stdout.split())
+        assert code == 2 and done.stderr.endswith("above --limit 10\n"), done.stderr
+    assert peaks["3..2000000"] < peaks["3..20"] + 5 * 1024, peaks
