@@ -35,8 +35,10 @@ def text(value, indent: str = "") -> str:
     out at ``indent``: None, a bool, an int, a float (its ``repr``, or
     ``NaN`` and ``Infinity`` as ``json`` writes them), a string, escaped as
     ``json`` escapes it by default, so in ASCII, a list, tuple or range of
-    such values, or a dict of them with string keys. Any other value raises
-    TypeError, as ``json`` does."""
+    such values, or a dict of them. A dict key that is not a string is
+    written as the string ``json`` makes of it: an int, a float (``NaN``
+    and ``Infinity`` too), a bool or None as its own text, in quotes. Any
+    other value or key raises TypeError, as ``json`` does."""
     kind = type(value)  # tested before isinstance: most values are strings in dicts
     if kind is str or kind is not dict and isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
@@ -44,7 +46,7 @@ def text(value, indent: str = "") -> str:
         return '"' + "".join(map(_escape, value)) + '"'
     if kind is dict or isinstance(value, dict):
         inner = indent + "  "
-        items = [f"{text(key)}: {text(item, inner)}" for key, item in value.items()]
+        items = [f"{text(key) if type(key) is str else _key(key)}: {text(item, inner)}" for key, item in value.items()]
         opening, closing = "{}"
     elif value is None:
         return "null"
@@ -70,16 +72,26 @@ def text(value, indent: str = "") -> str:
     return opening + sep[1:] + sep.join(items) + "\n" + indent + closing
 
 
+def _key(key) -> str:
+    """The JSON text of a dict key: a string, or the string ``json`` makes
+    of an int, float, bool or None key."""
+    if isinstance(key, str):
+        return text(key)
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return f'"{text(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def write_object(fh, members) -> None:
     """Write a JSON object and a newline to the binary file ``fh`` from
-    one or more ``(key, value)`` members with string keys. A value is
+    ``(key, value)`` members, keyed as ``text`` keys a dict. A value is
     written as its ``text``, except an iterator, which is a list given as
     pieces of its items' text, each item led by ``ITEM``. The pieces are
     written as they come, so no such list is held whole.
     """
     lead = b"{\n  "
     for key, value in members:
-        fh.write(lead + f"{text(key)}: ".encode())
+        fh.write(lead + f"{_key(key)}: ".encode())
         lead = b",\n  "
         if not hasattr(value, "__next__"):
             fh.write(text(value, "  ").encode())
@@ -91,4 +103,4 @@ def write_object(fh, members) -> None:
             fh.write(b"[" + first[1:])  # the first item has no comma before it
             fh.writelines(value)
             fh.write(b"\n  ]")
-    fh.write(b"\n}\n")
+    fh.write(b"{}\n" if lead == b"{\n  " else b"\n}\n")

@@ -61,10 +61,14 @@ def lex_groups(
     Every later node in that state yields one group: its own head and the
     state's recorded list itself, the same list object, complete and never
     changed again, each time the state comes back. Callers must not change
-    the lists. Each call holds one path, tables of about n^2 / 4 bytes and
-    the recorded tails: at most one per word yielded so far, and at most the
-    length-``n // 2`` completions of each state met at the cut. The record
-    is local to the call.
+    the lists. Every group of one node at the cut hands out that node's
+    head tuple, the same object, and the groups of a node come together:
+    one replay, or the one-element groups of a first visit, which a writer
+    may collect by testing the head with ``is`` (``wordlist.word_blocks``
+    formats them in one pass). Each call holds one path, tables of about
+    n^2 / 4 bytes and the recorded tails: at most one per word yielded so
+    far, and at most the length-``n // 2`` completions of each state met at
+    the cut. The record is local to the call.
     """
     if len(shapes) > 8:
         raise ValueError(f"one walk takes at most 8 shapes, got {len(shapes)}")

@@ -3,13 +3,14 @@
 Only these two commands load this module, and their handlers live here.
 ``gen_groups`` checks a ``gen`` request and picks its walk; ``word_blocks``
 turns ``(head, tails)`` groups, as ``motzkin.lex_groups`` yields them, into
-ASCII bytes, one block for each group; ``write_word_list`` writes the blocks
-as word-per-line text or as the JSON of ``codeset.CodeSet.to_json``, through
-``jsontext``, which only the JSON form loads: the word and provenance lists
-are pieces led by ``jsontext.ITEM``, and the provenance generators import
-it only when they are first read. A word's line is the text that
-``words.format_symbols`` gives it: digits for q <= 10, decimal integers
-between commas above.
+ASCII bytes, one block for each group or for each walk state's first visit;
+``write_word_list`` joins the blocks into pieces of at least 64 KiB and
+writes them as word-per-line text or as the JSON of
+``codeset.CodeSet.to_json``, through ``jsontext``, which only the JSON form
+loads: the word and provenance lists are pieces led by ``jsontext.ITEM``,
+and the provenance generators import it only when they are first read. A
+word's line is the text that ``words.format_symbols`` gives it: digits for
+q <= 10, decimal integers between commas above.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ from .words import check_alphabet, format_symbols
 # Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
-# Words per write call of `gen --set bifixfree`, and provenance items per
-# piece of a uniformly tagged list.
+# Words per chunk of `gen --set bifixfree` and at most per block of one
+# state's first visit, and provenance items per piece of a uniformly tagged
+# list.
 GEN_CHUNK = 4096
+
+# The least bytes per write of a word list, but for its last write.
+WRITE_SIZE = 1 << 16
 
 
 def _cmd_gen(args) -> int:
@@ -106,16 +111,22 @@ def gen_groups(args):
 
 def word_blocks(q: int, groups) -> Iterator[bytes]:
     """The word-per-line ASCII bytes of ``(head, tails)`` groups, one block
-    for each group that holds a word.
+    for each group that holds a word, except that a run of one-element
+    groups handing the same head object makes one block of at most
+    ``GEN_CHUNK`` words.
 
     A list of several tails comes back each time its walk state does, so
     its lines are made once and kept with the list, which holds the list's
     id for them; each group is then those lines joined by the head's line
-    (and a comma for q > 10), which leads each of them. One-element lists
-    and groups with an empty head, whose tails may be any iterable, are
-    formatted as they come, so the kept lines are one block per state met
-    at the cut. For q <= 10 a line is the symbols as bytes, translated to
-    digits, and a group of several words is translated in one pass.
+    (and a comma for q > 10), which leads each of them, so the kept lines
+    are one block per state met at the cut. One-element groups whose head
+    is the object of the group before are the words of one state's first
+    visit at the cut (see ``motzkin.lex_groups``), so they are collected
+    and formatted in one pass; heads are compared with ``is``, so equal
+    heads of distinct groups stay apart. Groups with an empty head, whose
+    tails may be any iterable, are formatted as they come. For q <= 10 a
+    line is the symbols as bytes, translated to digits, and a block of
+    several words is translated in one pass.
     """
     if q <= 10:
         sep = b""
@@ -136,17 +147,42 @@ def word_blocks(q: int, groups) -> Iterator[bytes]:
             return "\n".join([format_symbols(row, q) for row in rows]).encode("ascii")
 
     kept = {}
+    # the words of the block being made: those of a group that is not a
+    # replay, then those of the one-element groups after it that hand the
+    # same head object `first`
+    run, first = [], None
     for head, tails in groups:
+        if head and len(tails) == 1 and head is first and len(run) < GEN_CHUNK:
+            run.append(head + tails[0][0])
+            continue
+        if run:
+            yield lines(run) + b"\n"
+        first = head
         if head and len(tails) > 1:
+            run = []
             entry = kept.get(id(tails))
             if entry is None:
                 block = lines([tail for tail, _ in tails])
                 entry = kept[id(tails)] = (tails, [b"", *[text + b"\n" for text in block.split(b"\n")]])
             yield (line(head) + sep).join(entry[1])
         else:
-            rows = [head + tail for tail, _ in tails]
-            if rows:
-                yield lines(rows) + b"\n"
+            run = [head + tail for tail, _ in tails]
+    if run:
+        yield lines(run) + b"\n"
+
+
+def _pieces(blocks: Iterator[bytes]) -> Iterator[bytes]:
+    """``blocks`` joined into pieces of at least ``WRITE_SIZE`` bytes, but
+    for the last one."""
+    batch, size = [], 0
+    for block in blocks:
+        batch.append(block)
+        size += len(block)
+        if size >= WRITE_SIZE:
+            yield b"".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield b"".join(batch)
 
 
 def write_word_list(fh, fmt: str, q: int, n: int, groups, provenance: Iterator[bytes]) -> None:
@@ -154,8 +190,10 @@ def write_word_list(fh, fmt: str, q: int, n: int, groups, provenance: Iterator[b
     as word-per-line text (``fmt`` "text") or as the JSON of
     ``CodeSet.to_json`` ("json"), whose provenance list is the pieces of
     ``provenance``, each item led by ``,\\n`` and a four-space indent. The
-    words are written a block at a time, as ``word_blocks`` makes them."""
-    blocks = word_blocks(q, groups)
+    blocks of ``word_blocks`` are written in pieces of at least
+    ``WRITE_SIZE`` bytes, so that a file buffered by a few KiB, as stdout
+    is, is written once per piece rather than once per buffer."""
+    blocks = _pieces(word_blocks(q, groups))
     if fmt == "text":
         fh.writelines(blocks)
         return

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, wordlist
 from crossbifix.baseline import s_max, s_star
-from crossbifix.cbfs import cbfs_groups, construct_cbfs
+from crossbifix.cbfs import cbfs_groups, construct_cbfs, iter_cbfs
 from crossbifix.cli import main
 from crossbifix.codeset import CodeSet
 from crossbifix.counting import count_cbfs, motzkin_count
@@ -399,6 +399,59 @@ def test_word_blocks_equal_the_words_written_one_by_one():
         for make in makers:
             expected = "".join(format_symbols(head + tail, q) + "\n" for head, tails in make() for tail, _ in tails)
             assert expected and b"".join(wordlist.word_blocks(q, make())) == expected.encode("ascii"), q
+
+
+def test_word_blocks_format_a_first_visit_in_one_pass():
+    # a run of one-element groups handing one head object, as the first
+    # visit of a state at the cut does, is one block per GEN_CHUNK words
+    chunk = wordlist.GEN_CHUNK
+    rng = random.Random(11)
+    for q in (3, 12):
+        for count in (1, 2, chunk, chunk + 1, 2 * chunk + 5):
+            head = tuple(rng.randrange(q) for _ in range(3))
+            tails = [(tuple(rng.randrange(q) for _ in range(4)), 0) for _ in range(count)]
+            expected = "".join(format_symbols(head + tail, q) + "\n" for tail, _ in tails).encode("ascii")
+            blocks = list(wordlist.word_blocks(q, ((head, [tail]) for tail in tails)))
+            assert len(blocks) == -(-count // chunk) and b"".join(blocks) == expected, (q, count)
+            # equal heads that are distinct objects are not merged
+            blocks = list(wordlist.word_blocks(q, ((tuple(list(head)), [tail]) for tail in tails)))
+            assert len(blocks) == count and b"".join(blocks) == expected, (q, count)
+
+
+class RecordingFile(io.RawIOBase):
+    """A raw binary file that keeps the bytes of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+def test_word_lists_are_written_in_pieces_of_at_least_64_kib():
+    size = wordlist.WRITE_SIZE
+    assert size == 64 * 1024
+    for q, n in ((4, 11), (12, 6)):
+        # the bytes of the blocks as word_blocks makes them, unbatched
+        text = b"".join(wordlist.word_blocks(q, cbfs_groups(q, n)))
+        fh = RecordingFile()
+        wordlist.write_word_list(fh, "text", q, n, cbfs_groups(q, n), None)
+        assert b"".join(fh.writes) == text, (q, n)
+        assert len(fh.writes) > 2 and all(len(piece) >= size for piece in fh.writes[:-1]), (q, n)
+        fh = RecordingFile()
+        wordlist.write_word_list(fh, "json", q, n, cbfs_groups(q, n), wordlist.family_tags(q, n, "ABC"))
+        tags = [family for _, family in iter_cbfs(q, n)]
+        expected = {"q": q, "n": n, "provenance": tags, "words": text.decode("ascii").split()}
+        assert b"".join(fh.writes).decode("ascii") == json.dumps(expected, indent=2) + "\n", (q, n)
+        # the words list: its opening bracket with the first piece, the
+        # other pieces, then its closing bracket
+        start = fh.writes.index(b',\n  "words": ') + 1
+        pieces = fh.writes[start : fh.writes.index(b"\n  ]", start)]
+        assert len(pieces) > 2 and all(len(piece) >= size for piece in pieces[:-1]), (q, n)
 
 
 @pytest.mark.parametrize(

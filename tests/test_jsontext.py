@@ -29,7 +29,8 @@ VALUES = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(TEXTS, inner, max_size=4),
+        # keys of every kind json turns into strings
+        st.dictionaries(st.one_of(TEXTS, st.integers(), st.floats(), st.booleans(), st.none()), inner, max_size=4),
     ),
     max_leaves=24,
 )
@@ -58,6 +59,12 @@ def test_text_refuses_what_json_refuses():
     for value in (b"1", {1, 2}, object(), [1, {"a": b""}]):
         with pytest.raises(TypeError):
             text(value)
+    # a key json cannot turn into a string, with json's message
+    for value in ({(1, 2): 3}, {"a": 1, b"b": 2}, [{frozenset(): None}]):
+        with pytest.raises(TypeError) as refused:
+            json.dumps(value)
+        with pytest.raises(TypeError, match=f"^{refused.value}$"):
+            text(value)
 
 
 def test_write_object_streams_lists_among_plain_values():
@@ -82,6 +89,11 @@ def test_write_object_streams_lists_among_plain_values():
     out = io.BytesIO()
     write_object(out, members)
     assert out.getvalue().decode("ascii") == json.dumps(plain(data), indent=2) + "\n"
+    # an object with no members, and one keyed as a dict with other keys
+    for data in ({}, {1: 2, None: 3, 1.5: [], True: "t"}):
+        out = io.BytesIO()
+        write_object(out, list(data.items()))
+        assert out.getvalue().decode("ascii") == json.dumps(data, indent=2) + "\n"
 
 
 # Text that only JSON layout holds: an item's comma and line break, a

@@ -287,6 +287,28 @@ def test_lex_groups_calls_share_no_state():
     assert not {id(tails) for _, tails in together[0]} & {id(tails) for _, tails in together[1]}
 
 
+def test_each_node_at_the_cut_hands_out_one_head_object():
+    # the groups of one node at the cut come together and share its head
+    # tuple: one replay, or the one-element groups of a first visit
+    for n in (7, 8, 11):
+        shapes = _shapes(n)
+        walks = {
+            "cbfs": lex_groups(3, [shapes["A"], shapes["B"], shapes["C"]]),
+            "motzkin": motzkin.motzkin_groups(1, n),
+            "elevated": motzkin.elevated_groups(2, n),
+        }
+        for name, walk in walks.items():
+            groups = list(walk)
+            nodes = [list(node) for _, node in itertools.groupby(groups, key=lambda group: group[0])]
+            # a head names its node: equal heads never come back later
+            assert len(nodes) == len({head for head, _ in groups}), (name, n)
+            assert any(len(node) > 1 for node in nodes), (name, n)
+            for node in nodes:
+                head = node[0][0]
+                assert len(head) == n - n // 2 and all(group[0] is head for group in node), (name, n)
+                assert len(node) == 1 or all(len(tails) == 1 for _, tails in node), (name, n)
+
+
 def test_first_word_needs_no_quadratic_memory():
     # the position-by-height tables take a byte per entry, about
     # n^2 / 4 = 2.25 MB here; the first group holds one word

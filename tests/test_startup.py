@@ -213,3 +213,29 @@ def test_table_refuses_a_long_range_in_the_memory_of_a_short_one():
         code, peaks[lengths] = map(int, done.stdout.split())
         assert code == 2 and done.stderr.endswith("above --limit 10\n"), done.stderr
     assert peaks["3..2000000"] < peaks["3..20"] + 5 * 1024, peaks
+
+
+def test_iter_cbfs_streams_its_first_words_far_past_the_listing_range():
+    # each word of a first visit leaves the walk at once, so the first
+    # words of CBFS(3, 60) wait for no subtree to be listed
+    script = (
+        "from itertools import islice\n"
+        "from crossbifix.cbfs import iter_cbfs\n"
+        "print(sum(1 for _ in islice(iter_cbfs(3, 60), 1000)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "1000\n"), done.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_gen_of_ten_million_words_peaks_within_8_mb_of_a_small_set():
+    # CBFS(3, 19) holds 10,035,338 words, CBFS(3, 9) 210; the writer holds
+    # a piece of about 64 KiB, whatever the set's size
+    peaks = {}
+    for n in ("9", "19"):
+        command = [sys.executable, "-m", "crossbifix", "gen", "--q", "3", "--n", n, "--limit", "20000000"]
+        spawn = [sys.executable, "-c", SPAWN, *command]
+        done = subprocess.run(spawn, env=ENV, capture_output=True, text=True, timeout=120)
+        code, peaks[n] = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+    assert peaks["19"] < peaks["9"] + 8 * 1024, peaks
