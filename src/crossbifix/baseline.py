@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import DEFAULT_MAX_SPACE
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .codeset import CodeSet
 

@@ -35,11 +35,12 @@ closed-form sizes from ``counting.family_sizes``, and ``cbfs_groups``, ``iter_cb
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from collections.abc import Iterator
 
 from .counting import _check_families, _require_domain
 from .motzkin import lex_groups
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .codeset import CodeSet
 

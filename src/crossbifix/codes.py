@@ -9,7 +9,7 @@ dict.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .jsontext import text
 from .words import format_symbols, symbols_of

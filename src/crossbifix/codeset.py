@@ -12,8 +12,8 @@ a caller asks for one, as ``construct_cbfs``, ``construct_baseline_set``,
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, Sequence
 
 from .codes import Record, parse_code, read_codes
 from .motzkin import elevated_groups, motzkin_groups

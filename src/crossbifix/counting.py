@@ -11,7 +11,7 @@ length, and no sum runs term by term.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def motzkin_counts(colors: int, lengths: Iterable[int]) -> dict[int, int]:

@@ -13,7 +13,7 @@ with the brute-force references in ``oracle``.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .words import FALL, RISE
 

@@ -34,13 +34,13 @@ import time
 from bisect import bisect_left
 from contextlib import nullcontext
 from functools import cache
-from typing import TYPE_CHECKING
 
 from . import DEFAULT_MAX_SPACE
 from .bifixfree import _index, _walk, count_bifix_free
 from .codes import VerificationReport, code_of, read_codes
 from .words import check_alphabet, format_symbols, symbols_of
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .codeset import CodeSet
 

@@ -15,8 +15,8 @@ q <= 10, decimal integers between commas above.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice, repeat
-from typing import Iterator
 
 from .cli import _FAMILIES, _output
 from .counting import count_cbfs, motzkin_count

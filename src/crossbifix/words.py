@@ -10,7 +10,7 @@ reading of word text into base-q codes and the report records are in
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 FALL = 0
 RISE = 1

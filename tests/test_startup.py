@@ -117,6 +117,27 @@ def test_commands_load_only_what_they_run(name):
     assert not loaded & {"argparse", "csv", "dataclasses", "gettext", "inspect", "json", "locale"}
 
 
+@pytest.mark.parametrize("name", COMMANDS)
+def test_commands_load_no_typing_where_site_has_not(name):
+    # under python -S no site module has loaded typing, as on an interpreter
+    # whose site loads none; typing would bring in re and enum
+    argv, stdin, _ = COMMANDS[name]
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['crossbifix', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('crossbifix', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "sys.stderr.write('\\n' + repr(sorted({'typing', 're', 'enum'} & set(sys.modules))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], input=stdin, env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0 and done.stdout, done.stderr
+    assert done.stderr.rsplit("\n", 1)[1] == "[]"
+
+
 def test_a_refused_argv_exits_2_with_the_argparse_message():
     done = subprocess.run(
         [sys.executable, "-m", "crossbifix", "count", "--q", "x", "--n", "5"],
