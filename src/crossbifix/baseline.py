@@ -67,10 +67,11 @@ def _contains_zero_run(symbols: tuple[int, ...], k: int) -> bool:
 
 def baseline_groups(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> tuple[int, Iterator[tuple]]:
     """``(size, groups)`` of S(k, q, n): its number of words, and the words
-    in canonical order as ``(head, tails)`` groups, as ``motzkin.lex_groups``
-    yields them. The heads are the zero run, the first symbol and the
-    interior, and every group hands out the same list of tails, the last
-    symbols 1..q-1 each with index 0; callers must not change it.
+    in canonical order as ``(head, tails)`` groups, which
+    ``wordlist.group_blocks`` writes. The heads are the zero run, the first
+    symbol and the interior, and every group hands out the same list of
+    tails, the last symbols 1..q-1 each with index 0; callers must not
+    change it.
 
     Admits 1 <= k <= n-2 (k = 1 arises in the extended maximization). The
     interior is enumerated and filtered, at a cost of q^(n-k-2); instances

@@ -12,25 +12,23 @@ q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
   ground-level elevated factor of length >= ceil(n / 2), then a fall step.
 
 Counting never materializes words, so it lives in ``counting``, which
-needs none of the walk. Generation is one pruned depth-first
-search over path states (``motzkin.lex_groups``) that walks the chosen
-families together. Each family is a shape (a floor per position, an arch
-bound, a forbidden first return); a node carries the mask of the families
-its prefix still fits, and the final height of a word names its family. So
-the walk yields plain symbol tuples already in canonical order, with no
-merge or re-sort. Past the middle of the word the walk replays the tails
-it has recorded for a path state instead of walking them again, so its
-memory grows with the distinct completions of the second half, not with
-the set. ``cbfs_groups`` hands a replay out whole, as a head and the
-state's list of tails, so that a caller such as ``gen`` can write the
-subtree in one piece; ``iter_cbfs`` flattens the groups into symbol tuples,
-and ``construct_cbfs`` wraps them in a ``codeset.CodeSet``, the only step
-that builds a ``Word``.
+needs none of the walk. Generation is one walk over the path states of
+``motzkin.StateTable`` that covers the chosen families together. Each family
+is a shape (a floor per position, an arch bound, a forbidden first return);
+a state carries the mask of the families its prefix still fits, and the
+final height of a word names its family. So the walk yields plain symbol
+tuples already in canonical order, with no merge or re-sort. Below the
+walk's frontier, where a state's completions fit in one block, each state's
+tails (for ``iter_cbfs``) or lines (for ``gen``) are built once from its
+children's, so the per-word work is one tuple concatenation, or none for
+``gen``. ``cbfs_shapes`` gives the table its shapes; ``construct_cbfs``
+wraps the words in a ``codeset.CodeSet``, the only step that builds a
+``Word``.
 
 One ``families`` string, such as ``"ABC"`` (the default) or ``"B"``, picks
 the families at every layer: ``counting.count_cbfs`` sums their
-closed-form sizes from ``counting.family_sizes``, and ``cbfs_groups``, ``iter_cbfs`` and
-``construct_cbfs`` walk them.
+closed-form sizes from ``counting.family_sizes``, and ``cbfs_shapes``,
+``iter_cbfs`` and ``construct_cbfs`` walk them.
 """
 
 from __future__ import annotations
@@ -38,14 +36,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .counting import _check_families, _require_domain
-from .motzkin import lex_groups
+from .motzkin import StateTable
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .codeset import CodeSet
 
 def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
-    """The ``lex_groups`` shape of each family at length n."""
+    """The ``motzkin.StateTable`` shape of each family at length n."""
     half = n // 2
     return {
         # A Motzkin path whose last visit to height 0 before the end is at
@@ -61,17 +59,14 @@ def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
     }
 
 
-def cbfs_groups(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int, ...], list]]:
-    """CBFS(q, n), or the union of the named families, as the
-    ``motzkin.lex_groups`` of one walk over their shapes: ``(head, tails)``
-    groups in canonical order, where ``families[j]`` names the family of
-    each word ``head + tail`` with ``(tail, j)`` in ``tails``. A group that
-    replays a path state hands back the same list each time; callers must
-    not change it. Domain errors are raised on the call."""
+def cbfs_shapes(q: int, n: int, families: str = "ABC") -> list[tuple[list[int], int | None, int | None]]:
+    """The shapes of the named families of CBFS(q, n), in the order of
+    ``families``, for a ``motzkin.StateTable``. Domain errors are raised
+    here."""
     _require_domain(q, n)
     _check_families(families)
     shapes = _shapes(n)
-    return lex_groups(q, [shapes[name] for name in families])
+    return [shapes[name] for name in families]
 
 
 def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int, ...], str]]:
@@ -81,13 +76,10 @@ def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int
     One walk covers every named family: the families end at distinct
     heights, so the walk tells them apart by where each word ends. Words
     are ordered as symbol tuples; comparing text would misorder them for
-    q > 10. Memory holds the tails the walk records for replay: at most one
-    per word yielded so far, and at most the length-``n // 2`` completions
-    of each path state met at the middle. Streaming all of CBFS(3, 19),
-    10,035,338 words, takes 3.9 MB for them.
+    q > 10. Memory holds the state table and the tails of each state below
+    the walk's frontier, listed once.
     """
-    groups = cbfs_groups(q, n, families)
-    return ((head + tail, families[j]) for head, tails in groups for tail, j in tails)
+    return StateTable(q, n, cbfs_shapes(q, n, families)).words(families)
 
 
 def construct_cbfs(q: int, n: int, families: str = "ABC") -> CodeSet:

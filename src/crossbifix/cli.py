@@ -267,6 +267,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv) or build_parser().parse_args(argv)
     module, name = args.handler  # the module that holds the command's handler
+    if sys.stdout is None and getattr(args, "out", None) in (None, "-"):
+        # the process started with its standard output closed
+        print("error: stdout is closed", file=sys.stderr)
+        return 2
     # Python's cap on int-str conversion (4300 digits by default, where the
     # interpreter has one) is lifted once argv is read, so that exact counts
     # print in full and long words are read, and restored after the command.

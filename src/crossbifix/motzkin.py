@@ -1,4 +1,5 @@
-"""Exhaustive generation of k-colored Motzkin words.
+"""Exhaustive generation of k-colored Motzkin words, and the state table of
+the walk that lists them and the CBFS families.
 
 A k-colored Motzkin word of length n uses the alphabet {0, ..., k+1}: rise
 (1), fall (0) and k level colors (2..k+1). Its path runs from (0,0) to (n,0)
@@ -17,19 +18,20 @@ from collections.abc import Iterator, Sequence
 
 from .words import FALL, RISE
 
+# The bytes of word lines, n + 1 bytes a word for q <= 10, that one block of
+# a walk holds at most: wordlist.WRITE_SIZE, the least write of a word list.
+BLOCK_SIZE = 1 << 16
 
-def lex_groups(
-    q: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]
-) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
-    """Yield, in lexicographic order, every symbol tuple over {0, ..., q-1}
-    whose path fits one of ``shapes``, paired with the index of that shape,
-    in groups ``(head, tails)``: the words of a group are ``head + tail``
-    for each ``(tail, shape index)`` in the list ``tails``, in order.
+
+class StateTable:
+    """The words of length n over {0, ..., q-1} whose path fits one of
+    ``shapes``, as an automaton over path states that is walked in
+    lexicographic order.
 
     A shape ``(floor, max_arch, skip_first_return)`` admits the paths from
     height 0 that satisfy these bounds:
 
-    * the word has length ``len(floor) - 1`` and ends at height ``floor[-1]``,
+    * the word ends at height ``floor[-1]``, and ``floor`` has n + 1 entries,
     * after p >= 1 symbols the height is at least ``floor[p]``,
     * with ``max_arch``, every stretch above height 0 between two visits
       to height 0 lasts at most ``max_arch`` steps; a path that ends above
@@ -37,133 +39,233 @@ def lex_groups(
     * with ``skip_first_return``, the path does not first come back to
       height 0 by a fall at that position.
 
-    All shapes must have the same length and distinct final heights, so a
-    word fits at most one of them, the one it ends at; otherwise ValueError
-    is raised before any word is yielded.
+    The shapes must have distinct final heights, so a word fits at most one
+    of them, the one it ends at, and there are at most 8 of them, so that
+    every mask of shapes fits in a byte; otherwise ValueError is raised.
 
-    The walk is one depth-first search over (position, height, last visit
-    to height 0, shapes still possible) that tries the fall, the rise and
-    then the level colors, so words come out in order. The shapes still
-    possible are a bit mask of at most 8 shapes, so that every mask fits in
-    a byte; more shapes raise ValueError before any word. A branch is cut
-    as soon as no shape admits it. Two tables built up front decide that:
-    ``rows[p][h]`` holds the shapes with ``floor[p] <= h <= floor[-1] + n - p``
-    (the final height is still reachable), and ``arch_ok[d]`` the shapes
-    whose arch bound allows d, the steps since height 0 plus the steps
-    needed to get back there. With the floors this package uses, every
-    prefix kept extends to a word.
+    A state at position p is (height, last visit to height 0, mask of the
+    shapes still possible). ``children`` gives a state's children, fall,
+    rise, then each level color, each a (symbol, state) pair. A child is
+    cut as soon as no shape admits it, which three tables built up front
+    decide: ``rows[p][h]`` holds the shapes with ``floor[p] <= h <=
+    floor[-1] + n - p`` (the final height is still reachable), ``arch_ok[d]``
+    the shapes whose arch bound allows d, the steps since height 0 plus the
+    steps needed to get back there, and ``first_ok[p]`` the shapes that allow
+    a first return at p. When no shape left has an arch bound, the last
+    visit matters only as "not yet" (0), to a shape with a forbidden first
+    return, so once the path has come back to 0 it is stored as p: states
+    that accept the same completions are one state. A state at n holds one shape, the
+    one it ends at. Every table is keyed by position, since equal tuples at
+    two positions are two states.
 
-    The head of a group is the first ``cut = n - n // 2`` symbols; for
-    n <= 1 it is empty. Past the cut a node's subtree depends only on its
-    height, its steps since height 0 and its shapes still possible. The
-    first node met in each such state walks on, and each of its words is
-    recorded under that state and yielded at once as a one-element group.
-    Every later node in that state yields one group: its own head and the
-    state's recorded list itself, the same list object, complete and never
-    changed again, each time the state comes back. Callers must not change
-    the lists. Every group of one node at the cut hands out that node's
-    head tuple, the same object, and the groups of a node come together:
-    one replay, or the one-element groups of a first visit, which a writer
-    may collect by testing the head with ``is`` (``wordlist.word_blocks``
-    formats them in one pass). Each call holds one path, tables of about
-    n^2 / 4 bytes and the recorded tails: at most one per word yielded so
-    far, and at most the length-``n // 2`` completions of each state met at
-    the cut. The record is local to the call.
+    ``size`` counts a state's completions once, from those of its children,
+    and stops at ``cap + 1``, where ``cap`` is the lines of a block:
+    ``BLOCK_SIZE // (n + 1)``. ``count`` counts the words exactly, by the
+    transfer-matrix method: the prefixes that reach each state. A walk
+    goes depth first from the root until it meets a state whose completions
+    fit in a block (or one at n - 1 or later), a frontier node; below that,
+    each state's material (the lines of its completions, their tails or
+    their tags) is built once, from its children's, by ``templates``.
     """
-    if len(shapes) > 8:
-        raise ValueError(f"one walk takes at most 8 shapes, got {len(shapes)}")
-    n = len(shapes[0][0]) - 1
-    finals = [floor[-1] for floor, _, _ in shapes]
-    for j, (floor, _, _) in enumerate(shapes):
-        if len(floor) != n + 1:
-            raise ValueError(f"shape {j} has length {len(floor) - 1}, shape 0 has length {n}")
-        if finals.index(floor[-1]) != j:
-            raise ValueError(f"shapes {finals.index(floor[-1])} and {j} both end at height {floor[-1]}")
-    # without level steps every step changes the parity of the height
-    live = sum(1 << j for j, final in enumerate(finals) if q > 2 or (n - final) % 2 == 0)
-    if n == 0:
-        if 0 in finals:
-            yield (), [((), finals.index(0))]
-        return
-    if not live:
-        return  # before building the tables, which grow as n^2
-    low = min(0, *(min(floor) for floor, _, _ in shapes)) - 1  # no child goes lower
-    top = max(0, *finals) + n
-    indexed = list(enumerate(shapes))
-    # rows[p] is read for the children of nodes at p - 1, which are no
-    # higher than p - 1 nor than top - (p - 1).
-    rows = [
-        _masks(low, min(p, top - p + 2), [(1 << j, floor[p], floor[-1] + n - p) for j, (floor, _, _) in indexed])
-        for p in range(n + 1)
-    ]
-    # d is at most top + 2, since a child at p is no higher than top - p + 2
-    arches = [(1 << j, low + 1, top + 2 if arch is None else arch) for j, (_, arch, _) in indexed]
-    arch_ok = _masks(low + 1, top + 2, arches)
-    first_ok = [sum(1 << j for j, (_, _, skip) in indexed if skip != p) for p in range(n + 1)]
-    levels = range(2, q)
-    levels_desc = range(q - 1, 1, -1)
-    buf = [0] * n
-    last = n - 1
-    # at n = 1 the root is the only node above the leaves, so it is the cut
-    cut = n - n // 2 if n > 1 else 0
-    # Tails recorded per state at the cut.
-    memo = {}
-    # Pending nodes (position, symbol placed at position - 1, height, last
-    # visit to 0, shapes still possible), pushed in reverse order so they
-    # pop in lexicographic order. The root's symbol goes to buf[-1], which
-    # the last position overwrites. The children of a node at the last
-    # position are emitted directly rather than pushed; the one shape left
-    # is the one that ends at their height.
-    stack = [(0, 0, 0, 0, live)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        p, s, h, g, live = pop()
-        buf[p - 1] = s
-        if p == cut:
-            head = tuple(buf[:cut])
-            # p - g == cut exactly when the path has not come back to 0
-            key = (h, p - g, live)
-            tails = memo.get(key)
-            if tails is not None:
-                if tails:  # a state with no completion yields no group
-                    yield head, tails
-                continue
-            record = memo[key] = []
+
+    def __init__(self, q: int, n: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]) -> None:
+        if len(shapes) > 8:
+            raise ValueError(f"one walk takes at most 8 shapes, got {len(shapes)}")
+        finals = [floor[-1] for floor, _, _ in shapes]
+        for j, (floor, _, _) in enumerate(shapes):
+            if len(floor) != n + 1:
+                raise ValueError(f"shape {j} has length {len(floor) - 1}, not {n}")
+            if finals.index(floor[-1]) != j:
+                raise ValueError(f"shapes {finals.index(floor[-1])} and {j} both end at height {floor[-1]}")
+        # without level steps every step changes the parity of the height;
+        # at n = 0 the root is the one word, at height 0
+        live = sum(1 << j for j, final in enumerate(finals) if (q > 2 or (n - final) % 2 == 0) and (n or not final))
+        self.q, self.n, self.root, self.cap = q, n, (0, 0, live), BLOCK_SIZE // (n + 1)
+        self.levels = range(2, q)
+        self.edges = [{} for _ in range(n + 1)]
+        self.sizes = [{} for _ in range(n + 1)]
+        if not live:
+            return  # no state has a child: skip the tables, which grow as n^2
+        low = min([0, *(min(floor) for floor, _, _ in shapes)]) - 1  # no child goes lower
+        top = max([0, *finals]) + n
+        indexed = list(enumerate(shapes))
+        # rows[p] is read for the children of states at p - 1, which are no
+        # higher than p - 1 nor than top - (p - 1).
+        self.rows = [
+            _masks(low, min(p, top - p + 2), [(1 << j, floor[p], floor[-1] + n - p) for j, (floor, _, _) in indexed])
+            for p in range(n + 1)
+        ]
+        # d is at most top + 2, since a child at p is no higher than top - p + 2
+        arches = [(1 << j, low + 1, top + 2 if arch is None else arch) for j, (_, arch, _) in indexed]
+        self.arch_ok = _masks(low + 1, top + 2, arches)
+        self.first_ok = [sum(1 << j for j, (_, _, skip) in indexed if skip != p) for p in range(n + 1)]
+        # the shapes to which the last visit to 0 matters once it is past
+        self.kept = sum(1 << j for j, (_, arch, _) in indexed if arch is not None)
+
+    def children(self, p: int, state: tuple[int, int, int]) -> list:
+        """The (symbol, child state) pairs of ``state`` at position p, in
+        symbol order; made once per state."""
+        kids = self.edges[p].get(state)
+        if kids is not None:
+            return kids
+        kids = self.edges[p][state] = []
+        h, g, live = state
+        if p == self.n or not live:
+            return kids
         np = p + 1
-        row = rows[np]
+        row, arch_ok, kept = self.rows[np], self.arch_ok, self.kept
         d = np - g + h
         down = live & row[h - 1] & arch_ok[d - 1]
-        if h == 1 and g == 0:
-            down &= first_ok[np]
-        up = live & row[h + 1] & arch_ok[d + 1]
-        flat = live & row[h] & arch_ok[d]
-        if p == last:
-            if down:
-                buf[p] = FALL
-                leaf = (tuple(buf[cut:]), down.bit_length() - 1)
-                record.append(leaf)
-                yield head, [leaf]
-            if up:
-                buf[p] = RISE
-                leaf = (tuple(buf[cut:]), up.bit_length() - 1)
-                record.append(leaf)
-                yield head, [leaf]
-            if flat:
-                j = flat.bit_length() - 1
-                for color in levels:
-                    buf[p] = color
-                    leaf = (tuple(buf[cut:]), j)
-                    record.append(leaf)
-                    yield head, [leaf]
-            continue
-        if flat:
-            ng = np if h == 0 else g
-            for color in levels_desc:
-                push((np, color, h, ng, flat))
-        if up:
-            push((np, RISE, h + 1, g, up))
         if down:
-            push((np, FALL, h - 1, np if h == 1 else g, down))
+            if h == 1 and g == 0:
+                down &= self.first_ok[np]
+            if down:
+                kids.append((FALL, (h - 1, g if h != 1 and (not g or down & kept) else np, down)))
+        up = live & row[h + 1] & arch_ok[d + 1]
+        if up:
+            kids.append((RISE, (h + 1, g if not g or up & kept else np, up)))
+        flat = live & row[h] & arch_ok[d]
+        if flat:
+            child = (h, g if h and (not g or flat & kept) else np, flat)
+            kids += [(color, child) for color in self.levels]
+        return kids
+
+    def size(self, p: int, state: tuple[int, int, int]) -> int:
+        """The completions of ``state`` at position p, or ``cap + 1`` if
+        there are more. Each state is counted once, from its children's
+        counts, by a walk that keeps a stack of states rather than
+        recursing, and leaves a state as soon as its count passes ``cap``,
+        so that the first words of a long walk wait for no full count."""
+        n, cap, sizes, children = self.n, self.cap, self.sizes, self.children
+        known = sizes[p].get(state)
+        if known is not None:
+            return known
+        if p == n:
+            return min(state[2], 1)  # a state at n is a word, but for a dead root at n = 0
+        stack = [(p, state, 0, 0)]
+        while stack:
+            at, s, i, total = stack.pop()
+            kids, below = children(at, s), sizes[at + 1]
+            while i < len(kids) and total <= cap:
+                child = kids[i][1]
+                k = below.get(child)
+                if k is None:
+                    if at + 1 < n:
+                        stack += ((at, s, i, total), (at + 1, child, 0, 0))
+                        break
+                    k = below[child] = 1
+                total += k
+                i += 1
+            else:
+                sizes[at][s] = min(total, cap + 1)
+        return sizes[p][state]
+
+    def count(self) -> int:
+        """The number of words, exactly, by one forward pass: the number of
+        prefixes that reach each state, position by position."""
+        layer = {self.root: 1} if self.root[2] else {}
+        for p in range(self.n):
+            ahead = {}
+            for state, ways in layer.items():
+                for _, child in self.children(p, state):
+                    ahead[child] = ahead.get(child, 0) + ways
+            layer = ahead
+        return sum(layer.values())
+
+    def frontier(self, cap: int | None = None) -> Iterator[tuple[tuple[int, ...], int, tuple[int, int, int]]]:
+        """``(prefix, p, state)`` for each frontier node in lexicographic
+        order: a node with a completion whose state has at most ``cap``
+        completions (``self.cap`` by default, and no more) or is at n - 1 or
+        later, and whose ancestors' states have more. The walk holds one
+        path and the pending siblings on it."""
+        n, size, children = self.n, self.size, self.children
+        cap = self.cap if cap is None else cap
+        buf = [0] * (n + 1)
+        # (position, symbol placed at position - 1, state); the root's symbol
+        # goes to buf[-1], which no prefix reads
+        stack = [(0, 0, self.root)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            p, symbol, state = pop()
+            buf[p - 1] = symbol
+            lines = size(p, state)
+            if not lines:
+                continue
+            if lines <= cap or p >= n - 1:
+                yield tuple(buf[:p]), p, state
+                continue
+            for symbol, child in reversed(children(p, state)):
+                push((p + 1, symbol, child))
+
+    def templates(self, leaf, build):
+        """A function ``material(p, state)`` that makes the material of a
+        state: ``leaf(state)`` at n and ``build(p, parts)`` above, from
+        ``parts``, its children's (symbol, material) pairs. Each state's
+        material is made once and kept while the function lives. The
+        children are made first, from a stack of states rather than by
+        recursion."""
+        n, children = self.n, self.children
+        memo = [{} for _ in range(n + 1)]
+
+        def material(p, state):
+            made = memo[p].get(state)
+            if made is not None:
+                return made
+            stack = [(p, state)]
+            while stack:
+                at, s = stack[-1]
+                if s in memo[at]:
+                    stack.pop()
+                elif at == n:
+                    memo[at][s] = leaf(s)
+                    stack.pop()
+                else:
+                    kids, below = children(at, s), memo[at + 1]
+                    todo = [(at + 1, child) for _, child in kids if child not in below]
+                    if todo:
+                        stack += todo
+                    else:
+                        memo[at][s] = build(at, [(symbol, below[child]) for symbol, child in kids])
+                        stack.pop()
+            return memo[p][state]
+
+        return material
+
+    def blocks(self, leaf, build) -> Iterator:
+        """The block of each frontier node, in order: ``build(p, parts,
+        prefix)`` of the node at p, from its children's material as
+        ``templates(leaf, build)`` keeps it and its prefix (``leaf(state)``
+        for the root at n = 0). A frontier node's block is made for that
+        node and not kept, so the walk keeps only the material of the
+        states below its frontier."""
+        n, children = self.n, self.children
+        material = self.templates(leaf, build)
+        for prefix, p, state in self.frontier():
+            if p == n:
+                yield leaf(state)
+            else:
+                yield build(p, [(symbol, material(p + 1, child)) for symbol, child in children(p, state)], prefix)
+
+    def words(self, tags: Sequence) -> Iterator[tuple[tuple[int, ...], object]]:
+        """``(symbols, tags[j])`` for each word in lexicographic order, where
+        j is the index of the shape the word fits. Below the frontier each
+        state's tails are listed once; each word is then a frontier node's
+        prefix and its child's symbol, joined to one of the child's tails.
+        A tail takes about ten times the bytes of a line of text, so this
+        frontier is at an eighth of the lines of a block."""
+        n = self.n
+        material = self.templates(
+            lambda s: [((), tags[s[2].bit_length() - 1])],
+            lambda p, parts: [((symbol,) + tail, tag) for symbol, tails in parts for tail, tag in tails],
+        )
+        for prefix, p, state in self.frontier(self.cap // 8):
+            if p == n:  # the root, at n = 0
+                yield prefix, tags[state[2].bit_length() - 1]
+                continue
+            for symbol, child in self.children(p, state):
+                head = prefix + (symbol,)
+                for tail, tag in material(p + 1, child):
+                    yield head + tail, tag
 
 
 def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> bytes:
@@ -178,24 +280,19 @@ def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> bytes:
     return bytes(t[-lo:] + t[:-lo])
 
 
-def motzkin_groups(colors: int, n: int) -> Iterator[tuple[tuple[int, ...], list]]:
-    """The ``lex_groups`` of the Motzkin words of length n, every shape
-    index 0."""
+def motzkin_shapes(colors: int, n: int) -> list[tuple[list[int], None, None]]:
+    """The one shape of the Motzkin words of length n, for a ``StateTable``
+    over ``colors + 2`` symbols."""
     if colors < 0:
         raise ValueError(f"color count must be non-negative, got {colors}")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    return lex_groups(colors + 2, [([0] * (n + 1), None, None)])
+    return [([0] * (n + 1), None, None)]
 
 
-def elevated_groups(colors: int, n: int) -> Iterator[tuple[tuple[int, ...], list]]:
-    """The ``lex_groups`` of the elevated Motzkin words of length n: a rise
-    (forced by the floor of 1 after one step), a path staying at height
-    >= 1, and a fall back to 0."""
-    if colors < 0:
-        raise ValueError(f"color count must be non-negative, got {colors}")
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
-    if n < 2:
-        return iter(())
-    return lex_groups(colors + 2, [([0] + [1] * (n - 1) + [0], None, None)])
+def elevated_shapes(colors: int, n: int) -> list[tuple[list[int], None, None]]:
+    """The shape of the elevated Motzkin words of length n: a rise (forced
+    by the floor of 1 after one step), a path staying at height >= 1, and a
+    fall back to 0. Lengths below 2 have none."""
+    motzkin_shapes(colors, n)
+    return [([0] + [1] * (n - 1) + [0], None, None)] if n >= 2 else []

@@ -1,16 +1,18 @@
 """The ``gen`` and ``baseline-gen`` commands: word lists, written as bytes.
 
 Only these two commands load this module, and their handlers live here.
-``gen_groups`` checks a ``gen`` request and picks its walk; ``word_blocks``
-turns ``(head, tails)`` groups, as ``motzkin.lex_groups`` yields them, into
-ASCII bytes, one block for each group or for each walk state's first visit;
-``write_word_list`` joins the blocks into pieces of at least 64 KiB and
-writes them as word-per-line text or as the JSON of
-``codeset.CodeSet.to_json``, through ``jsontext``, which only the JSON form
-loads: the word and provenance lists are pieces led by ``jsontext.ITEM``,
-and the provenance generators import it only when they are first read. A
-word's line is the text that ``words.format_symbols`` gives it: digits for
-q <= 10, decimal integers between commas above.
+``gen_blocks`` checks a ``gen`` request and picks its words: a walk of a
+``motzkin.StateTable`` for the CBFS, Motzkin and elevated sets, whose
+``text_blocks`` are one block of lines for each node of the walk's frontier,
+made from templates built once per state below it with C-level byte
+operations, or the ``(head, tails)`` groups of the bifix-free and baseline
+sets, formatted by ``group_blocks``. ``write_word_list`` joins the blocks
+into pieces of at least 64 KiB and writes them as word-per-line text or as
+the JSON of ``codeset.CodeSet.to_json``, through ``jsontext``, which only the
+JSON form loads: the word and provenance lists are pieces led by
+``jsontext.ITEM``, and the provenance generators import it only when they
+are first read. A word's line is the text that ``words.format_symbols``
+gives it: digits for q <= 10, decimal integers between commas above.
 """
 
 from __future__ import annotations
@@ -25,19 +27,19 @@ from .words import check_alphabet, format_symbols
 # Maps the symbol bytes 0..9 to their digits and keeps byte 10, the newline.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
-# Words per chunk of `gen --set bifixfree` and at most per block of one
-# state's first visit, and provenance items per piece of a uniformly tagged
-# list.
+# Words per chunk of `gen --set bifixfree`, and provenance items per piece
+# of a uniformly tagged list.
 GEN_CHUNK = 4096
 
-# The least bytes per write of a word list, but for its last write.
+# The least bytes per write of a word list, but for its last write; a walk's
+# blocks hold at most motzkin.BLOCK_SIZE bytes, the same number.
 WRITE_SIZE = 1 << 16
 
 
 def _cmd_gen(args) -> int:
-    groups, provenance = gen_groups(args)
+    blocks, provenance = gen_blocks(args)
     with _output(args.out) as fh:
-        write_word_list(fh, args.format, args.q, args.n, groups, provenance)
+        write_word_list(fh, args.format, args.q, args.n, blocks, provenance)
     return 0
 
 
@@ -46,7 +48,7 @@ def _cmd_baseline_gen(args) -> int:
 
     size, groups = baseline_groups(args.k, args.q, args.n, max_space=args.limit)
     with _output(args.out) as fh:
-        write_word_list(fh, args.format, args.q, args.n, groups, tagged("baseline", size))
+        write_word_list(fh, args.format, args.q, args.n, group_blocks(args.q, groups), tagged("baseline", size))
     return 0
 
 
@@ -60,115 +62,122 @@ def tagged(tag: str, count: int) -> Iterator[bytes]:
         yield item * min(GEN_CHUNK, count - i)
 
 
-def family_tags(q: int, n: int, tags: str) -> Iterator[bytes]:
-    """The pieces of the JSON provenance list of ``CBFS(q, n)`` built from
-    the families ``tags``, one piece for each group of its walk."""
-    from .cbfs import cbfs_groups
+def family_tags(table, tags: str) -> Iterator[bytes]:
+    """The pieces of the JSON provenance list of the words of a CBFS
+    ``table`` whose shape j is the family ``tags[j]``: one piece for each
+    node of the walk's frontier, joined from its children's pieces, which
+    are built once per state from the item of each word's family. Nothing
+    is imported or walked before the first piece is asked for."""
     from .jsontext import ITEM, text
 
     items = [ITEM + text(tag).encode() for tag in tags]
-    for _, tails in cbfs_groups(q, n, tags):
-        yield b"".join([items[j] for _, j in tails])
+
+    def join(p, parts, prefix=()):
+        return b"".join([piece for _, piece in parts])
+
+    yield from table.blocks(lambda s: items[s[2].bit_length() - 1], join)
 
 
-def gen_groups(args):
+def gen_blocks(args):
     """Check the alphabet and --limit for a `gen` request, then return the
-    ``(head, tails)`` groups of its words in canonical order and the pieces
-    of their JSON provenance list. The Motzkin and elevated sets take
-    ``q - 2`` level colors, as the CBFS sets do. A CBFS set's tags come
-    from a second walk, made only if the list is written; every word of the
-    other sets is tagged external. No word is produced before the checks
-    pass."""
+    blocks of its words in canonical order and the pieces of their JSON
+    provenance list. The Motzkin and elevated sets take ``q - 2`` level
+    colors, as the CBFS sets do. A CBFS set's tags come from a second walk
+    of the same table, made only if the list is written; every word of the
+    other sets is tagged external. No table is built and no word produced
+    before the checks pass."""
     q, n = args.q, args.n
-    if args.set in _FAMILIES:
-        from .cbfs import cbfs_groups
+    tags = _FAMILIES.get(args.set)
+    if tags:
+        from .cbfs import cbfs_shapes
 
-        tags = _FAMILIES[args.set]
-        expected, groups = count_cbfs(q, n, tags), cbfs_groups(q, n, tags)
-        provenance = family_tags(q, n, tags)
+        expected, shapes = count_cbfs(q, n, tags), cbfs_shapes(q, n, tags)
+    elif args.set == "bifixfree":
+        from .bifixfree import count_bifix_free, iter_bifix_free
+
+        expected, shapes = count_bifix_free(q, n), None
     else:
-        if args.set == "bifixfree":
-            from .bifixfree import count_bifix_free, iter_bifix_free
+        from .motzkin import elevated_shapes, motzkin_shapes
 
-            expected = count_bifix_free(q, n)
-            # chunks of the word stream, as groups with an empty head; their
-            # tails are iterators, so no pair outlives its word's turn
-            words = iter_bifix_free(q, n)
-            groups = (((), zip(chunk, repeat(0))) for chunk in iter(lambda: list(islice(words, GEN_CHUNK)), []))
+        if args.set == "motzkin":
+            expected, shapes = motzkin_count(q - 2, n), motzkin_shapes(q - 2, n)
         else:
-            from .motzkin import elevated_groups, motzkin_groups
-
-            if args.set == "motzkin":
-                expected, groups = motzkin_count(q - 2, n), motzkin_groups(q - 2, n)
-            else:
-                expected, groups = motzkin_count(q - 2, n - 2), elevated_groups(q - 2, n)  # 0 for n < 2
-        provenance = tagged("external", expected)
+            expected, shapes = motzkin_count(q - 2, n - 2), elevated_shapes(q - 2, n)  # 0 for n < 2
     check_alphabet(q)  # as a Word of the set would
     if expected > args.limit:
         raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
-    return groups, provenance
+    if shapes is None:
+        # chunks of the word stream, as groups with an empty head; their
+        # tails are iterators, so no pair outlives its word's turn
+        words = iter_bifix_free(q, n)
+        groups = (((), zip(chunk, repeat(0))) for chunk in iter(lambda: list(islice(words, GEN_CHUNK)), []))
+        return group_blocks(q, groups), tagged("external", expected)
+    from .motzkin import StateTable
+
+    table = StateTable(q, n, shapes)
+    return text_blocks(table), family_tags(table, tags) if tags else tagged("external", expected)
 
 
-def word_blocks(q: int, groups) -> Iterator[bytes]:
-    """The word-per-line ASCII bytes of ``(head, tails)`` groups, one block
-    for each group that holds a word, except that a run of one-element
-    groups handing the same head object makes one block of at most
-    ``GEN_CHUNK`` words.
+def text_blocks(table) -> Iterator[bytes]:
+    """The word-per-line ASCII bytes of the words of a ``StateTable``, one
+    block for each node of its walk's frontier, of at most ``BLOCK_SIZE``
+    bytes for q <= 10 (more only for a node one step from the end with that
+    many children).
 
-    A list of several tails comes back each time its walk state does, so
-    its lines are made once and kept with the list, which holds the list's
-    id for them; each group is then those lines joined by the head's line
-    (and a comma for q > 10), which leads each of them, so the kept lines
-    are one block per state met at the cut. One-element groups whose head
-    is the object of the group before are the words of one state's first
-    visit at the cut (see ``motzkin.lex_groups``), so they are collected
-    and formatted in one pass; heads are compared with ``is``, so equal
-    heads of distinct groups stay apart. Groups with an empty head, whose
-    tails may be any iterable, are formatted as they come. For q <= 10 a
-    line is the symbols as bytes, translated to digits, and a block of
-    several words is translated in one pass.
+    For q <= 10 every line has n + 1 bytes. A state's template holds its
+    completions' lines with the columns of its prefix left as zeros; a
+    parent's template is its children's templates joined, with each child's
+    symbol written down its column in one strided slice assignment, and a
+    frontier node's block is made the same way, with its prefix written a
+    column at a time. For q > 10 the lines vary in width: a template holds
+    its completions from its own position on, and the lines of each child
+    are led by the child's symbol and a comma, and at a frontier node by
+    the prefix before them, in one ``replace``.
     """
-    if q <= 10:
-        sep = b""
+    n = table.n
+    if table.q > 10:
 
-        def line(row) -> bytes:
-            return bytes(row).translate(_DIGITS)
+        def build(p, parts, prefix=()):
+            head = b"".join([b"%d," % symbol for symbol in prefix])
+            lines = []
+            for symbol, block in parts:
+                if block:  # a state with no completion has no line
+                    lead = head + (b"%d," % symbol if p + 1 < n else b"%d" % symbol)
+                    lines.append(lead + block[:-1].replace(b"\n", b"\n" + lead) + b"\n")
+            return b"".join(lines)
 
-        def lines(rows) -> bytes:
-            return b"\n".join(map(bytes, rows)).translate(_DIGITS)
+        return table.blocks(lambda s: b"\n", build)
+    width = n + 1
+    leaf = b"0" * n + b"\n"
+    digits = [b"%d" % symbol for symbol in range(10)]
 
-    else:
-        sep = b","
+    def build(p, parts, prefix=()):
+        block = bytearray().join([lines for _, lines in parts])
+        start = 0
+        for symbol, lines in parts:
+            stop = start + len(lines)
+            block[start + p : stop : width] = digits[symbol] * (len(lines) // width)
+            start = stop
+        for column, symbol in enumerate(prefix):
+            block[column::width] = digits[symbol] * (len(block) // width)
+        return block
 
-        def line(row) -> bytes:
-            return format_symbols(row, q).encode("ascii")
+    return table.blocks(lambda s: leaf, build)
 
-        def lines(rows) -> bytes:
-            return "\n".join([format_symbols(row, q) for row in rows]).encode("ascii")
 
-    kept = {}
-    # the words of the block being made: those of a group that is not a
-    # replay, then those of the one-element groups after it that hand the
-    # same head object `first`
-    run, first = [], None
+def group_blocks(q: int, groups) -> Iterator[bytes]:
+    """The word-per-line ASCII bytes of ``(head, tails)`` groups, whose words
+    are ``head + tail`` for each ``(tail, index)`` in ``tails``, any
+    iterable: one block for each group that holds a word. For q <= 10 a
+    line is the symbols as bytes, and a block is translated to digits in
+    one pass."""
     for head, tails in groups:
-        if head and len(tails) == 1 and head is first and len(run) < GEN_CHUNK:
-            run.append(head + tails[0][0])
-            continue
-        if run:
-            yield lines(run) + b"\n"
-        first = head
-        if head and len(tails) > 1:
-            run = []
-            entry = kept.get(id(tails))
-            if entry is None:
-                block = lines([tail for tail, _ in tails])
-                entry = kept[id(tails)] = (tails, [b"", *[text + b"\n" for text in block.split(b"\n")]])
-            yield (line(head) + sep).join(entry[1])
-        else:
-            run = [head + tail for tail, _ in tails]
-    if run:
-        yield lines(run) + b"\n"
+        rows = [head + tail for tail, _ in tails]
+        if rows:
+            if q <= 10:
+                yield b"\n".join(map(bytes, rows)).translate(_DIGITS) + b"\n"
+            else:
+                yield "\n".join([format_symbols(row, q) for row in rows]).encode("ascii") + b"\n"
 
 
 def _pieces(blocks: Iterator[bytes]) -> Iterator[bytes]:
@@ -185,15 +194,15 @@ def _pieces(blocks: Iterator[bytes]) -> Iterator[bytes]:
         yield b"".join(batch)
 
 
-def write_word_list(fh, fmt: str, q: int, n: int, groups, provenance: Iterator[bytes]) -> None:
-    """Write the words of ``(head, tails)`` groups to the binary file ``fh``
-    as word-per-line text (``fmt`` "text") or as the JSON of
-    ``CodeSet.to_json`` ("json"), whose provenance list is the pieces of
-    ``provenance``, each item led by ``,\\n`` and a four-space indent. The
-    blocks of ``word_blocks`` are written in pieces of at least
-    ``WRITE_SIZE`` bytes, so that a file buffered by a few KiB, as stdout
-    is, is written once per piece rather than once per buffer."""
-    blocks = _pieces(word_blocks(q, groups))
+def write_word_list(fh, fmt: str, q: int, n: int, blocks: Iterator[bytes], provenance: Iterator[bytes]) -> None:
+    """Write word-per-line ``blocks`` of whole lines to the binary file
+    ``fh`` as text (``fmt`` "text") or as the JSON of ``CodeSet.to_json``
+    ("json"), whose provenance list is the pieces of ``provenance``, each
+    item led by ``,\\n`` and a four-space indent. The blocks are written in
+    pieces of at least ``WRITE_SIZE`` bytes, so that a file buffered by a
+    few KiB, as stdout is, is written once per piece rather than once per
+    buffer."""
+    blocks = _pieces(blocks)
     if fmt == "text":
         fh.writelines(blocks)
         return

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, wordlist
 from crossbifix.baseline import s_max, s_star
-from crossbifix.cbfs import cbfs_groups, construct_cbfs, iter_cbfs
+from crossbifix.cbfs import cbfs_shapes, construct_cbfs, iter_cbfs
 from crossbifix.cli import main
 from crossbifix.codeset import CodeSet
 from crossbifix.counting import count_cbfs, motzkin_count
@@ -377,45 +377,88 @@ def test_group_writer_formats_every_group_as_handed():
                 # with an empty head, as for bifix-free chunks, any iterable will do
                 yield head, tails if head or rng.random() < 0.5 else iter(tails)
 
-        pieces = list(wordlist.word_blocks(q, groups()))
+        pieces = list(wordlist.group_blocks(q, groups()))
         assert len(pieces) == 3000 and b"".join(pieces) == "".join(expected).encode(), q
 
 
+def walk(q, n, families="ABC", cap=None):
+    """The state table of CBFS(q, n), or of the named families, with the
+    lines of a block set to ``cap``."""
+    table = motzkin.StateTable(q, n, cbfs_shapes(q, n, families))
+    if cap is not None:
+        table.cap = cap  # before any state is counted
+    return table
+
+
 def test_word_blocks_equal_the_words_written_one_by_one():
-    # replayed lists (cbfs, motzkin, elevated), one-element groups (each
-    # walk's first visit of a state), empty heads (bifix-free chunks and
-    # n = 0) and the baseline's one shared list
+    # the blocks of walks (cbfs, motzkin, elevated, at every block size from
+    # one line up), of chunks with an empty head (bifix-free) and of groups
+    # sharing one list (the baseline)
     for q in (3, 4, 10, 11, 12):
         n = 7 if q < 10 else 4
-        makers = [
-            lambda: cbfs_groups(q, n),
-            lambda: cbfs_groups(q, n - 1, "C"),
-            lambda: motzkin.motzkin_groups(q - 2, n - 1),
-            lambda: motzkin.motzkin_groups(q - 2, 0),
-            lambda: motzkin.elevated_groups(q - 2, n - 1),
+        walks = [
+            lambda: walk(q, n),
+            lambda: walk(q, n - 1, "C"),
+            lambda: motzkin.StateTable(q, n - 1, motzkin.motzkin_shapes(q - 2, n - 1)),
+            lambda: motzkin.StateTable(q, 0, motzkin.motzkin_shapes(q - 2, 0)),
+            lambda: motzkin.StateTable(q, n - 1, motzkin.elevated_shapes(q - 2, n - 1)),
+        ]
+        for make in walks:
+            expected = "".join(format_symbols(word, q) + "\n" for word, _ in make().words("ABC"))
+            for cap in (None, 0, 1, 7, 100):
+                table = make()
+                if cap is not None:
+                    table.cap = cap  # before any state is counted
+                assert expected and b"".join(wordlist.text_blocks(table)) == expected.encode("ascii"), (q, cap)
+        groups = [
             lambda: [((), zip(bifixfree.iter_bifix_free(q, n - 2), itertools.repeat(0)))],
             lambda: baseline.baseline_groups(1, q, n - 1)[1],
         ]
-        for make in makers:
+        for make in groups:
             expected = "".join(format_symbols(head + tail, q) + "\n" for head, tails in make() for tail, _ in tails)
-            assert expected and b"".join(wordlist.word_blocks(q, make())) == expected.encode("ascii"), q
+            assert expected and b"".join(wordlist.group_blocks(q, make())) == expected.encode("ascii"), q
 
 
-def test_word_blocks_format_a_first_visit_in_one_pass():
-    # a run of one-element groups handing one head object, as the first
-    # visit of a state at the cut does, is one block per GEN_CHUNK words
-    chunk = wordlist.GEN_CHUNK
-    rng = random.Random(11)
-    for q in (3, 12):
-        for count in (1, 2, chunk, chunk + 1, 2 * chunk + 5):
-            head = tuple(rng.randrange(q) for _ in range(3))
-            tails = [(tuple(rng.randrange(q) for _ in range(4)), 0) for _ in range(count)]
-            expected = "".join(format_symbols(head + tail, q) + "\n" for tail, _ in tails).encode("ascii")
-            blocks = list(wordlist.word_blocks(q, ((head, [tail]) for tail in tails)))
-            assert len(blocks) == -(-count // chunk) and b"".join(blocks) == expected, (q, count)
-            # equal heads that are distinct objects are not merged
-            blocks = list(wordlist.word_blocks(q, ((tuple(list(head)), [tail]) for tail in tails)))
-            assert len(blocks) == count and b"".join(blocks) == expected, (q, count)
+def test_each_template_is_built_once_in_whole_lines_within_the_bound():
+    # the templates of the states below a walk's frontier are each built
+    # once, and, with the frontier's blocks, hold whole lines and at most
+    # BLOCK_SIZE bytes for q <= 10
+    bound = motzkin.BLOCK_SIZE
+    assert bound == wordlist.WRITE_SIZE
+    for q, n, cap in ((4, 11, None), (3, 14, None), (5, 9, None), (3, 9, 20), (12, 6, None), (11, 5, 3)):
+        table = walk(q, n, cap=cap)
+        templates, blocks = [], []
+
+        def spy(leaf, build):
+            def spied(p, parts, prefix=None):
+                made = build(p, parts) if prefix is None else build(p, parts, prefix)
+                (templates if prefix is None else blocks).append(made)
+                return made
+
+            return motzkin.StateTable.blocks(table, leaf, spied)
+
+        table.blocks = spy
+        text = b"".join(wordlist.text_blocks(table))
+        assert text == "".join(format_symbols(word, q) + "\n" for word, _ in iter_cbfs(q, n)).encode(), (q, n)
+        # one template for each state below the frontier but at n, and one
+        # block for each frontier node
+        nodes = list(table.frontier())
+        below, pending = set(), [(p, state) for _, p, state in nodes]
+        while pending:
+            p, state = pending.pop()
+            for _, child in table.children(p, state):
+                if p + 1 < n and (p + 1, child) not in below:
+                    below.add((p + 1, child))
+                    pending.append((p + 1, child))
+        assert len(templates) == len(below) and len(blocks) == len(nodes), (q, n)
+        assert len(nodes) > 2 and b"".join(blocks) == text, (q, n)
+        for made in templates + blocks:
+            assert made.endswith(b"\n"), (q, n)
+            if q <= 10:
+                assert len(made) % (n + 1) == 0 and len(made) <= bound, (q, n)
+        if (q, n) == (4, 11):
+            # the templates kept for the benchmark's set
+            assert sum(map(len, templates)) < 150 * 1024
 
 
 class RecordingFile(io.RawIOBase):
@@ -436,14 +479,15 @@ def test_word_lists_are_written_in_pieces_of_at_least_64_kib():
     size = wordlist.WRITE_SIZE
     assert size == 64 * 1024
     for q, n in ((4, 11), (12, 6)):
-        # the bytes of the blocks as word_blocks makes them, unbatched
-        text = b"".join(wordlist.word_blocks(q, cbfs_groups(q, n)))
+        # the bytes of the blocks as text_blocks makes them, unbatched
+        text = b"".join(wordlist.text_blocks(walk(q, n)))
         fh = RecordingFile()
-        wordlist.write_word_list(fh, "text", q, n, cbfs_groups(q, n), None)
+        wordlist.write_word_list(fh, "text", q, n, wordlist.text_blocks(walk(q, n)), None)
         assert b"".join(fh.writes) == text, (q, n)
         assert len(fh.writes) > 2 and all(len(piece) >= size for piece in fh.writes[:-1]), (q, n)
         fh = RecordingFile()
-        wordlist.write_word_list(fh, "json", q, n, cbfs_groups(q, n), wordlist.family_tags(q, n, "ABC"))
+        table = walk(q, n)
+        wordlist.write_word_list(fh, "json", q, n, wordlist.text_blocks(table), wordlist.family_tags(table, "ABC"))
         tags = [family for _, family in iter_cbfs(q, n)]
         expected = {"q": q, "n": n, "provenance": tags, "words": text.decode("ascii").split()}
         assert b"".join(fh.writes).decode("ascii") == json.dumps(expected, indent=2) + "\n", (q, n)

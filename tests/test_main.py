@@ -86,6 +86,37 @@ def test_a_closed_pipe_is_one_error_with_buffered_stdout(argv):
     assert (proc.wait(timeout=60), err) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
+# One command line for each command, all writing to stdout.
+TO_STDOUT = {
+    "count": ["count", "--q", "3", "--n", "5"],
+    "gen": ["gen", "--q", "3", "--n", "5"],
+    "baseline-gen": ["baseline-gen", "--k", "2", "--q", "3", "--n", "6"],
+    "verify": ["verify", "--in", "-", "--q", "3"],
+    "table": ["table", "--q", "3", "--n", "3..8"],
+}
+
+
+def closed_stdout(*argv):
+    """``python -m crossbifix`` run with its standard output closed, as by
+    the shell's ``>&-``, and its stdin empty."""
+    return crossbifix(*argv, input=b"", preexec_fn=lambda: os.close(1))
+
+
+@pytest.mark.parametrize("name", TO_STDOUT)
+def test_a_closed_stdout_is_one_error(name):
+    assert set(TO_STDOUT) == set(cli._COMMANDS)
+    done = closed_stdout(*TO_STDOUT[name])
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"error: stdout is closed\n")
+
+
+@pytest.mark.parametrize("name", ["gen", "baseline-gen", "table"])
+def test_out_writes_its_file_with_stdout_closed(name, tmp_path):
+    target = tmp_path / "out"
+    done = closed_stdout(*TO_STDOUT[name], "--out", str(target))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert target.read_bytes() == crossbifix(*TO_STDOUT[name]).stdout != b""
+
+
 def test_atexit_handlers_run_before_the_process_ends(tmp_path):
     # a handler that site registers, writing to the buffered stdout after
     # the command's own output

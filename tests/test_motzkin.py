@@ -10,7 +10,7 @@ from crossbifix import counting, motzkin
 from crossbifix.cbfs import _shapes
 from crossbifix.codeset import Word, generate_elevated, generate_motzkin
 from crossbifix.counting import motzkin_count, motzkin_counts
-from crossbifix.motzkin import lex_groups
+from crossbifix.motzkin import StateTable, motzkin_shapes
 from crossbifix.oracle import has_ground_elevated_factor, is_elevated, is_motzkin_word
 
 # frozen from the full-space enumeration oracle (see brute agreement below);
@@ -158,8 +158,9 @@ def test_generate_elevated():
                 assert is_elevated(x)
 
 
-def brute_lex_groups(q, shapes):
-    """The words of ``lex_groups(q, shapes)``, flattened, by a scan of Z_q^n."""
+def brute_shape_words(q, shapes):
+    """The words of ``StateTable(q, n, shapes)`` with their shape indices,
+    by a scan of Z_q^n."""
     n = len(shapes[0][0]) - 1
     out = []
     for symbols in itertools.product(range(q), repeat=n):
@@ -206,76 +207,70 @@ def case_shapes(n):
     ]
 
 
-def path_state(head):
-    """The height after ``head`` and the steps since its last visit to 0."""
-    heights = list(itertools.accumulate((1 if s == 1 else -1 if s == 0 else 0 for s in head), initial=0))
-    return heights[-1], len(head) - max(p for p, h in enumerate(heights) if h == 0)
-
-
-def checked_groups(q, shapes):
-    """The words of ``lex_groups(q, shapes)``, flattened, after checking how
-    its groups are cut and replayed."""
+def checked_words(q, shapes):
+    """The words of the walk of ``StateTable(q, n, shapes)`` with their shape
+    indices, after checking that every block size, from one line up, walks
+    the same words, and that the counts agree with them."""
     n = len(shapes[0][0]) - 1
-    cut = n - n // 2 if n > 1 else 0
-    # every list stays alive, so no id passes to a new list, and its
-    # contents are copied as yielded
-    groups = [(head, tails, tuple(tails)) for head, tails in lex_groups(q, shapes)]
-    below = {}  # head -> the words below it
-    for head, _, seen in groups:
-        below.setdefault(head, []).extend(seen)
-    first = {}  # state -> the head of its first node
-    replayed = {}  # state -> the list later nodes in that state hand back
-    for head, tails, seen in groups:
-        assert len(head) == cut and seen and all(len(tail) == n - cut for tail, _ in seen), (q, shapes)
-        assert tuple(tails) == seen  # a yielded list never changes
-        if cut:
-            state = (*path_state(head), tuple(below[head]))
-            if first.setdefault(state, head) == head:
-                assert len(seen) == 1  # the first node's words leave one by one
-            else:
-                # a later node: one group, the same list each time
-                assert list(seen) == below[head]
-                assert replayed.setdefault(state, tails) is tails
-    return [(head + tail, j) for head, _, seen in groups for tail, j in seen]
+    runs = []
+    for cap in (None, 0, 1, 5, 40):
+        table = StateTable(q, n, shapes)
+        if cap is not None:
+            table.cap = cap  # before any state is counted
+        words = list(table.words(range(len(shapes))))
+        assert table.count() == len(words), (q, shapes, cap)
+        assert table.size(0, table.root) == min(len(words), table.cap + 1), (q, shapes, cap)
+        # the frontier: nodes in order, each fits in a block or is at n - 1
+        # or later, and the nodes above it do not fit
+        nodes = list(table.frontier())
+        assert [prefix for prefix, _, _ in nodes] == sorted({prefix for prefix, _, _ in nodes}), (q, shapes, cap)
+        for prefix, p, state in nodes:
+            assert len(prefix) == p and (table.size(p, state) <= table.cap or p >= n - 1), (q, shapes, cap)
+        runs.append(words)
+    assert all(run == runs[0] for run in runs), (q, shapes)
+    return runs[0]
 
 
-def test_lex_groups_matches_its_definition():
+def test_walk_matches_its_definition():
     cases = [shapes for n in range(7) for shapes in case_shapes(n)]
     for n in range(5, 9):
         shapes = _shapes(n)
         cases.append([shapes["A"], shapes["B"], shapes["C"]])
     for q in (2, 3, 4):
         for shapes in cases:
-            expected = brute_lex_groups(q, shapes)
-            assert checked_groups(q, shapes) == expected, (q, shapes)
-    # lengths where many prefixes reach the middle in the same state, so
-    # most words are replayed from the tails recorded there
+            expected = brute_shape_words(q, shapes)
+            assert checked_words(q, shapes) == expected, (q, shapes)
+    # lengths where many prefixes reach the same state, so most words are
+    # made from the tails listed once for a state
     for n in (9, 10):
         shapes = _shapes(n)
         for q in (2, 3):
             cbfs = [shapes["A"], shapes["B"], shapes["C"]]
-            expected = brute_lex_groups(q, cbfs)
-            assert checked_groups(q, cbfs) == expected, (q, n)
-            assert sum(1 for _ in lex_groups(q, cbfs)) < len(expected)
+            expected = brute_shape_words(q, cbfs)
+            assert checked_words(q, cbfs) == expected, (q, n)
+        table = StateTable(3, n, cbfs)
+        table.count()
+        assert sum(map(len, table.edges)) < len(brute_shape_words(3, cbfs)) / 4, n
     bad = [
         ([([0] * 5, None, None), ([0, 1, 1, 1, 0], None, None)], "shapes 0 and 1 both end at height 0"),
         ([([0] * 5, None, None), ([0] * 4 + [-1], 2, None), ([0, 0, 1, 1, -1], None, None)], "shapes 1 and 2"),
-        ([([0] * 5, None, None), ([0] * 4, None, None)], "shape 1 has length 3, shape 0 has length 4"),
+        ([([0] * 5, None, None), ([0] * 4, None, None)], "shape 1 has length 3, not 4"),
         # nine shapes with distinct final heights: their masks need 9 bits
         ([([0] * 8 + [final], None, None) for final in range(9)], "at most 8 shapes, got 9"),
     ]
     for shapes, message in bad:
         with pytest.raises(ValueError, match=message):
-            next(lex_groups(3, shapes))
+            StateTable(3, len(shapes[0][0]) - 1, shapes)
 
 
-def test_lex_groups_calls_share_no_state():
+def test_state_tables_share_no_state():
     # interleaved walks, two of them alike, give what each gives alone
     shapes = _shapes(10)
     calls = [(3, [shapes["A"], shapes["B"], shapes["C"]]), (3, [shapes["A"], shapes["B"], shapes["C"]])]
     calls.append((4, [_shapes(9)["C"], _shapes(9)["A"]]))
-    alone = [list(lex_groups(q, s)) for q, s in calls]
-    streams = [lex_groups(q, s) for q, s in calls]
+    alone = [list(StateTable(q, len(s[0][0]) - 1, s).words("ABC")) for q, s in calls]
+    tables = [StateTable(q, len(s[0][0]) - 1, s) for q, s in calls]
+    streams = [table.words("ABC") for table in tables]
     together = [[] for _ in calls]
     for step in itertools.zip_longest(*streams):
         for out, item in zip(together, step):
@@ -283,38 +278,34 @@ def test_lex_groups_calls_share_no_state():
                 out.append(item)
     assert together == alone
     assert all(alone)
-    # nor do the lists the two alike walks hand back
-    assert not {id(tails) for _, tails in together[0]} & {id(tails) for _, tails in together[1]}
+    # nor do the tables of the two alike walks
+    for name in ("edges", "sizes"):
+        first, second = getattr(tables[0], name), getattr(tables[1], name)
+        assert not {id(memo) for memo in first} & {id(memo) for memo in second}, name
 
 
-def test_each_node_at_the_cut_hands_out_one_head_object():
-    # the groups of one node at the cut come together and share its head
-    # tuple: one replay, or the one-element groups of a first visit
-    for n in (7, 8, 11):
-        shapes = _shapes(n)
-        walks = {
-            "cbfs": lex_groups(3, [shapes["A"], shapes["B"], shapes["C"]]),
-            "motzkin": motzkin.motzkin_groups(1, n),
-            "elevated": motzkin.elevated_groups(2, n),
-        }
-        for name, walk in walks.items():
-            groups = list(walk)
-            nodes = [list(node) for _, node in itertools.groupby(groups, key=lambda group: group[0])]
-            # a head names its node: equal heads never come back later
-            assert len(nodes) == len({head for head, _ in groups}), (name, n)
-            assert any(len(node) > 1 for node in nodes), (name, n)
-            for node in nodes:
-                head = node[0][0]
-                assert len(head) == n - n // 2 and all(group[0] is head for group in node), (name, n)
-                assert len(node) == 1 or all(len(tails) == 1 for _, tails in node), (name, n)
+def test_the_count_of_the_walk_matches_the_closed_forms():
+    # the forward pass over the walk's states shares no algebra with the
+    # closed forms of count_cbfs and motzkin_count
+    for q in (3, 4, 7):
+        for n in [*range(3, 31), 40, 60]:
+            shapes = _shapes(n)
+            for families in ("A", "B", "C", "AB", "AC", "BC", "ABC"):
+                table = StateTable(q, n, [shapes[name] for name in families])
+                assert table.count() == counting.count_cbfs(q, n, families), (q, n, families)
+    for colors in range(4):
+        for n in range(40):
+            assert StateTable(colors + 2, n, motzkin_shapes(colors, n)).count() == motzkin_count(colors, n)
+            elevated = StateTable(colors + 2, n, motzkin.elevated_shapes(colors, n))
+            assert elevated.count() == motzkin_count(colors, n - 2 if n >= 2 else -1), (colors, n)
 
 
 def test_first_word_needs_no_quadratic_memory():
     # the position-by-height tables take a byte per entry, about
-    # n^2 / 4 = 2.25 MB here; the first group holds one word
+    # n^2 / 4 = 2.25 MB here; the first word needs no full count
     for first in (
         lambda: next(generate_motzkin(1, 3000)).symbols,
-        lambda: (lambda head, tails: head + tails[0][0])(*next(motzkin.motzkin_groups(1, 3000))),
+        lambda: next(StateTable(3, 3000, motzkin_shapes(1, 3000)).words("x"))[0],
     ):
         tracemalloc.start()
         try:
