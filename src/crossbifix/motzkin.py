@@ -65,10 +65,10 @@ class StateTable:
     goes depth first from the root until it meets a state whose completions
     fit in a block (or one at n - 1 or later), a frontier node; below that,
     each state's material (the lines of its completions, their tails or
-    their tags) is built once, from its children's, by ``templates``.
+    their tags) is built once, from its children's, by ``blocks``.
     """
 
-    def __init__(self, q: int, n: int, shapes: Sequence[tuple[Sequence[int], int | None, int | None]]) -> None:
+    def __init__(self, q: int, n: int, shapes: Sequence[tuple]) -> None:
         if len(shapes) > 8:
             raise ValueError(f"one walk takes at most 8 shapes, got {len(shapes)}")
         finals = [floor[-1] for floor, _, _ in shapes]
@@ -102,58 +102,49 @@ class StateTable:
         # the shapes to which the last visit to 0 matters once it is past
         self.kept = sum(1 << j for j, (_, arch, _) in indexed if arch is not None)
 
-    def children(self, p: int, state: tuple[int, int, int]) -> list:
+    def children(self, p: int, state: tuple) -> list:
         """The (symbol, child state) pairs of ``state`` at position p, in
         symbol order; made once per state."""
         kids = self.edges[p].get(state)
-        if kids is not None:
-            return kids
-        kids = self.edges[p][state] = []
-        h, g, live = state
-        if p == self.n or not live:
-            return kids
-        np = p + 1
-        row, arch_ok, kept = self.rows[np], self.arch_ok, self.kept
-        d = np - g + h
-        down = live & row[h - 1] & arch_ok[d - 1]
-        if down:
-            if h == 1 and g == 0:
-                down &= self.first_ok[np]
-            if down:
-                kids.append((FALL, (h - 1, g if h != 1 and (not g or down & kept) else np, down)))
-        up = live & row[h + 1] & arch_ok[d + 1]
-        if up:
-            kids.append((RISE, (h + 1, g if not g or up & kept else np, up)))
-        flat = live & row[h] & arch_ok[d]
-        if flat:
-            child = (h, g if h and (not g or flat & kept) else np, flat)
-            kids += [(color, child) for color in self.levels]
+        if kids is None:
+            kids = self.edges[p][state] = []
+            h, g, live = state
+            if p < self.n and live:
+                np = p + 1
+                row, arch_ok, kept = self.rows[np], self.arch_ok, self.kept
+                d = np - g + h
+                down = live & row[h - 1] & arch_ok[d - 1]
+                if h == 1 and g == 0:
+                    down &= self.first_ok[np]
+                up, flat = live & row[h + 1] & arch_ok[d + 1], live & row[h] & arch_ok[d]
+                for symbols, h1, mask in ((FALL,), h - 1, down), ((RISE,), h + 1, up), (self.levels, h, flat):
+                    if mask:
+                        # a child at height 0 is a visit at np
+                        child = (h1, g if h1 and (not g or mask & kept) else np, mask)
+                        kids += [(symbol, child) for symbol in symbols]
         return kids
 
-    def size(self, p: int, state: tuple[int, int, int]) -> int:
+    def size(self, p: int, state: tuple) -> int:
         """The completions of ``state`` at position p, or ``cap + 1`` if
         there are more. Each state is counted once, from its children's
         counts, by a walk that keeps a stack of states rather than
         recursing, and leaves a state as soon as its count passes ``cap``,
         so that the first words of a long walk wait for no full count."""
         n, cap, sizes, children = self.n, self.cap, self.sizes, self.children
-        known = sizes[p].get(state)
-        if known is not None:
-            return known
-        if p == n:
-            return min(state[2], 1)  # a state at n is a word, but for a dead root at n = 0
         stack = [(p, state, 0, 0)]
         while stack:
             at, s, i, total = stack.pop()
+            if s in sizes[at]:
+                continue
+            if at == n:
+                sizes[at][s] = min(s[2], 1)  # a word, but for a dead root at n = 0
+                continue
             kids, below = children(at, s), sizes[at + 1]
             while i < len(kids) and total <= cap:
-                child = kids[i][1]
-                k = below.get(child)
+                k = below.get(kids[i][1])
                 if k is None:
-                    if at + 1 < n:
-                        stack += ((at, s, i, total), (at + 1, child, 0, 0))
-                        break
-                    k = below[child] = 1
+                    stack += ((at, s, i, total), (at + 1, kids[i][1], 0, 0))
+                    break
                 total += k
                 i += 1
             else:
@@ -172,14 +163,13 @@ class StateTable:
             layer = ahead
         return sum(layer.values())
 
-    def frontier(self, cap: int | None = None) -> Iterator[tuple[tuple[int, ...], int, tuple[int, int, int]]]:
+    def frontier(self, cap: int) -> Iterator[tuple]:
         """``(prefix, p, state)`` for each frontier node in lexicographic
         order: a node with a completion whose state has at most ``cap``
-        completions (``self.cap`` by default, and no more) or is at n - 1 or
+        completions (``cap`` is at most ``self.cap``) or is at n - 1 or
         later, and whose ancestors' states have more. The walk holds one
         path and the pending siblings on it."""
         n, size, children = self.n, self.size, self.children
-        cap = self.cap if cap is None else cap
         buf = [0] * (n + 1)
         # (position, symbol placed at position - 1, state); the root's symbol
         # goes to buf[-1], which no prefix reads
@@ -197,20 +187,20 @@ class StateTable:
             for symbol, child in reversed(children(p, state)):
                 push((p + 1, symbol, child))
 
-    def templates(self, leaf, build):
-        """A function ``material(p, state)`` that makes the material of a
-        state: ``leaf(state)`` at n and ``build(p, parts)`` above, from
-        ``parts``, its children's (symbol, material) pairs. Each state's
-        material is made once and kept while the function lives. The
-        children are made first, from a stack of states rather than by
-        recursion."""
+    def blocks(self, leaf, build, cap: int) -> Iterator:
+        """The block of each node of the frontier at ``cap``, in order:
+        ``build(p, parts, prefix)`` of the node at p, where ``parts`` are
+        its children's ``(symbol, material)`` pairs (``leaf(state)`` for the
+        root at n = 0). A state's material is ``leaf(state)`` at n and
+        ``build(p, parts)`` above, made once from its children's, which are
+        made first from a stack of states rather than by recursion, and kept
+        for the walk. A frontier node's block is made for that node and not
+        kept, so the walk keeps only the material of the states below its
+        frontier."""
         n, children = self.n, self.children
         memo = [{} for _ in range(n + 1)]
 
         def material(p, state):
-            made = memo[p].get(state)
-            if made is not None:
-                return made
             stack = [(p, state)]
             while stack:
                 at, s = stack[-1]
@@ -218,7 +208,6 @@ class StateTable:
                     stack.pop()
                 elif at == n:
                     memo[at][s] = leaf(s)
-                    stack.pop()
                 else:
                     kids, below = children(at, s), memo[at + 1]
                     todo = [(at + 1, child) for _, child in kids if child not in below]
@@ -226,46 +215,28 @@ class StateTable:
                         stack += todo
                     else:
                         memo[at][s] = build(at, [(symbol, below[child]) for symbol, child in kids])
-                        stack.pop()
             return memo[p][state]
 
-        return material
-
-    def blocks(self, leaf, build) -> Iterator:
-        """The block of each frontier node, in order: ``build(p, parts,
-        prefix)`` of the node at p, from its children's material as
-        ``templates(leaf, build)`` keeps it and its prefix (``leaf(state)``
-        for the root at n = 0). A frontier node's block is made for that
-        node and not kept, so the walk keeps only the material of the
-        states below its frontier."""
-        n, children = self.n, self.children
-        material = self.templates(leaf, build)
-        for prefix, p, state in self.frontier():
+        for prefix, p, state in self.frontier(cap):
             if p == n:
                 yield leaf(state)
             else:
                 yield build(p, [(symbol, material(p + 1, child)) for symbol, child in children(p, state)], prefix)
 
-    def words(self, tags: Sequence) -> Iterator[tuple[tuple[int, ...], object]]:
+    def words(self, tags: Sequence) -> Iterator[tuple]:
         """``(symbols, tags[j])`` for each word in lexicographic order, where
-        j is the index of the shape the word fits. Below the frontier each
-        state's tails are listed once; each word is then a frontier node's
-        prefix and its child's symbol, joined to one of the child's tails.
-        A tail takes about ten times the bytes of a line of text, so this
-        frontier is at an eighth of the lines of a block."""
-        n = self.n
-        material = self.templates(
-            lambda s: [((), tags[s[2].bit_length() - 1])],
-            lambda p, parts: [((symbol,) + tail, tag) for symbol, tails in parts for tail, tag in tails],
-        )
-        for prefix, p, state in self.frontier(self.cap // 8):
-            if p == n:  # the root, at n = 0
-                yield prefix, tags[state[2].bit_length() - 1]
-                continue
-            for symbol, child in self.children(p, state):
-                head = prefix + (symbol,)
-                for tail, tag in material(p + 1, child):
-                    yield head + tail, tag
+        j is the index of the shape the word fits. Each state below the
+        frontier lists its tails once, so each word is one tuple
+        concatenation: a frontier node's prefix and a child's symbol, then
+        one of the child's tails. A tail takes about ten times the bytes of
+        a line of text, so this frontier is at an eighth of a block's."""
+
+        def build(p, parts, prefix=()):
+            heads = [(prefix + (symbol,), tails) for symbol, tails in parts]
+            return [(head + tail, tag) for head, tails in heads for tail, tag in tails]
+
+        for block in self.blocks(lambda s: [((), tags[s[2].bit_length() - 1])], build, self.cap // 8):
+            yield from block
 
 
 def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> bytes:

@@ -75,7 +75,7 @@ def family_tags(table, tags: str) -> Iterator[bytes]:
     def join(p, parts, prefix=()):
         return b"".join([piece for _, piece in parts])
 
-    yield from table.blocks(lambda s: items[s[2].bit_length() - 1], join)
+    yield from table.blocks(lambda s: items[s[2].bit_length() - 1], join, table.cap)
 
 
 def gen_blocks(args):
@@ -146,7 +146,7 @@ def text_blocks(table) -> Iterator[bytes]:
                     lines.append(lead + block[:-1].replace(b"\n", b"\n" + lead) + b"\n")
             return b"".join(lines)
 
-        return table.blocks(lambda s: b"\n", build)
+        return table.blocks(lambda s: b"\n", build, table.cap)
     width = n + 1
     leaf = b"0" * n + b"\n"
     digits = [b"%d" % symbol for symbol in range(10)]
@@ -162,7 +162,7 @@ def text_blocks(table) -> Iterator[bytes]:
             block[column::width] = digits[symbol] * (len(block) // width)
         return block
 
-    return table.blocks(lambda s: leaf, build)
+    return table.blocks(lambda s: leaf, build, table.cap)
 
 
 def group_blocks(q: int, groups) -> Iterator[bytes]:

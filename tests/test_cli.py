@@ -429,20 +429,20 @@ def test_each_template_is_built_once_in_whole_lines_within_the_bound():
         table = walk(q, n, cap=cap)
         templates, blocks = [], []
 
-        def spy(leaf, build):
+        def spy(leaf, build, cap):
             def spied(p, parts, prefix=None):
                 made = build(p, parts) if prefix is None else build(p, parts, prefix)
                 (templates if prefix is None else blocks).append(made)
                 return made
 
-            return motzkin.StateTable.blocks(table, leaf, spied)
+            return motzkin.StateTable.blocks(table, leaf, spied, cap)
 
         table.blocks = spy
         text = b"".join(wordlist.text_blocks(table))
         assert text == "".join(format_symbols(word, q) + "\n" for word, _ in iter_cbfs(q, n)).encode(), (q, n)
         # one template for each state below the frontier but at n, and one
         # block for each frontier node
-        nodes = list(table.frontier())
+        nodes = list(table.frontier(table.cap))
         below, pending = set(), [(p, state) for _, p, state in nodes]
         while pending:
             p, state = pending.pop()

@@ -222,7 +222,7 @@ def checked_words(q, shapes):
         assert table.size(0, table.root) == min(len(words), table.cap + 1), (q, shapes, cap)
         # the frontier: nodes in order, each fits in a block or is at n - 1
         # or later, and the nodes above it do not fit
-        nodes = list(table.frontier())
+        nodes = list(table.frontier(table.cap))
         assert [prefix for prefix, _, _ in nodes] == sorted({prefix for prefix, _, _ in nodes}), (q, shapes, cap)
         for prefix, p, state in nodes:
             assert len(prefix) == p and (table.size(p, state) <= table.cap or p >= n - 1), (q, shapes, cap)
