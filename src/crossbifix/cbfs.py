@@ -12,8 +12,8 @@ q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
   ground-level elevated factor of length >= ceil(n / 2), then a fall step.
 
 Counting never materializes words, so it lives in ``counting``, which
-needs none of the walk. Generation is one walk over the path states of
-``motzkin.StateTable`` that covers the chosen families together. Each family
+needs none of the walk. Generation is one walk (``walk``) over the path states
+of ``motzkin.StateTable`` that covers the chosen families together. Each family
 is a shape (a floor per position, an arch bound, a forbidden first return);
 a state carries the mask of the families its prefix still fits, and the
 final height of a word names its family. So the walk yields plain symbol
@@ -37,6 +37,7 @@ from collections.abc import Iterator
 
 from .counting import _check_families, _require_domain
 from .motzkin import StateTable
+from .walk import words
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -79,7 +80,7 @@ def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int
     q > 10. Memory holds the state table and the tails of each state below
     the walk's frontier, listed once.
     """
-    return StateTable(q, n, cbfs_shapes(q, n, families)).words(families)
+    return words(StateTable(q, n, cbfs_shapes(q, n, families)), families)
 
 
 def construct_cbfs(q: int, n: int, families: str = "ABC") -> CodeSet:

@@ -36,7 +36,7 @@ from . import DEFAULT_MAX_SPACE
 # counts cost O(n^2) bit operations, seconds per count at this length.
 DEFAULT_LENGTH_LIMIT = 100_000
 
-# The families of each CBFS --set, as count_cbfs and cbfs_groups take them.
+# The families of each CBFS --set, as count_cbfs and cbfs_shapes take them.
 _FAMILIES = {"cbfs": "ABC", "A": "A", "B": "B", "C": "C"}
 
 _LENGTH_HELP = f"refuse word lengths n above this (default: {DEFAULT_LENGTH_LIMIT})"

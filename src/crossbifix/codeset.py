@@ -17,6 +17,7 @@ from functools import cached_property, total_ordering
 
 from .codes import Record, parse_code, read_codes
 from .motzkin import StateTable, elevated_shapes, motzkin_shapes
+from .walk import words as walk
 from .words import check_alphabet, format_symbols, symbols_of
 
 
@@ -236,13 +237,13 @@ class CodeSet(Record):
 def generate_motzkin(colors: int, n: int) -> Iterator[Word]:
     """Yield every Motzkin word of the given length exactly once, in
     lexicographic order."""
-    words = StateTable(colors + 2, n, motzkin_shapes(colors, n)).words((None,))
-    return (Word(symbols, colors + 2) for symbols, _ in words)
+    walked = walk(StateTable(colors + 2, n, motzkin_shapes(colors, n)), (None,))
+    return (Word(symbols, colors + 2) for symbols, _ in walked)
 
 
 def generate_elevated(colors: int, n: int) -> Iterator[Word]:
     """Yield the elevated Motzkin words 1 alpha 0 of length n, in
     lexicographic order. Lengths below 2 admit no elevated word, so the
     stream is empty."""
-    words = StateTable(colors + 2, n, elevated_shapes(colors, n)).words((None,))
-    return (Word(symbols, colors + 2) for symbols, _ in words)
+    walked = walk(StateTable(colors + 2, n, elevated_shapes(colors, n)), (None,))
+    return (Word(symbols, colors + 2) for symbols, _ in walked)

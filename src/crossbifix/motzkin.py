@@ -1,13 +1,14 @@
-"""Exhaustive generation of k-colored Motzkin words, and the state table of
+"""Exhaustive generation of k-colored Motzkin words: the state table of
 the walk that lists them and the CBFS families.
 
 A k-colored Motzkin word of length n uses the alphabet {0, ..., k+1}: rise
 (1), fall (0) and k level colors (2..k+1). Its path runs from (0,0) to (n,0)
 without dipping below the x-axis. Their exact counts are in ``counting``.
 
-The walk here yields symbol tuples and builds no ``Word``:
-``codeset.generate_motzkin`` and ``codeset.generate_elevated`` wrap its
-words for the API, and the path predicates that state the definitions
+The walk of a table (``walk``) yields symbol tuples and builds no
+``Word``: ``codeset.generate_motzkin`` and ``codeset.generate_elevated``
+wrap the words of the tables of ``motzkin_shapes`` and ``elevated_shapes``
+for the API, and the path predicates that state the definitions
 (``is_motzkin_word``, ``is_elevated``, ``has_ground_elevated_factor``) live
 with the brute-force references in ``oracle``.
 """
@@ -61,11 +62,8 @@ class StateTable:
     ``size`` counts a state's completions once, from those of its children,
     and stops at ``cap + 1``, where ``cap`` is the lines of a block:
     ``BLOCK_SIZE // (n + 1)``. ``count`` counts the words exactly, by the
-    transfer-matrix method: the prefixes that reach each state. A walk
-    goes depth first from the root until it meets a state whose completions
-    fit in a block (or one at n - 1 or later), a frontier node; below that,
-    each state's material (the lines of its completions, their tails or
-    their tags) is built once, from its children's, by ``blocks``.
+    transfer-matrix method: the prefixes that reach each state. ``walk``
+    walks the table in lexicographic order.
     """
 
     def __init__(self, q: int, n: int, shapes: Sequence[tuple]) -> None:
@@ -162,81 +160,6 @@ class StateTable:
                     ahead[child] = ahead.get(child, 0) + ways
             layer = ahead
         return sum(layer.values())
-
-    def frontier(self, cap: int) -> Iterator[tuple]:
-        """``(prefix, p, state)`` for each frontier node in lexicographic
-        order: a node with a completion whose state has at most ``cap``
-        completions (``cap`` is at most ``self.cap``) or is at n - 1 or
-        later, and whose ancestors' states have more. The walk holds one
-        path and the pending siblings on it."""
-        n, size, children = self.n, self.size, self.children
-        buf = [0] * (n + 1)
-        # (position, symbol placed at position - 1, state); the root's symbol
-        # goes to buf[-1], which no prefix reads
-        stack = [(0, 0, self.root)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            p, symbol, state = pop()
-            buf[p - 1] = symbol
-            lines = size(p, state)
-            if not lines:
-                continue
-            if lines <= cap or p >= n - 1:
-                yield tuple(buf[:p]), p, state
-                continue
-            for symbol, child in reversed(children(p, state)):
-                push((p + 1, symbol, child))
-
-    def blocks(self, leaf, build, cap: int) -> Iterator:
-        """The block of each node of the frontier at ``cap``, in order:
-        ``build(p, parts, prefix)`` of the node at p, where ``parts`` are
-        its children's ``(symbol, material)`` pairs (``leaf(state)`` for the
-        root at n = 0). A state's material is ``leaf(state)`` at n and
-        ``build(p, parts)`` above, made once from its children's, which are
-        made first from a stack of states rather than by recursion, and kept
-        for the walk. A frontier node's block is made for that node and not
-        kept, so the walk keeps only the material of the states below its
-        frontier."""
-        n, children = self.n, self.children
-        memo = [{} for _ in range(n + 1)]
-
-        def material(p, state):
-            stack = [(p, state)]
-            while stack:
-                at, s = stack[-1]
-                if s in memo[at]:
-                    stack.pop()
-                elif at == n:
-                    memo[at][s] = leaf(s)
-                else:
-                    kids, below = children(at, s), memo[at + 1]
-                    todo = [(at + 1, child) for _, child in kids if child not in below]
-                    if todo:
-                        stack += todo
-                    else:
-                        memo[at][s] = build(at, [(symbol, below[child]) for symbol, child in kids])
-            return memo[p][state]
-
-        for prefix, p, state in self.frontier(cap):
-            if p == n:
-                yield leaf(state)
-            else:
-                yield build(p, [(symbol, material(p + 1, child)) for symbol, child in children(p, state)], prefix)
-
-    def words(self, tags: Sequence) -> Iterator[tuple]:
-        """``(symbols, tags[j])`` for each word in lexicographic order, where
-        j is the index of the shape the word fits. Each state below the
-        frontier lists its tails once, so each word is one tuple
-        concatenation: a frontier node's prefix and a child's symbol, then
-        one of the child's tails. A tail takes about ten times the bytes of
-        a line of text, so this frontier is at an eighth of a block's."""
-
-        def build(p, parts, prefix=()):
-            heads = [(prefix + (symbol,), tails) for symbol, tails in parts]
-            return [(head + tail, tag) for head, tails in heads for tail, tag in tails]
-
-        for block in self.blocks(lambda s: [((), tags[s[2].bit_length() - 1])], build, self.cap // 8):
-            yield from block
 
 
 def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> bytes:

@@ -1,12 +1,12 @@
 """The ``gen`` and ``baseline-gen`` commands: word lists, written as bytes.
 
 Only these two commands load this module, and their handlers live here.
-``gen_blocks`` checks a ``gen`` request and picks its words: a walk of a
-``motzkin.StateTable`` for the CBFS, Motzkin and elevated sets, whose
-``text_blocks`` are one block of lines for each node of the walk's frontier,
-made from templates built once per state below it with C-level byte
-operations, or the ``(head, tails)`` groups of the bifix-free and baseline
-sets, formatted by ``group_blocks``. ``write_word_list`` joins the blocks
+``gen_blocks`` checks a ``gen`` request and picks its words: the walk
+(``walk``) of a ``motzkin.StateTable`` for the CBFS, Motzkin and elevated
+sets, whose ``text_blocks`` are one block of lines for each node of the
+walk's frontier, made from templates built once per state below it with
+C-level byte operations, or the ``(head, tails)`` groups of the bifix-free
+and baseline sets, formatted by ``group_blocks``. ``write_word_list`` joins the blocks
 into pieces of at least 64 KiB and writes them as word-per-line text or as
 the JSON of ``codeset.CodeSet.to_json``, through ``jsontext``, which only the
 JSON form loads: the word and provenance lists are pieces led by
@@ -69,13 +69,14 @@ def family_tags(table, tags: str) -> Iterator[bytes]:
     are built once per state from the item of each word's family. Nothing
     is imported or walked before the first piece is asked for."""
     from .jsontext import ITEM, text
+    from .walk import blocks
 
     items = [ITEM + text(tag).encode() for tag in tags]
 
     def join(p, parts, prefix=()):
         return b"".join([piece for _, piece in parts])
 
-    yield from table.blocks(lambda s: items[s[2].bit_length() - 1], join, table.cap)
+    yield from blocks(table, lambda s: items[s[2].bit_length() - 1], join, table.cap)
 
 
 def gen_blocks(args):
@@ -134,6 +135,8 @@ def text_blocks(table) -> Iterator[bytes]:
     are led by the child's symbol and a comma, and at a frontier node by
     the prefix before them, in one ``replace``.
     """
+    from .walk import blocks
+
     n = table.n
     if table.q > 10:
 
@@ -146,7 +149,7 @@ def text_blocks(table) -> Iterator[bytes]:
                     lines.append(lead + block[:-1].replace(b"\n", b"\n" + lead) + b"\n")
             return b"".join(lines)
 
-        return table.blocks(lambda s: b"\n", build, table.cap)
+        return blocks(table, lambda s: b"\n", build, table.cap)
     width = n + 1
     leaf = b"0" * n + b"\n"
     digits = [b"%d" % symbol for symbol in range(10)]
@@ -162,7 +165,7 @@ def text_blocks(table) -> Iterator[bytes]:
             block[column::width] = digits[symbol] * (len(block) // width)
         return block
 
-    return table.blocks(lambda s: leaf, build, table.cap)
+    return blocks(table, lambda s: leaf, build, table.cap)
 
 
 def group_blocks(q: int, groups) -> Iterator[bytes]:

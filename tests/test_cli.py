@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, wordlist
+from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, walk, wordlist
 from crossbifix.baseline import s_max, s_star
 from crossbifix.cbfs import cbfs_shapes, construct_cbfs, iter_cbfs
 from crossbifix.cli import main
@@ -381,7 +381,7 @@ def test_group_writer_formats_every_group_as_handed():
         assert len(pieces) == 3000 and b"".join(pieces) == "".join(expected).encode(), q
 
 
-def walk(q, n, families="ABC", cap=None):
+def walk_of(q, n, families="ABC", cap=None):
     """The state table of CBFS(q, n), or of the named families, with the
     lines of a block set to ``cap``."""
     table = motzkin.StateTable(q, n, cbfs_shapes(q, n, families))
@@ -397,14 +397,14 @@ def test_word_blocks_equal_the_words_written_one_by_one():
     for q in (3, 4, 10, 11, 12):
         n = 7 if q < 10 else 4
         walks = [
-            lambda: walk(q, n),
-            lambda: walk(q, n - 1, "C"),
+            lambda: walk_of(q, n),
+            lambda: walk_of(q, n - 1, "C"),
             lambda: motzkin.StateTable(q, n - 1, motzkin.motzkin_shapes(q - 2, n - 1)),
             lambda: motzkin.StateTable(q, 0, motzkin.motzkin_shapes(q - 2, 0)),
             lambda: motzkin.StateTable(q, n - 1, motzkin.elevated_shapes(q - 2, n - 1)),
         ]
         for make in walks:
-            expected = "".join(format_symbols(word, q) + "\n" for word, _ in make().words("ABC"))
+            expected = "".join(format_symbols(word, q) + "\n" for word, _ in walk.words(make(), "ABC"))
             for cap in (None, 0, 1, 7, 100):
                 table = make()
                 if cap is not None:
@@ -419,30 +419,33 @@ def test_word_blocks_equal_the_words_written_one_by_one():
             assert expected and b"".join(wordlist.group_blocks(q, make())) == expected.encode("ascii"), q
 
 
-def test_each_template_is_built_once_in_whole_lines_within_the_bound():
+def test_each_template_is_built_once_in_whole_lines_within_the_bound(monkeypatch):
     # the templates of the states below a walk's frontier are each built
     # once, and, with the frontier's blocks, hold whole lines and at most
     # BLOCK_SIZE bytes for q <= 10
     bound = motzkin.BLOCK_SIZE
     assert bound == wordlist.WRITE_SIZE
+    blocks = walk.blocks
     for q, n, cap in ((4, 11, None), (3, 14, None), (5, 9, None), (3, 9, 20), (12, 6, None), (11, 5, 3)):
-        table = walk(q, n, cap=cap)
-        templates, blocks = [], []
+        table = walk_of(q, n, cap=cap)
+        templates, made_blocks = [], []
 
-        def spy(leaf, build, cap):
+        def spy(table, leaf, build, cap):
             def spied(p, parts, prefix=None):
                 made = build(p, parts) if prefix is None else build(p, parts, prefix)
-                (templates if prefix is None else blocks).append(made)
+                (templates if prefix is None else made_blocks).append(made)
                 return made
 
-            return motzkin.StateTable.blocks(table, leaf, spied, cap)
+            return blocks(table, leaf, spied, cap)
 
-        table.blocks = spy
-        text = b"".join(wordlist.text_blocks(table))
-        assert text == "".join(format_symbols(word, q) + "\n" for word, _ in iter_cbfs(q, n)).encode(), (q, n)
+        expected = "".join(format_symbols(word, q) + "\n" for word, _ in iter_cbfs(q, n)).encode()
+        with monkeypatch.context() as patched:
+            patched.setattr(walk, "blocks", spy)
+            text = b"".join(wordlist.text_blocks(table))
+        assert text == expected, (q, n)
         # one template for each state below the frontier but at n, and one
         # block for each frontier node
-        nodes = list(table.frontier(table.cap))
+        nodes = list(walk.frontier(table, table.cap))
         below, pending = set(), [(p, state) for _, p, state in nodes]
         while pending:
             p, state = pending.pop()
@@ -450,9 +453,9 @@ def test_each_template_is_built_once_in_whole_lines_within_the_bound():
                 if p + 1 < n and (p + 1, child) not in below:
                     below.add((p + 1, child))
                     pending.append((p + 1, child))
-        assert len(templates) == len(below) and len(blocks) == len(nodes), (q, n)
-        assert len(nodes) > 2 and b"".join(blocks) == text, (q, n)
-        for made in templates + blocks:
+        assert len(templates) == len(below) and len(made_blocks) == len(nodes), (q, n)
+        assert len(nodes) > 2 and b"".join(made_blocks) == text, (q, n)
+        for made in templates + made_blocks:
             assert made.endswith(b"\n"), (q, n)
             if q <= 10:
                 assert len(made) % (n + 1) == 0 and len(made) <= bound, (q, n)
@@ -480,13 +483,13 @@ def test_word_lists_are_written_in_pieces_of_at_least_64_kib():
     assert size == 64 * 1024
     for q, n in ((4, 11), (12, 6)):
         # the bytes of the blocks as text_blocks makes them, unbatched
-        text = b"".join(wordlist.text_blocks(walk(q, n)))
+        text = b"".join(wordlist.text_blocks(walk_of(q, n)))
         fh = RecordingFile()
-        wordlist.write_word_list(fh, "text", q, n, wordlist.text_blocks(walk(q, n)), None)
+        wordlist.write_word_list(fh, "text", q, n, wordlist.text_blocks(walk_of(q, n)), None)
         assert b"".join(fh.writes) == text, (q, n)
         assert len(fh.writes) > 2 and all(len(piece) >= size for piece in fh.writes[:-1]), (q, n)
         fh = RecordingFile()
-        table = walk(q, n)
+        table = walk_of(q, n)
         wordlist.write_word_list(fh, "json", q, n, wordlist.text_blocks(table), wordlist.family_tags(table, "ABC"))
         tags = [family for _, family in iter_cbfs(q, n)]
         expected = {"q": q, "n": n, "provenance": tags, "words": text.decode("ascii").split()}

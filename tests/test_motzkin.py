@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from crossbifix import counting, motzkin
+from crossbifix import counting, motzkin, walk
 from crossbifix.cbfs import _shapes
 from crossbifix.codeset import Word, generate_elevated, generate_motzkin
 from crossbifix.counting import motzkin_count, motzkin_counts
@@ -217,12 +217,12 @@ def checked_words(q, shapes):
         table = StateTable(q, n, shapes)
         if cap is not None:
             table.cap = cap  # before any state is counted
-        words = list(table.words(range(len(shapes))))
+        words = list(walk.words(table, range(len(shapes))))
         assert table.count() == len(words), (q, shapes, cap)
         assert table.size(0, table.root) == min(len(words), table.cap + 1), (q, shapes, cap)
         # the frontier: nodes in order, each fits in a block or is at n - 1
         # or later, and the nodes above it do not fit
-        nodes = list(table.frontier(table.cap))
+        nodes = list(walk.frontier(table, table.cap))
         assert [prefix for prefix, _, _ in nodes] == sorted({prefix for prefix, _, _ in nodes}), (q, shapes, cap)
         for prefix, p, state in nodes:
             assert len(prefix) == p and (table.size(p, state) <= table.cap or p >= n - 1), (q, shapes, cap)
@@ -268,9 +268,9 @@ def test_state_tables_share_no_state():
     shapes = _shapes(10)
     calls = [(3, [shapes["A"], shapes["B"], shapes["C"]]), (3, [shapes["A"], shapes["B"], shapes["C"]])]
     calls.append((4, [_shapes(9)["C"], _shapes(9)["A"]]))
-    alone = [list(StateTable(q, len(s[0][0]) - 1, s).words("ABC")) for q, s in calls]
+    alone = [list(walk.words(StateTable(q, len(s[0][0]) - 1, s), "ABC")) for q, s in calls]
     tables = [StateTable(q, len(s[0][0]) - 1, s) for q, s in calls]
-    streams = [table.words("ABC") for table in tables]
+    streams = [walk.words(table, "ABC") for table in tables]
     together = [[] for _ in calls]
     for step in itertools.zip_longest(*streams):
         for out, item in zip(together, step):
@@ -305,7 +305,7 @@ def test_first_word_needs_no_quadratic_memory():
     # n^2 / 4 = 2.25 MB here; the first word needs no full count
     for first in (
         lambda: next(generate_motzkin(1, 3000)).symbols,
-        lambda: next(StateTable(3, 3000, motzkin_shapes(1, 3000)).words("x"))[0],
+        lambda: next(walk.words(StateTable(3, 3000, motzkin_shapes(1, 3000)), "x"))[0],
     ):
         tracemalloc.start()
         try:

@@ -33,7 +33,7 @@ CBFS_3_6 = construct_cbfs(3, 6).to_text()
 # brute-force references (oracle).
 SIZES = {"crossbifix.sizes", "crossbifix.counting"}
 WORDLIST = {"crossbifix.wordlist", "crossbifix.words", "crossbifix.counting"}
-WALK = {"crossbifix.cbfs", "crossbifix.motzkin"} | WORDLIST
+WALK = {"crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.walk"} | WORDLIST
 BIFIX_FREE = {"crossbifix.bifixfree"} | WORDLIST
 VERIFY = {"crossbifix.verify", "crossbifix.bifixfree", "crossbifix.codes", "crossbifix.words", "crossbifix.jsontext"}
 JSON = {"crossbifix.jsontext"}
