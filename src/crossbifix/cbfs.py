@@ -12,11 +12,11 @@ q-letter alphabet (q >= 3, n >= 3), distinguished by their final height:
   ground-level elevated factor of length >= ceil(n / 2), then a fall step.
 
 Counting never materializes words, so it lives in ``counting``, which
-needs none of the walk. Generation is one walk (``walk``) over the path states
-of ``motzkin.StateTable`` that covers the chosen families together. Each family
-is a shape (a floor per position, an arch bound, a forbidden first return);
-a state carries the mask of the families its prefix still fits, and the
-final height of a word names its family. So the walk yields plain symbol
+needs none of the walk. Generation is one walk (``walk``) over the path
+states of ``motzkin.StateTable`` that covers the chosen families together.
+Each family is a shape (a floor per position, an arch bound, a forbidden
+first return); a state carries the mask of the families its prefix still
+fits, and the final height of a word names its family. So the walk yields plain symbol
 tuples already in canonical order, with no merge or re-sort. Below the
 walk's frontier, where a state's completions fit in one block, each state's
 tails (for ``iter_cbfs``) or lines (for ``gen``) are built once from its

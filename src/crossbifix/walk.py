@@ -53,6 +53,9 @@ def blocks(table, leaf, build, cap: int) -> Iterator:
     memo = [{} for _ in range(n + 1)]
 
     def material(p, state):
+        made = memo[p].get(state)
+        if made is not None:
+            return made
         stack = [(p, state)]
         while stack:
             at, s = stack[-1]
@@ -79,14 +82,18 @@ def blocks(table, leaf, build, cap: int) -> Iterator:
 def words(table, tags: Sequence) -> Iterator[tuple]:
     """``(symbols, tags[j])`` for each word of ``table`` in lexicographic
     order, where j is the index of the shape the word fits. Each state below
-    the frontier lists its tails once, so each word is one tuple
-    concatenation: a frontier node's prefix and a child's symbol, then one
-    of the child's tails. A tail takes about ten times the bytes of a line
-    of text, so this frontier is at an eighth of a block's lines."""
+    the frontier lists its tails once, and each frontier node hands out, for
+    each child, its prefix and the child's symbol as a head with the child's
+    tails, so each word is one tuple concatenation, ``head + tail``. A tail
+    takes about ten times the bytes of a line of text, so this frontier is
+    at an eighth of a block's lines."""
+    if not table.n:  # the root is the one word, if a shape takes it
+        return iter([((), tags[table.root[2].bit_length() - 1])] if table.root[2] else [])
 
-    def build(p, parts, prefix=()):
-        heads = [(prefix + (symbol,), tails) for symbol, tails in parts]
-        return [(head + tail, tag) for head, tails in heads for tail, tag in tails]
+    def build(p, parts, prefix=None):
+        if prefix is None:  # a state's tails
+            return [((symbol,) + tail, tag) for symbol, tails in parts for tail, tag in tails]
+        return [(prefix + (symbol,), tails) for symbol, tails in parts]
 
-    for block in blocks(table, lambda s: [((), tags[s[2].bit_length() - 1])], build, table.cap // 8):
-        yield from block
+    groups = blocks(table, lambda s: [((), tags[s[2].bit_length() - 1])], build, table.cap // 8)
+    return ((head + tail, tag) for block in groups for head, tails in block for tail, tag in tails)

@@ -6,13 +6,14 @@ Only these two commands load this module, and their handlers live here.
 sets, whose ``text_blocks`` are one block of lines for each node of the
 walk's frontier, made from templates built once per state below it with
 C-level byte operations, or the ``(head, tails)`` groups of the bifix-free
-and baseline sets, formatted by ``group_blocks``. ``write_word_list`` joins the blocks
-into pieces of at least 64 KiB and writes them as word-per-line text or as
-the JSON of ``codeset.CodeSet.to_json``, through ``jsontext``, which only the
-JSON form loads: the word and provenance lists are pieces led by
-``jsontext.ITEM``, and the provenance generators import it only when they
-are first read. A word's line is the text that ``words.format_symbols``
-gives it: digits for q <= 10, decimal integers between commas above.
+and baseline sets, formatted by ``group_blocks``. ``write_word_list``
+joins the blocks into pieces of at least 64 KiB and writes them as
+word-per-line text or as the JSON of ``codeset.CodeSet.to_json``, through
+``jsontext``, which only the JSON form loads: the word and provenance lists
+are pieces led by ``jsontext.ITEM``, and the provenance generators import
+it only when they are first read. A word's line is the text that
+``words.format_symbols`` gives it: digits for q <= 10, decimal integers
+between commas above.
 """
 
 from __future__ import annotations
