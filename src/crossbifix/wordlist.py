@@ -172,16 +172,23 @@ def text_blocks(table) -> Iterator[bytes]:
 def group_blocks(q: int, groups) -> Iterator[bytes]:
     """The word-per-line ASCII bytes of ``(head, tails)`` groups, whose words
     are ``head + tail`` for each ``(tail, index)`` in ``tails``, any
-    iterable: one block for each group that holds a word. For q <= 10 a
-    line is the symbols as bytes, and a block is translated to digits in
-    one pass."""
+    iterable: the words of the groups collected, and formatted in one pass
+    for each ``GEN_CHUNK`` of them or more. For q <= 10 a line is the
+    symbols as bytes, and a block is translated to digits in one pass."""
+    rows = []
     for head, tails in groups:
-        rows = [head + tail for tail, _ in tails]
-        if rows:
-            if q <= 10:
-                yield b"\n".join(map(bytes, rows)).translate(_DIGITS) + b"\n"
-            else:
-                yield "\n".join([format_symbols(row, q) for row in rows]).encode("ascii") + b"\n"
+        rows += [head + tail for tail, _ in tails]
+        if len(rows) >= GEN_CHUNK:
+            yield _lines(q, rows)
+            rows = []
+    if rows:
+        yield _lines(q, rows)
+
+
+def _lines(q: int, rows: list) -> bytes:
+    if q <= 10:
+        return b"\n".join(map(bytes, rows)).translate(_DIGITS) + b"\n"
+    return "\n".join([format_symbols(row, q) for row in rows]).encode("ascii") + b"\n"
 
 
 def _pieces(blocks: Iterator[bytes]) -> Iterator[bytes]:

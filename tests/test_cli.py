@@ -378,7 +378,7 @@ def test_group_writer_formats_every_group_as_handed():
                 yield head, tails if head or rng.random() < 0.5 else iter(tails)
 
         pieces = list(wordlist.group_blocks(q, groups()))
-        assert len(pieces) == 3000 and b"".join(pieces) == "".join(expected).encode(), q
+        assert pieces and b"".join(pieces) == "".join(expected).encode(), q
 
 
 def walk_of(q, n, families="ABC", cap=None):
