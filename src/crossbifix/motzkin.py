@@ -15,7 +15,7 @@ with the brute-force references in ``oracle``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .words import FALL, RISE
 
@@ -55,9 +55,9 @@ class StateTable:
     a first return at p. When no shape left has an arch bound, the last
     visit matters only as "not yet" (0), to a shape with a forbidden first
     return, so once the path has come back to 0 it is stored as p: states
-    that accept the same completions are one state. A state at n holds one shape, the
-    one it ends at. Every table is keyed by position, since equal tuples at
-    two positions are two states.
+    that accept the same completions are one state. A state at n holds one
+    shape, the one it ends at. Every table is keyed by position, since equal
+    tuples at two positions are two states.
 
     ``size`` counts a state's completions once, from those of its children,
     and stops at ``cap + 1``, where ``cap`` is the lines of a block:
