@@ -41,23 +41,23 @@ class StateTable:
       height 0 by a fall at that position.
 
     The shapes must have distinct final heights, so a word fits at most one
-    of them, the one it ends at, and there are at most 8 of them, so that
-    every mask of shapes fits in a byte; otherwise ValueError is raised.
+    of them, the one it ends at; otherwise ValueError is raised.
 
     A state at position p is (height, last visit to height 0, mask of the
     shapes still possible). ``children`` gives a state's children, fall,
-    rise, then each level color, each a (symbol, state) pair. A child is
-    cut as soon as no shape admits it, which three tables built up front
-    decide: ``rows[p][h]`` holds the shapes with ``floor[p] <= h <=
-    floor[-1] + n - p`` (the final height is still reachable), ``arch_ok[d]``
-    the shapes whose arch bound allows d, the steps since height 0 plus the
-    steps needed to get back there, and ``first_ok[p]`` the shapes that allow
-    a first return at p. When no shape left has an arch bound, the last
-    visit matters only as "not yet" (0), to a shape with a forbidden first
-    return, so once the path has come back to 0 it is stored as p: states
-    that accept the same completions are one state. A state at n holds one
-    shape, the one it ends at. Every table is keyed by position, since equal
-    tuples at two positions are two states.
+    rise, then each level color, each a (symbol, state) pair, the first
+    time the state is met. A child at height h1 and position p + 1 keeps a
+    live shape when h1 is within the shape's floor and can still reach its
+    final height in the steps left, when the steps since height 0 plus the
+    h1 steps needed to get back there are within its arch bound, and when
+    the child is not a fall to a first return the shape forbids; a child
+    that keeps no shape is cut. Nothing is built per position up front.
+    When no shape left has an arch bound, the last visit matters only as
+    "not yet" (0), to a shape with a forbidden first return, so once the
+    path has come back to 0 it is stored as p: states that accept the same
+    completions are one state. A state at n holds one shape, the one it
+    ends at. Every table is keyed by position, since equal tuples at two
+    positions are two states.
 
     ``size`` counts a state's completions once, from those of its children,
     and stops at ``cap + 1``, where ``cap`` is the lines of a block:
@@ -67,8 +67,6 @@ class StateTable:
     """
 
     def __init__(self, q: int, n: int, shapes: Sequence[tuple]) -> None:
-        if len(shapes) > 8:
-            raise ValueError(f"one walk takes at most 8 shapes, got {len(shapes)}")
         finals = [floor[-1] for floor, _, _ in shapes]
         for j, (floor, _, _) in enumerate(shapes):
             if len(floor) != n + 1:
@@ -82,23 +80,9 @@ class StateTable:
         self.levels = range(2, q)
         self.edges = [{} for _ in range(n + 1)]
         self.sizes = [{} for _ in range(n + 1)]
-        if not live:
-            return  # no state has a child: skip the tables, which grow as n^2
-        low = min([0, *(min(floor) for floor, _, _ in shapes)]) - 1  # no child goes lower
-        top = max([0, *finals]) + n
-        indexed = list(enumerate(shapes))
-        # rows[p] is read for the children of states at p - 1, which are no
-        # higher than p - 1 nor than top - (p - 1).
-        self.rows = [
-            _masks(low, min(p, top - p + 2), [(1 << j, floor[p], floor[-1] + n - p) for j, (floor, _, _) in indexed])
-            for p in range(n + 1)
-        ]
-        # d is at most top + 2, since a child at p is no higher than top - p + 2
-        arches = [(1 << j, low + 1, top + 2 if arch is None else arch) for j, (_, arch, _) in indexed]
-        self.arch_ok = _masks(low + 1, top + 2, arches)
-        self.first_ok = [sum(1 << j for j, (_, _, skip) in indexed if skip != p) for p in range(n + 1)]
+        self.shapes = [(1 << j, floor, arch, skip) for j, (floor, arch, skip) in enumerate(shapes)]
         # the shapes to which the last visit to 0 matters once it is past
-        self.kept = sum(1 << j for j, (_, arch, _) in indexed if arch is not None)
+        self.kept = sum(1 << j for j, (_, arch, _) in enumerate(shapes) if arch is not None)
 
     def children(self, p: int, state: tuple) -> list:
         """The (symbol, child state) pairs of ``state`` at position p, in
@@ -108,17 +92,22 @@ class StateTable:
             kids = self.edges[p][state] = []
             h, g, live = state
             if p < self.n and live:
-                np = p + 1
-                row, arch_ok, kept = self.rows[np], self.arch_ok, self.kept
-                d = np - g + h
-                down = live & row[h - 1] & arch_ok[d - 1]
-                if h == 1 and g == 0:
-                    down &= self.first_ok[np]
-                up, flat = live & row[h + 1] & arch_ok[d + 1], live & row[h] & arch_ok[d]
-                for symbols, h1, mask in ((FALL,), h - 1, down), ((RISE,), h + 1, up), (self.levels, h, flat):
+                np, left = p + 1, self.n - p - 1
+                # a fall from 1 before any return is the first return
+                steps = ((FALL,), h - 1, h == 1 and not g), ((RISE,), h + 1, False), (self.levels, h, False)
+                for symbols, h1, first in steps:
+                    mask = 0
+                    for bit, floor, arch, skip in self.shapes:
+                        if (
+                            live & bit
+                            and floor[np] <= h1 <= floor[-1] + left
+                            and (arch is None or np - g + h1 <= arch)
+                            and not (first and skip == np)
+                        ):
+                            mask |= bit
                     if mask:
                         # a child at height 0 is a visit at np
-                        child = (h1, g if h1 and (not g or mask & kept) else np, mask)
+                        child = (h1, g if h1 and (not g or mask & self.kept) else np, mask)
                         kids += [(symbol, child) for symbol in symbols]
         return kids
 
@@ -160,18 +149,6 @@ class StateTable:
                     ahead[child] = ahead.get(child, 0) + ways
             layer = ahead
         return sum(layer.values())
-
-
-def _masks(lo: int, hi: int, spans: list[tuple[int, int, int]]) -> bytes:
-    """A table t where, for lo <= v <= hi, t[v] is the OR of the bits b of
-    the spans (b, first, last) with first <= v <= last. Here lo <= 0, and a
-    negative v indexes from the end, as Python does. The bits are below
-    1 << 8, and the table is filled a run of equal masks at a time."""
-    cuts = sorted({lo, hi + 1, *(min(max(v, lo), hi + 1) for _, first, last in spans for v in (first, last + 1))})
-    t = bytearray()
-    for start, stop in zip(cuts, cuts[1:]):
-        t += bytes((sum(b for b, first, last in spans if first <= start <= last),)) * (stop - start)
-    return bytes(t[-lo:] + t[:-lo])
 
 
 def motzkin_shapes(colors: int, n: int) -> list[tuple[list[int], None, None]]:

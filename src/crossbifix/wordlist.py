@@ -171,12 +171,35 @@ def text_blocks(table) -> Iterator[bytes]:
 
 def group_blocks(q: int, groups) -> Iterator[bytes]:
     """The word-per-line ASCII bytes of ``(head, tails)`` groups, whose words
-    are ``head + tail`` for each ``(tail, index)`` in ``tails``, any
-    iterable: the words of the groups collected, and formatted in one pass
-    for each ``GEN_CHUNK`` of them or more. For q <= 10 a line is the
-    symbols as bytes, and a block is translated to digits in one pass."""
-    rows = []
+    are ``head + tail`` for each ``(tail, index)`` in ``tails``: a list if
+    the head is not empty, any iterable if it is. A list of several tails,
+    which the baseline's groups share, has its lines made once, for as long
+    as the groups hand out that list object, and each such group is those
+    lines joined by the head's line, and a comma for q > 10, which leads
+    each of them. The words of the other groups are collected and formatted
+    in one pass for each ``GEN_CHUNK`` of them or more. For q <= 10 a line
+    is the symbols as bytes, translated to digits in one pass."""
+    if q <= 10:
+
+        def lead(head):
+            return bytes(head).translate(_DIGITS)
+
+    else:
+
+        def lead(head):
+            return format_symbols(head, q).encode("ascii") + b","
+
+    rows, shared, lines = [], None, []
     for head, tails in groups:
+        if head and len(tails) > 1:
+            if rows:
+                yield _lines(q, rows)
+                rows = []
+            if tails is not shared:
+                shared = tails
+                lines = [b"", *_lines(q, [tail for tail, _ in tails]).splitlines(keepends=True)]
+            yield lead(head).join(lines)
+            continue
         rows += [head + tail for tail, _ in tails]
         if len(rows) >= GEN_CHUNK:
             yield _lines(q, rows)

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from crossbifix import counting, motzkin, walk
-from crossbifix.cbfs import _shapes
+from crossbifix.cbfs import _shapes, iter_cbfs
 from crossbifix.codeset import Word, generate_elevated, generate_motzkin
 from crossbifix.counting import motzkin_count, motzkin_counts
 from crossbifix.motzkin import StateTable, motzkin_shapes
@@ -240,6 +240,11 @@ def test_walk_matches_its_definition():
         for shapes in cases:
             expected = brute_shape_words(q, shapes)
             assert checked_words(q, shapes) == expected, (q, shapes)
+    # nine shapes, one for each final height 0..8: a mask of live shapes
+    # is an int of any width
+    nine = [(floor(8, final), None, None) for final in range(9)]
+    for q in (2, 3):
+        assert checked_words(q, nine) == brute_shape_words(q, nine), q
     # lengths where many prefixes reach the same state, so most words are
     # made from the tails listed once for a state
     for n in (9, 10):
@@ -255,8 +260,6 @@ def test_walk_matches_its_definition():
         ([([0] * 5, None, None), ([0, 1, 1, 1, 0], None, None)], "shapes 0 and 1 both end at height 0"),
         ([([0] * 5, None, None), ([0] * 4 + [-1], 2, None), ([0, 0, 1, 1, -1], None, None)], "shapes 1 and 2"),
         ([([0] * 5, None, None), ([0] * 4, None, None)], "shape 1 has length 3, not 4"),
-        # nine shapes with distinct final heights: their masks need 9 bits
-        ([([0] * 8 + [final], None, None) for final in range(9)], "at most 8 shapes, got 9"),
     ]
     for shapes, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -301,19 +304,22 @@ def test_the_count_of_the_walk_matches_the_closed_forms():
 
 
 def test_first_word_needs_no_quadratic_memory():
-    # the position-by-height tables take a byte per entry, about
-    # n^2 / 4 = 2.25 MB here; the first word needs no full count
-    for first in (
-        lambda: next(generate_motzkin(1, 3000)).symbols,
-        lambda: next(walk.words(StateTable(3, 3000, motzkin_shapes(1, 3000)), "x"))[0],
+    # the first word needs no full count, and the table holds only the
+    # states the walk meets: about 3.2 MiB here, where a byte kept per
+    # position and height would add about n^2 / 4 = 2.25 MB
+    for first, expected in (
+        (lambda: next(generate_motzkin(1, 3000)).symbols, (1, 0) * 1500),
+        (lambda: next(walk.words(StateTable(3, 3000, motzkin_shapes(1, 3000)), "x"))[0], (1, 0) * 1500),
+        # family C: a Motzkin word of length n - 1, then a fall
+        (lambda: next(iter_cbfs(3, 3000))[0], (1, 0) * 1499 + (2, 0)),
     ):
         tracemalloc.start()
         try:
-            assert first() == (1, 0) * 1500
+            assert first() == expected
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20, peak
+        assert peak < 4.5 * 2**20, peak
 
 
 def test_ground_elevated_factor_examples():
