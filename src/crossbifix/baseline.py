@@ -6,19 +6,25 @@ interior carries no further run of k zeros. Every such set is
 cross-bifix-free; its size is (q-1)^2 * F(n-k-2) where F counts words
 avoiding a k-zero run. The best size over admissible k gives the reference
 values our construction is measured against.
+
+The words of S(k, q, n) are those of the walk (``walk``) of a
+``motzkin.ZeroRunTable``, which ``baseline_table`` builds; it imports the
+table only when called, so counting (``table``, ``count --set S``) loads no
+part of the walk.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from . import DEFAULT_MAX_SPACE
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .codeset import CodeSet
+    from .motzkin import ZeroRunTable
 
 
 def zero_run_counts(k: int, q: int, lengths: Iterable[int]) -> dict[int, int]:
@@ -56,27 +62,15 @@ def f_count(k: int, q: int, n: int) -> int:
     return zero_run_counts(k, q, (n,))[n]
 
 
-def _contains_zero_run(symbols: tuple[int, ...], k: int) -> bool:
-    run = 0
-    for s in symbols:
-        run = run + 1 if s == 0 else 0
-        if run >= k:
-            return True
-    return False
+def baseline_table(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> tuple[int, ZeroRunTable]:
+    """``(size, table)`` of S(k, q, n): its number of words and the
+    ``motzkin.ZeroRunTable`` whose walk lists them in canonical order.
 
-
-def baseline_groups(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> tuple[int, Iterator[tuple]]:
-    """``(size, groups)`` of S(k, q, n): its number of words, and the words
-    in canonical order as ``(head, tails)`` groups, which
-    ``wordlist.group_blocks`` writes. The heads are the zero run, the first
-    symbol and the interior, and every group hands out the same list of
-    tails, the last symbols 1..q-1 each with index 0; callers must not
-    change it.
-
-    Admits 1 <= k <= n-2 (k = 1 arises in the extended maximization). The
-    interior is enumerated and filtered, at a cost of q^(n-k-2); instances
-    beyond max_space are refused. Every check is made on the call.
+    Admits 1 <= k <= n-2 (k = 1 arises in the extended maximization). An
+    interior space q^(n-k-2) beyond max_space is refused. Every check is
+    made on the call.
     """
+    from .motzkin import ZeroRunTable
     from .words import check_alphabet
 
     if q < 2:
@@ -84,27 +78,23 @@ def baseline_groups(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) 
     if not 1 <= k <= n - 2:
         raise ValueError(f"run length k must satisfy 1 <= k <= n-2, got k={k}, n={n}")
     middle_len = n - k - 2
-    if q**middle_len > max_space:
+    # exact: past the bit length of max_space, q^m exceeds it already
+    if q ** min(middle_len, max_space.bit_length()) > max_space:
         raise ValueError(
             f"interior space {q}^{middle_len} exceeds the cap of {max_space}; raise max_space to force"
         )
     check_alphabet(q)
-    middles = [m for m in itertools.product(range(q), repeat=middle_len) if not _contains_zero_run(m, k)]
-    nonzero = range(1, q)
-    tails = [((last,), 0) for last in nonzero]
-    # the zero run, then the first symbol, the interior and the last symbol
-    # vary slowest to fastest, which is canonical order
-    groups = (((0,) * k + (first,) + middle, tails) for first in nonzero for middle in middles)
-    return len(middles) * len(tails) ** 2, groups
+    return (q - 1) ** 2 * f_count(k, q, middle_len), ZeroRunTable(k, q, n)
 
 
 def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> CodeSet:
-    """All words of S(k, q, n), from ``baseline_groups``, as a canonically
-    ordered ``CodeSet`` tagged "baseline"."""
+    """All words of S(k, q, n), from the walk of ``baseline_table``, as a
+    canonically ordered ``CodeSet`` tagged "baseline"."""
     from .codeset import CodeSet
+    from .walk import words
 
-    _, groups = baseline_groups(k, q, n, max_space)
-    return CodeSet.from_ordered(q, n, ((head + tail, "baseline") for head, tails in groups for tail, _ in tails))
+    _, table = baseline_table(k, q, n, max_space)
+    return CodeSet.from_ordered(q, n, words(table, ("baseline",)))
 
 
 def best_sizes(q: int, n_values: Iterable[int], k_min: int) -> dict[int, tuple[int, int]]:

@@ -10,7 +10,9 @@ The walk of a table (``walk``) yields symbol tuples and builds no
 wrap the words of the tables of ``motzkin_shapes`` and ``elevated_shapes``
 for the API, and the path predicates that state the definitions
 (``is_motzkin_word``, ``is_elevated``, ``has_ground_elevated_factor``) live
-with the brute-force references in ``oracle``.
+with the brute-force references in ``oracle``. ``ZeroRunTable`` is the table
+of the zero-run baseline S(k, q, n) of ``baseline``: one shape, whose states
+hold the length of a run of zeros instead of a height, walked the same way.
 """
 
 from __future__ import annotations
@@ -149,6 +151,30 @@ class StateTable:
                     ahead[child] = ahead.get(child, 0) + ways
             layer = ahead
         return sum(layer.values())
+
+
+class ZeroRunTable(StateTable):
+    """The words of the baseline S(k, q, n), 1 <= k <= n - 2, as a
+    ``StateTable`` of one shape: k zeros, a non-zero symbol, an interior with
+    no run of k zeros and a non-zero last symbol. A state is (run, 0, 1),
+    where run counts the zeros that end the interior so far, so ``size``,
+    ``count`` and the walk take it as they take a state of the shapes."""
+
+    def __init__(self, k: int, q: int, n: int) -> None:
+        self.k, self.q, self.n, self.root, self.cap = k, q, n, (0, 0, 1), BLOCK_SIZE // (n + 1)
+        self.sizes = [{} for _ in range(n + 1)]
+        self.zero = [(0, self.root)]
+        self.nonzero = [(symbol, self.root) for symbol in range(1, q)]
+        # the children of an interior state by its run: a zero while the run
+        # stays below k, then the non-zero symbols, which end the run
+        self.interior = [[(0, (run, 0, 1)), *self.nonzero] for run in range(1, k)] + [self.nonzero]
+
+    def children(self, p: int, state: tuple) -> list:
+        if p < self.k:
+            return self.zero
+        if p == self.k or p == self.n - 1:
+            return self.nonzero
+        return self.interior[state[0]]
 
 
 def motzkin_shapes(colors: int, n: int) -> list[tuple[list[int], None, None]]:

@@ -3,10 +3,11 @@
 Only these two commands load this module, and their handlers live here.
 ``gen_blocks`` checks a ``gen`` request and picks its words: the walk
 (``walk``) of a ``motzkin.StateTable`` for the CBFS, Motzkin and elevated
-sets, whose ``text_blocks`` are one block of lines for each node of the
-walk's frontier, made from templates built once per state below it with
-C-level byte operations, or the ``(head, tails)`` groups of the bifix-free
-and baseline sets, formatted by ``group_blocks``. ``write_word_list``
+sets, or chunks of ``GEN_CHUNK`` bifix-free words, each formatted in one
+pass by ``_lines``. ``baseline-gen`` walks the ``motzkin.ZeroRunTable`` of
+S(k, q, n). The ``text_blocks`` of a walk are one block of lines for each
+node of its frontier, made from templates built once per state below it
+with C-level byte operations. ``write_word_list``
 joins the blocks into pieces of at least 64 KiB and writes them as
 word-per-line text or as the JSON of ``codeset.CodeSet.to_json``, through
 ``jsontext``, which only the JSON form loads: the word and provenance lists
@@ -19,7 +20,7 @@ between commas above.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice, repeat
+from itertools import islice
 
 from .cli import _FAMILIES, _output
 from .counting import count_cbfs, motzkin_count
@@ -45,11 +46,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_baseline_gen(args) -> int:
-    from .baseline import baseline_groups
+    from .baseline import baseline_table
 
-    size, groups = baseline_groups(args.k, args.q, args.n, max_space=args.limit)
+    size, table = baseline_table(args.k, args.q, args.n, max_space=args.limit)
     with _output(args.out) as fh:
-        write_word_list(fh, args.format, args.q, args.n, group_blocks(args.q, groups), tagged("baseline", size))
+        write_word_list(fh, args.format, args.q, args.n, text_blocks(table), tagged("baseline", size))
     return 0
 
 
@@ -109,11 +110,9 @@ def gen_blocks(args):
     if expected > args.limit:
         raise ValueError(f"{args.set} at q={q}, n={n} holds {expected} words, above --limit {args.limit}")
     if shapes is None:
-        # chunks of the word stream, as groups with an empty head; their
-        # tails are iterators, so no pair outlives its word's turn
         words = iter_bifix_free(q, n)
-        groups = (((), zip(chunk, repeat(0))) for chunk in iter(lambda: list(islice(words, GEN_CHUNK)), []))
-        return group_blocks(q, groups), tagged("external", expected)
+        chunks = iter(lambda: list(islice(words, GEN_CHUNK)), [])
+        return (_lines(q, chunk) for chunk in chunks), tagged("external", expected)
     from .motzkin import StateTable
 
     table = StateTable(q, n, shapes)
@@ -167,45 +166,6 @@ def text_blocks(table) -> Iterator[bytes]:
         return block
 
     return blocks(table, lambda s: leaf, build, table.cap)
-
-
-def group_blocks(q: int, groups) -> Iterator[bytes]:
-    """The word-per-line ASCII bytes of ``(head, tails)`` groups, whose words
-    are ``head + tail`` for each ``(tail, index)`` in ``tails``: a list if
-    the head is not empty, any iterable if it is. A list of several tails,
-    which the baseline's groups share, has its lines made once, for as long
-    as the groups hand out that list object, and each such group is those
-    lines joined by the head's line, and a comma for q > 10, which leads
-    each of them. The words of the other groups are collected and formatted
-    in one pass for each ``GEN_CHUNK`` of them or more. For q <= 10 a line
-    is the symbols as bytes, translated to digits in one pass."""
-    if q <= 10:
-
-        def lead(head):
-            return bytes(head).translate(_DIGITS)
-
-    else:
-
-        def lead(head):
-            return format_symbols(head, q).encode("ascii") + b","
-
-    rows, shared, lines = [], None, []
-    for head, tails in groups:
-        if head and len(tails) > 1:
-            if rows:
-                yield _lines(q, rows)
-                rows = []
-            if tails is not shared:
-                shared = tails
-                lines = [b"", *_lines(q, [tail for tail, _ in tails]).splitlines(keepends=True)]
-            yield lead(head).join(lines)
-            continue
-        rows += [head + tail for tail, _ in tails]
-        if len(rows) >= GEN_CHUNK:
-            yield _lines(q, rows)
-            rows = []
-    if rows:
-        yield _lines(q, rows)
 
 
 def _lines(q: int, rows: list) -> bytes:

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from crossbifix import baseline
+from crossbifix import baseline, motzkin, walk
 from crossbifix.baseline import (
     best_sizes,
     construct_baseline_set,
@@ -28,6 +28,21 @@ def naive_zero_run_count(k, q, n):
         if best < k:
             count += 1
     return count
+
+
+def brute_baseline_words(k, q, n):
+    """The words of S(k, q, n) in lexicographic order, by a scan of Z_q^n
+    against the definition: k zeros, a non-zero symbol, an interior with no
+    factor 0^k and a non-zero last symbol."""
+    zeros = (0,) * k
+    return [
+        symbols
+        for symbols in itertools.product(range(q), repeat=n)
+        if symbols[:k] == zeros
+        and symbols[k]
+        and symbols[-1]
+        and not any(symbols[i : i + k] == zeros for i in range(k + 1, n - k))
+    ]
 
 
 def test_f_count_small_values():
@@ -110,6 +125,30 @@ def test_baseline_set_size_formula():
             for k in range(1, n - 1):
                 built = construct_baseline_set(k, q, n)
                 assert len(built) == (q - 1) ** 2 * f_count(k, q, n - k - 2)
+
+
+def test_baseline_words_match_a_scan_of_their_definition():
+    # the walk of the zero-run table, and the set built from it, in order
+    for q, top in ((2, 8), (3, 8), (4, 8), (11, 5)):
+        for n in range(3, top + 1):
+            for k in range(1, n - 1):
+                expected = brute_baseline_words(k, q, n)
+                size, table = baseline.baseline_table(k, q, n)
+                assert [symbols for symbols, _ in walk.words(table, ("baseline",))] == expected, (k, q, n)
+                assert [x.symbols for x in construct_baseline_set(k, q, n)] == expected, (k, q, n)
+                assert size == len(expected), (k, q, n)
+
+
+def test_baseline_table_counts_its_words_exactly():
+    # the table's forward pass against the zero-run recurrence, far past
+    # what a scan reaches
+    for q in (2, 3, 5):
+        for k in (1, 2, 5):
+            for n in range(k + 2, 201):
+                expected = (q - 1) ** 2 * f_count(k, q, n - k - 2)
+                assert motzkin.ZeroRunTable(k, q, n).count() == expected, (k, q, n)
+    size, table = baseline.baseline_table(2, 3, 200, max_space=3**196)
+    assert size == table.count() == 4 * f_count(2, 3, 196)
 
 
 def test_baseline_sets_are_cross_bifix_free():

@@ -8,7 +8,6 @@ import io
 import itertools
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -356,31 +355,6 @@ def test_gen_file_holds_the_bytes_of_stdout(tmp_path, capsys):
         assert target.read_bytes() == out.encode(), args
 
 
-def test_group_writer_formats_every_group_as_handed():
-    # a stream that drops most of its lists once written, so new lists can
-    # take the ids of freed ones, and hands some kept lists back later
-    rng = random.Random(5)
-    for q in (3, 4, 10, 11, 12):
-        expected = []
-
-        def groups():
-            kept = []
-            for _ in range(3000):
-                head = tuple(rng.randrange(q) for _ in range(rng.choice((0, 3))))
-                if kept and rng.random() < 0.3:
-                    tails = rng.choice(kept)
-                else:
-                    tails = [(tuple(rng.randrange(q) for _ in range(4)), 0) for _ in range(rng.choice((1, 1, 2, 5)))]
-                    if rng.random() < 0.1:
-                        kept.append(tails)
-                expected.extend(format_symbols(head + tail, q) + "\n" for tail, _ in tails)
-                # with an empty head, as for bifix-free chunks, any iterable will do
-                yield head, tails if head or rng.random() < 0.5 else iter(tails)
-
-        pieces = list(wordlist.group_blocks(q, groups()))
-        assert pieces and b"".join(pieces) == "".join(expected).encode(), q
-
-
 def walk_of(q, n, families="ABC", cap=None):
     """The state table of CBFS(q, n), or of the named families, with the
     lines of a block set to ``cap``."""
@@ -391,9 +365,8 @@ def walk_of(q, n, families="ABC", cap=None):
 
 
 def test_word_blocks_equal_the_words_written_one_by_one():
-    # the blocks of walks (cbfs, motzkin, elevated, at every block size from
-    # one line up), of chunks with an empty head (bifix-free) and of groups
-    # sharing one list (the baseline)
+    # the blocks of walks (cbfs, motzkin, elevated, the baseline, at every
+    # block size from one line up) and the chunks of the bifix-free words
     for q in (3, 4, 10, 11, 12):
         n = 7 if q < 10 else 4
         walks = [
@@ -402,6 +375,8 @@ def test_word_blocks_equal_the_words_written_one_by_one():
             lambda: motzkin.StateTable(q, n - 1, motzkin.motzkin_shapes(q - 2, n - 1)),
             lambda: motzkin.StateTable(q, 0, motzkin.motzkin_shapes(q - 2, 0)),
             lambda: motzkin.StateTable(q, n - 1, motzkin.elevated_shapes(q - 2, n - 1)),
+            lambda: motzkin.ZeroRunTable(1, q, n - 1),
+            lambda: motzkin.ZeroRunTable(2, q, n),
         ]
         for make in walks:
             expected = "".join(format_symbols(word, q) + "\n" for word, _ in walk.words(make(), "ABC"))
@@ -410,13 +385,9 @@ def test_word_blocks_equal_the_words_written_one_by_one():
                 if cap is not None:
                     table.cap = cap  # before any state is counted
                 assert expected and b"".join(wordlist.text_blocks(table)) == expected.encode("ascii"), (q, cap)
-        groups = [
-            lambda: [((), zip(bifixfree.iter_bifix_free(q, n - 2), itertools.repeat(0)))],
-            lambda: baseline.baseline_groups(1, q, n - 1)[1],
-        ]
-        for make in groups:
-            expected = "".join(format_symbols(head + tail, q) + "\n" for head, tails in make() for tail, _ in tails)
-            assert expected and b"".join(wordlist.group_blocks(q, make())) == expected.encode("ascii"), q
+        expected = "".join(format_symbols(word, q) + "\n" for word in bifixfree.iter_bifix_free(q, n - 2))
+        request = argparse.Namespace(q=q, n=n - 2, set="bifixfree", limit=10**6)
+        assert expected and b"".join(wordlist.gen_blocks(request)[0]) == expected.encode("ascii"), q
 
 
 def test_each_template_is_built_once_in_whole_lines_within_the_bound(monkeypatch):

@@ -10,8 +10,9 @@ from crossbifix import counting, motzkin, walk
 from crossbifix.cbfs import _shapes, iter_cbfs
 from crossbifix.codeset import Word, generate_elevated, generate_motzkin
 from crossbifix.counting import motzkin_count, motzkin_counts
-from crossbifix.motzkin import StateTable, motzkin_shapes
+from crossbifix.motzkin import StateTable, ZeroRunTable, motzkin_shapes
 from crossbifix.oracle import has_ground_elevated_factor, is_elevated, is_motzkin_word
+from test_baseline import brute_baseline_words
 
 # frozen from the full-space enumeration oracle (see brute agreement below);
 # this is the classical one-color sequence
@@ -207,28 +208,35 @@ def case_shapes(n):
     ]
 
 
-def checked_words(q, shapes):
-    """The words of the walk of ``StateTable(q, n, shapes)`` with their shape
-    indices, after checking that every block size, from one line up, walks
-    the same words, and that the counts agree with them."""
-    n = len(shapes[0][0]) - 1
+def checked_walk(make, tags):
+    """The words of the walk of the table ``make()`` builds, with their
+    tags, after checking that every block size, from one line up, walks the
+    same words, and that the counts agree with them."""
     runs = []
     for cap in (None, 0, 1, 5, 40):
-        table = StateTable(q, n, shapes)
+        table = make()
+        n, where = table.n, (table.q, table.n, cap)
         if cap is not None:
             table.cap = cap  # before any state is counted
-        words = list(walk.words(table, range(len(shapes))))
-        assert table.count() == len(words), (q, shapes, cap)
-        assert table.size(0, table.root) == min(len(words), table.cap + 1), (q, shapes, cap)
+        words = list(walk.words(table, tags))
+        assert table.count() == len(words), where
+        assert table.size(0, table.root) == min(len(words), table.cap + 1), where
         # the frontier: nodes in order, each fits in a block or is at n - 1
         # or later, and the nodes above it do not fit
         nodes = list(walk.frontier(table, table.cap))
-        assert [prefix for prefix, _, _ in nodes] == sorted({prefix for prefix, _, _ in nodes}), (q, shapes, cap)
+        assert [prefix for prefix, _, _ in nodes] == sorted({prefix for prefix, _, _ in nodes}), where
         for prefix, p, state in nodes:
-            assert len(prefix) == p and (table.size(p, state) <= table.cap or p >= n - 1), (q, shapes, cap)
+            assert len(prefix) == p and (table.size(p, state) <= table.cap or p >= n - 1), where
         runs.append(words)
-    assert all(run == runs[0] for run in runs), (q, shapes)
+    assert all(run == runs[0] for run in runs), where[:2]
     return runs[0]
+
+
+def checked_words(q, shapes):
+    """The words of the walk of ``StateTable(q, n, shapes)`` with their shape
+    indices, checked by ``checked_walk``."""
+    n = len(shapes[0][0]) - 1
+    return checked_walk(lambda: StateTable(q, n, shapes), range(len(shapes)))
 
 
 def test_walk_matches_its_definition():
@@ -256,6 +264,12 @@ def test_walk_matches_its_definition():
         table = StateTable(3, n, cbfs)
         table.count()
         assert sum(map(len, table.edges)) < len(brute_shape_words(3, cbfs)) / 4, n
+    # the baseline's zero-run table, a table of one shape with its own states
+    for q in (2, 3, 4):
+        for n in range(3, 8):
+            for k in range(1, n - 1):
+                expected = [(symbols, 0) for symbols in brute_baseline_words(k, q, n)]
+                assert checked_walk(lambda: ZeroRunTable(k, q, n), [0]) == expected, (k, q, n)
     bad = [
         ([([0] * 5, None, None), ([0, 1, 1, 1, 0], None, None)], "shapes 0 and 1 both end at height 0"),
         ([([0] * 5, None, None), ([0] * 4 + [-1], 2, None), ([0, 0, 1, 1, -1], None, None)], "shapes 1 and 2"),

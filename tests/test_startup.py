@@ -28,13 +28,15 @@ CBFS_3_6 = construct_cbfs(3, 6).to_text()
 # Each command, its stdin and the package modules it loads besides
 # crossbifix.cli. Counting (count, table) loads neither the walk (cbfs,
 # motzkin) nor words; verify loads neither counting nor the walk; only gen
-# and baseline-gen load the word-list writer, only the JSON forms and verify
+# and baseline-gen load the word-list writer and the walk, whose state table
+# of S(k, q, n) lives in motzkin; only the JSON forms and verify
 # load the JSON writer, and no command loads the API edge (codeset) or the
 # brute-force references (oracle).
 SIZES = {"crossbifix.sizes", "crossbifix.counting"}
 WORDLIST = {"crossbifix.wordlist", "crossbifix.words", "crossbifix.counting"}
 WALK = {"crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.walk"} | WORDLIST
 BIFIX_FREE = {"crossbifix.bifixfree"} | WORDLIST
+BASELINE = {"crossbifix.baseline"} | WALK - {"crossbifix.cbfs"}
 VERIFY = {"crossbifix.verify", "crossbifix.bifixfree", "crossbifix.codes", "crossbifix.words", "crossbifix.jsontext"}
 JSON = {"crossbifix.jsontext"}
 COMMANDS = {
@@ -69,12 +71,8 @@ COMMANDS = {
         None,
         SIZES | {"crossbifix.baseline"} | JSON,
     ),
-    "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None, {"crossbifix.baseline"} | WORDLIST),
-    "baseline-gen-json": (
-        ["baseline-gen", "--k", "2", "--q", "3", "--n", "6", "--format", "json"],
-        None,
-        {"crossbifix.baseline"} | WORDLIST | JSON,
-    ),
+    "baseline-gen": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6"], None, BASELINE),
+    "baseline-gen-json": (["baseline-gen", "--k", "2", "--q", "3", "--n", "6", "--format", "json"], None, BASELINE | JSON),
 }
 # Modules that no gen or verify process may load.
 API_EDGE = {"crossbifix.codeset", "crossbifix.oracle"}
@@ -260,3 +258,26 @@ def test_gen_of_ten_million_words_peaks_within_8_mb_of_a_small_set():
         code, peaks[n] = map(int, done.stdout.split())
         assert code == 0, done.stderr
     assert peaks["19"] < peaks["9"] + 8 * 1024, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_baseline_gen_peaks_within_8_mb_of_a_small_set():
+    # S(2, 3, 17) holds 2,035,968 words and an interior space of 3^13, S(2, 3, 6)
+    # 16 words; the walk holds its states and a block of lines, not the interiors
+    peaks = {}
+    for n in ("6", "17"):
+        command = [sys.executable, "-m", "crossbifix", "baseline-gen", "--k", "2", "--q", "3", "--n", n]
+        spawn = [sys.executable, "-c", SPAWN, *command]
+        done = subprocess.run(spawn, env=ENV, capture_output=True, text=True, timeout=120)
+        code, peaks[n] = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+    assert peaks["17"] < peaks["6"] + 8 * 1024, peaks
+
+
+def test_baseline_gen_refuses_a_huge_interior_space_at_once():
+    # 3^(10^8 - 3) has 158 million bits; the refusal takes the power only as
+    # far as the cap's bit length
+    command = [sys.executable, "-m", "crossbifix", "baseline-gen", "--k", "1", "--q", "3", "--n", "100000000"]
+    done = subprocess.run(command, env=ENV, capture_output=True, text=True, timeout=10)
+    message = "error: interior space 3^99999997 exceeds the cap of 10000000; raise max_space to force\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", message)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crossbifix.codeset import CodeSet, CrossBifix, Word, bifixes, cross_bifix, is_bifix_free
 from crossbifix.oracle import HeightProfile, height_profile, is_elevated, is_motzkin_word, symbol_step
-from crossbifix.wordlist import group_blocks
+from crossbifix.wordlist import _lines
 from crossbifix.codes import VerificationReport, read_codes
 from crossbifix.words import symbols_of
 
@@ -226,11 +226,10 @@ def test_word_lines_round_trip():
     for q in (2, 3, 10, 11, 16):
         block = sorted([Word(tuple(s % q for s in (9, 0, 1, 15)), q), Word((1, 1, 0, 0), q)])
         one_by_one = "".join(x.to_text() + "\n" for x in block)
-        assert b"".join(group_blocks(q, [((), [(x.symbols, 0) for x in block])])) == one_by_one.encode()
+        assert _lines(q, [x.symbols for x in block]) == one_by_one.encode()
         assert CodeSet(q, 4, tuple(block), ("A", "B")).to_text() == one_by_one
-    assert list(group_blocks(10, [((), [((9, 0, 1), 0)])])) == [b"901\n"]
-    assert list(group_blocks(11, [((), [((9, 0, 10), 0)])])) == [b"9,0,10\n"]
-    assert list(group_blocks(3, [((), [])])) == []
+    assert _lines(10, [(9, 0, 1)]) == b"901\n"
+    assert _lines(11, [(9, 0, 10)]) == b"9,0,10\n"
     assert CodeSet(3, 4, (), ()).to_text() == ""
 
 
