@@ -2,12 +2,15 @@
 
 The package constructs the non-expandable cross-bifix-free sets CBFS(q, n),
 counts them exactly, generates the classic zero-run baseline sets they are
-compared against, and verifies every claimed property. The exported
-verifiers come from ``verify``, which joins prefix and suffix indexes and
-walks prefixes with ``bifixfree``; that walk also streams the bifix-free
-words that ``gen --set bifixfree`` writes. The typed words and sets
-(``Word``, ``CodeSet``) and the paper's bifix predicates on them come from
-``codeset``, the API edge.
+compared against, and verifies every claimed property. Every exported name
+that takes or returns a ``Word`` or ``CodeSet`` comes from ``codeset``, the
+API edge: the typed words and sets, the paper's bifix predicates on them,
+the constructions (``construct_cbfs``, ``iter_cbfs``,
+``construct_baseline_set``, ``generate_motzkin``, ``generate_elevated``)
+and the verifiers, which hand a set's codes to ``verify``. That module
+joins prefix and suffix indexes and walks prefixes with ``bifixfree``,
+whose walk also streams the bifix-free words that ``gen --set bifixfree``
+writes. The counts come from ``counting`` and ``baseline``.
 The root exports nothing from ``oracle``: its path predicates
 (``is_motzkin_word``, ``is_elevated``, ...) and independent brute-force
 scans are the reference the tests hold the fast paths to, and import from
@@ -29,21 +32,24 @@ DEFAULT_MAX_SPACE = 10_000_000
 
 # The exported names of each module.
 _EXPORTS = {
-    "baseline": ("best_sizes", "construct_baseline_set", "f_count", "s_max", "s_star", "zero_run_counts"),
-    "cbfs": ("construct_cbfs", "iter_cbfs"),
+    "baseline": ("best_sizes", "f_count", "s_max", "s_star", "zero_run_counts"),
     "codeset": (
         "CodeSet",
         "CrossBifix",
         "Word",
         "bifixes",
+        "construct_baseline_set",
+        "construct_cbfs",
         "cross_bifix",
         "generate_elevated",
         "generate_motzkin",
         "is_bifix_free",
+        "iter_cbfs",
+        "verify_cross_bifix_free_set",
+        "verify_non_expandable",
     ),
     "codes": ("VerificationReport",),
     "counting": ("count_cbfs", "family_sizes", "motzkin_count", "motzkin_counts"),
-    "verify": ("verify_cross_bifix_free_set", "verify_non_expandable"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -10,7 +10,8 @@ values our construction is measured against.
 The words of S(k, q, n) are those of the walk (``walk``) of a
 ``motzkin.ZeroRunTable``, which ``baseline_table`` builds; it imports the
 table only when called, so counting (``table``, ``count --set S``) loads no
-part of the walk.
+part of the walk. ``codeset.construct_baseline_set`` wraps the words of
+that walk in a ``CodeSet``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import DEFAULT_MAX_SPACE
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .codeset import CodeSet
     from .motzkin import ZeroRunTable
 
 
@@ -85,16 +85,6 @@ def baseline_table(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -
         )
     check_alphabet(q)
     return (q - 1) ** 2 * f_count(k, q, middle_len), ZeroRunTable(k, q, n)
-
-
-def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> CodeSet:
-    """All words of S(k, q, n), from the walk of ``baseline_table``, as a
-    canonically ordered ``CodeSet`` tagged "baseline"."""
-    from .codeset import CodeSet
-    from .walk import words
-
-    _, table = baseline_table(k, q, n, max_space)
-    return CodeSet.from_ordered(q, n, words(table, ("baseline",)))
 
 
 def best_sizes(q: int, n_values: Iterable[int], k_min: int) -> dict[int, tuple[int, int]]:

@@ -271,6 +271,10 @@ def main(argv=None) -> int:
         # the process started with its standard output closed
         print("error: stdout is closed", file=sys.stderr)
         return 2
+    if sys.stdin is None and getattr(args, "infile", None) == "-":
+        # the process started with its standard input closed
+        print("error: stdin is closed", file=sys.stderr)
+        return 2
     # Python's cap on int-str conversion (4300 digits by default, where the
     # interpreter has one) is lifted once argv is read, so that exact counts
     # print in full and long words are read, and restored after the command.

@@ -1,13 +1,16 @@
-"""The typed API edge: validated words, canonical word sets and the
-paper's bifix predicates on them.
+"""The typed API edge: validated words, canonical word sets, the paper's
+bifix predicates on them, and every function that takes or returns one.
 
 ``Word`` checks its alphabet and symbols, ``CodeSet`` holds a canonically
 ordered set of words with a provenance tag each, and ``cross_bifix``,
 ``bifixes`` and ``is_bifix_free`` state the paper's definitions on words.
-No command loads this module: the walk, ``verify`` and the commands handle
-symbol tuples and base-q codes, and the library builds a ``Word`` only where
-a caller asks for one, as ``construct_cbfs``, ``construct_baseline_set``,
-``generate_motzkin`` and ``generate_elevated`` do.
+The rest of the library handles symbol tuples and base-q codes, and this
+module wraps it: ``iter_cbfs``, ``construct_cbfs``, ``generate_motzkin``
+and ``generate_elevated`` walk the tables of the shapes in ``motzkin``,
+``construct_baseline_set`` walks the table of ``baseline.baseline_table``,
+and ``verify_cross_bifix_free_set`` and ``verify_non_expandable`` hand the
+members' codes to the checks in ``verify``. No command loads this module,
+and no module but ``oracle`` imports it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, total_ordering
 
-from .codes import Record, parse_code, read_codes
-from .motzkin import StateTable, elevated_shapes, motzkin_shapes
+from . import DEFAULT_MAX_SPACE
+from .baseline import baseline_table
+from .codes import Record, VerificationReport, code_of, parse_code, read_codes
+from .motzkin import StateTable, cbfs_shapes, elevated_shapes, motzkin_shapes
+from .verify import cross_bifix_report, non_expandable_report
 from .walk import words as walk
 from .words import check_alphabet, format_symbols, symbols_of
 
@@ -247,3 +253,64 @@ def generate_elevated(colors: int, n: int) -> Iterator[Word]:
     stream is empty."""
     walked = walk(StateTable(colors + 2, n, elevated_shapes(colors, n)), (None,))
     return (Word(symbols, colors + 2) for symbols, _ in walked)
+
+
+def iter_cbfs(q: int, n: int, families: str = "ABC") -> Iterator[tuple[tuple[int, ...], str]]:
+    """Stream CBFS(q, n), or the union of the named families, as
+    ``(symbols, family)`` pairs in canonical (lexicographic) order.
+
+    One walk covers every named family: the families end at distinct
+    heights, so the walk tells them apart by where each word ends. Words
+    are ordered as symbol tuples; comparing text would misorder them for
+    q > 10. Memory holds the state table and the tails of each state below
+    the walk's frontier, listed once.
+    """
+    return walk(StateTable(q, n, cbfs_shapes(q, n, families)), families)
+
+
+def construct_cbfs(q: int, n: int, families: str = "ABC") -> CodeSet:
+    """CBFS(q, n), or the union of the named families, as a canonically
+    ordered ``CodeSet`` tagged by family."""
+    return CodeSet.from_ordered(q, n, iter_cbfs(q, n, families))
+
+
+def construct_baseline_set(k: int, q: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> CodeSet:
+    """All words of S(k, q, n), from the walk of ``baseline.baseline_table``,
+    as a canonically ordered ``CodeSet`` tagged "baseline"."""
+    _, table = baseline_table(k, q, n, max_space)
+    return CodeSet.from_ordered(q, n, walk(table, ("baseline",)))
+
+
+def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
+    """Report every unordered pair of distinct members that shares a
+    cross-bifix, each with its shortest witness.
+
+    ``pairs_checked`` counts the pairs covered, |S| (|S| - 1) / 2.
+    """
+    q = code_set.q
+    return cross_bifix_report(q, code_set.n, [code_of(word.symbols, q) for word in code_set.words])
+
+
+def verify_non_expandable(
+    code_set: CodeSet, max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
+) -> VerificationReport:
+    """Check that no outside bifix-free word can join the set.
+
+    Preconditions (members bifix-free, set cross-bifix-free) are verified
+    first; their failure is reported as an error, not as expandability.
+    The candidates come from the prefix walk ``bifixfree._walk``, which
+    cuts every subtree below a prefix that is a member's suffix.
+
+    By default the report lists only the unblocked candidates, each with
+    null witness fields; any of them fails the check. With
+    ``all_witnesses`` nothing is cut and every outside bifix-free
+    candidate gets one witness: its cross-bifix with the first member in
+    canonical order that blocks it, or nulls. That report is the one
+    ``oracle.verify_non_expandable`` gives. In both modes
+    ``candidates_checked`` counts the candidates covered, U_q(n) - |S|.
+    A set with more candidates than ``max_space`` is refused before the
+    preconditions, whose cost grows with |S|.
+    """
+    q = code_set.q
+    codes = [code_of(word.symbols, q) for word in code_set.words]
+    return non_expandable_report(q, code_set.n, codes, max_space, all_witnesses)

@@ -1,24 +1,37 @@
-"""Exhaustive generation of k-colored Motzkin words: the state table of
-the walk that lists them and the CBFS families.
+"""Exhaustive generation of k-colored Motzkin words and of CBFS(q, n): the
+state table of the walk that lists them, and its shapes.
 
 A k-colored Motzkin word of length n uses the alphabet {0, ..., k+1}: rise
 (1), fall (0) and k level colors (2..k+1). Its path runs from (0,0) to (n,0)
 without dipping below the x-axis. Their exact counts are in ``counting``.
 
-The walk of a table (``walk``) yields symbol tuples and builds no
-``Word``: ``codeset.generate_motzkin`` and ``codeset.generate_elevated``
-wrap the words of the tables of ``motzkin_shapes`` and ``elevated_shapes``
-for the API, and the path predicates that state the definitions
-(``is_motzkin_word``, ``is_elevated``, ``has_ground_elevated_factor``) live
-with the brute-force references in ``oracle``. ``ZeroRunTable`` is the table
-of the zero-run baseline S(k, q, n) of ``baseline``: one shape, whose states
-hold the length of a run of zeros instead of a height, walked the same way.
+CBFS(q, n) (q >= 3, n >= 3) is the disjoint union of three families of
+length-n words, told apart by their final height:
+
+* A (ends at 0): a Motzkin prefix of length i <= n // 2, then an elevated
+  suffix; for even n, not two elevated halves of length n / 2,
+* B (ends at +1): a rise, a Motzkin word of length i <= n // 2 - 1, then
+  an elevated suffix,
+* C (ends at -1): a Motzkin word of length n - 1 with no ground-level
+  elevated factor of length >= ceil(n / 2), then a fall.
+
+Each family is a shape of one ``StateTable``: ``cbfs_shapes`` gives those
+of the families a string such as ``"ABC"`` names, as ``motzkin_shapes`` and
+``elevated_shapes`` give the one shape of the Motzkin and elevated words.
+The walk of a table (``walk``) yields symbol tuples and builds no ``Word``:
+``codeset`` wraps its words for the API, and the path predicates that state
+the definitions (``is_motzkin_word``, ``is_elevated``,
+``has_ground_elevated_factor``) live with the brute-force references in
+``oracle``. ``ZeroRunTable`` is the table of the zero-run baseline
+S(k, q, n) of ``baseline``: one shape, whose states hold the length of a
+run of zeros instead of a height, walked the same way.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .counting import _check_families, _require_domain
 from .words import FALL, RISE
 
 # The bytes of word lines, n + 1 bytes a word for q <= 10, that one block of
@@ -193,3 +206,29 @@ def elevated_shapes(colors: int, n: int) -> list[tuple[list[int], None, None]]:
     fall back to 0. Lengths below 2 have none."""
     motzkin_shapes(colors, n)
     return [([0] + [1] * (n - 1) + [0], None, None)] if n >= 2 else []
+
+
+def _shapes(n: int) -> dict[str, tuple[list[int], int | None, int | None]]:
+    """The shape of each CBFS family at length n."""
+    half = n // 2
+    return {
+        # A Motzkin path whose last visit to height 0 before the end is at
+        # some i <= n // 2, so it stays at height >= 1 after n // 2. For even
+        # n, a first return at n / 2 means two same-length elevated halves.
+        "A": ([0] * (half + 1) + [1] * (n - half - 1) + [0], None, half if n % 2 == 0 else None),
+        # A rise, forced by the floor of 1 after one step, then A's shape
+        # one level up, with its last visit to height 1 at or before n // 2.
+        "B": ([0] + [1] * half + [2] * (n - half - 1) + [1], None, None),
+        # A Motzkin path of length n - 1 whose ground arches are all shorter
+        # than ceil(n / 2), then a fall to height -1.
+        "C": ([0] * n + [-1], (n + 1) // 2 - 1, None),
+    }
+
+
+def cbfs_shapes(q: int, n: int, families: str = "ABC") -> list[tuple[list[int], int | None, int | None]]:
+    """The shapes of the named families of CBFS(q, n), in the order of
+    ``families``, for a ``StateTable``. Domain errors are raised here."""
+    _require_domain(q, n)
+    _check_families(families)
+    shapes = _shapes(n)
+    return [shapes[name] for name in families]

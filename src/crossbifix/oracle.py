@@ -15,9 +15,8 @@ import itertools
 import time
 
 from . import DEFAULT_MAX_SPACE
-from .cbfs import construct_cbfs
 from .codes import Record, VerificationReport
-from .codeset import CodeSet, Word, cross_bifix, is_bifix_free, prefix_function
+from .codeset import CodeSet, Word, construct_cbfs, cross_bifix, is_bifix_free, prefix_function
 from .counting import count_cbfs
 from .words import FALL, RISE
 

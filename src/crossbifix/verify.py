@@ -15,10 +15,12 @@ pairwise check alone builds no index: its join holds one length's prefixes
 at a time, as a set. A witness is found and written
 from the codes as well (``_shortest_border``), so no ``Word`` is built.
 
-The reports are the ones the brute scans in ``oracle`` produce, witness for
-witness, except that the non-expandability report lists only unblocked
-candidates unless every witness is asked for; the tests hold the two side by
-side.
+The checks take the increasing codes of the members, not a ``CodeSet``:
+``codeset.verify_cross_bifix_free_set`` and ``codeset.verify_non_expandable``
+hand them a set's codes. The reports are the ones the brute scans in
+``oracle`` produce, witness for witness, except that the non-expandability
+report lists only unblocked candidates unless every witness is asked for;
+the tests hold the two side by side.
 
 The ``verify`` command's handler lives here. A ``verify`` process loads
 this module, ``bifixfree`` (the index and the walk), ``codes`` (the parser
@@ -37,12 +39,8 @@ from functools import cache
 
 from . import DEFAULT_MAX_SPACE
 from .bifixfree import _index, _walk, count_bifix_free
-from .codes import VerificationReport, code_of, read_codes
+from .codes import VerificationReport, read_codes
 from .words import check_alphabet, format_symbols, symbols_of
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .codeset import CodeSet
 
 
 def _cmd_verify(args) -> int:
@@ -137,7 +135,7 @@ def _report(kind: str, t0: float, ok: bool, witnesses, members: int, candidates:
 
 
 def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
-    """``verify_cross_bifix_free_set`` on the increasing base-q codes of
+    """``codeset.verify_cross_bifix_free_set`` on the increasing base-q codes of
     the members of a set in Z_q^n."""
     t0 = time.perf_counter()
     witnesses = []
@@ -154,20 +152,10 @@ def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
     return _report("cross-bifix-set", t0, not witnesses, witnesses, len(codes), 0)
 
 
-def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
-    """Report every unordered pair of distinct members that shares a
-    cross-bifix, each with its shortest witness.
-
-    ``pairs_checked`` counts the pairs covered, |S| (|S| - 1) / 2.
-    """
-    q = code_set.q
-    return cross_bifix_report(q, code_set.n, [code_of(word.symbols, q) for word in code_set.words])
-
-
 def non_expandable_report(
     q: int, n: int, codes: list[int], max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
 ) -> VerificationReport:
-    """``verify_non_expandable`` on the increasing base-q codes of the
+    """``codeset.verify_non_expandable`` on the increasing base-q codes of the
     members of a set in Z_q^n."""
     t0 = time.perf_counter()
     candidates = count_bifix_free(q, n) - len(codes)
@@ -195,27 +183,3 @@ def non_expandable_report(
     ok = all(w["blocking"] is not None for w in witnesses)
     return _report("non-expandable", t0, ok, witnesses, len(codes), candidates)
 
-
-def verify_non_expandable(
-    code_set: CodeSet, max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
-) -> VerificationReport:
-    """Check that no outside bifix-free word can join the set.
-
-    Preconditions (members bifix-free, set cross-bifix-free) are verified
-    first; their failure is reported as an error, not as expandability.
-    The candidates come from the prefix walk ``_walk``, which cuts every
-    subtree below a prefix that is a member's suffix.
-
-    By default the report lists only the unblocked candidates, each with
-    null witness fields; any of them fails the check. With
-    ``all_witnesses`` nothing is cut and every outside bifix-free
-    candidate gets one witness: its cross-bifix with the first member in
-    canonical order that blocks it, or nulls. That report is the one
-    ``oracle.verify_non_expandable`` gives. In both modes
-    ``candidates_checked`` counts the candidates covered, U_q(n) - |S|.
-    A set with more candidates than ``max_space`` is refused before the
-    preconditions, whose cost grows with |S|.
-    """
-    q = code_set.q
-    codes = [code_of(word.symbols, q) for word in code_set.words]
-    return non_expandable_report(q, code_set.n, codes, max_space, all_witnesses)

@@ -91,18 +91,16 @@ def gen_blocks(args):
     before the checks pass."""
     q, n = args.q, args.n
     tags = _FAMILIES.get(args.set)
-    if tags:
-        from .cbfs import cbfs_shapes
-
-        expected, shapes = count_cbfs(q, n, tags), cbfs_shapes(q, n, tags)
-    elif args.set == "bifixfree":
+    if args.set == "bifixfree":
         from .bifixfree import count_bifix_free, iter_bifix_free
 
         expected, shapes = count_bifix_free(q, n), None
     else:
-        from .motzkin import elevated_shapes, motzkin_shapes
+        from .motzkin import cbfs_shapes, elevated_shapes, motzkin_shapes
 
-        if args.set == "motzkin":
+        if tags:
+            expected, shapes = count_cbfs(q, n, tags), cbfs_shapes(q, n, tags)
+        elif args.set == "motzkin":
             expected, shapes = motzkin_count(q - 2, n), motzkin_shapes(q - 2, n)
         else:
             expected, shapes = motzkin_count(q - 2, n - 2), elevated_shapes(q - 2, n)  # 0 for n < 2

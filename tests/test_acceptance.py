@@ -6,8 +6,7 @@ import time
 import pytest
 
 from crossbifix.baseline import f_count, s_max, s_star
-from crossbifix.cbfs import construct_cbfs
-from crossbifix.codeset import Word, bifixes, cross_bifix, is_bifix_free
+from crossbifix.codeset import Word, bifixes, construct_cbfs, cross_bifix, is_bifix_free
 from crossbifix.counting import count_cbfs, motzkin_count
 from crossbifix.cli import main
 from crossbifix.oracle import (

@@ -47,6 +47,39 @@ def test_every_public_definition_is_used_or_exported():
     assert unused == []
 
 
+def imported_modules(tree):
+    """The package modules a module's source imports by an import
+    statement, wherever it stands: at the top, in a function or under
+    ``TYPE_CHECKING``. A name imported from the package itself counts as a
+    module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "crossbifix":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.partition(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("crossbifix."))
+    return found
+
+
+def test_only_the_oracle_imports_the_api_edge():
+    # codeset is the one module that takes or returns a Word or CodeSet; the
+    # rest of the package handles symbol tuples and codes
+    importers = sorted(
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if "codeset" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert importers == ["oracle"]
+
+
 def test_every_exported_name_resolves_through_the_lazy_root():
     assert crossbifix.__all__ == sorted(crossbifix.__all__)
     for name in crossbifix.__all__:

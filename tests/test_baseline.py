@@ -5,17 +5,10 @@ import itertools
 import pytest
 
 from crossbifix import baseline, motzkin, walk
-from crossbifix.baseline import (
-    best_sizes,
-    construct_baseline_set,
-    f_count,
-    s_max,
-    s_star,
-    zero_run_counts,
-)
+from crossbifix.baseline import best_sizes, f_count, s_max, s_star, zero_run_counts
 from crossbifix.cli import main
 from crossbifix.oracle import verify_cross_bifix_free_set
-from crossbifix.codeset import is_bifix_free
+from crossbifix.codeset import construct_baseline_set, is_bifix_free
 
 
 def naive_zero_run_count(k, q, n):

@@ -6,10 +6,9 @@ import tracemalloc
 
 import pytest
 
-from crossbifix import cbfs, codeset, counting
-from crossbifix.cbfs import construct_cbfs, iter_cbfs
+from crossbifix import codeset, counting
 from crossbifix.cli import main
-from crossbifix.codeset import CodeSet, Word, is_bifix_free
+from crossbifix.codeset import CodeSet, Word, construct_cbfs, is_bifix_free, iter_cbfs
 from crossbifix.counting import count_cbfs, family_sizes, motzkin_counts
 from crossbifix.oracle import height_profile, is_elevated
 
@@ -177,7 +176,7 @@ def test_count_cbfs_checks_its_arguments_before_it_counts(monkeypatch):
         with pytest.raises(ValueError) as info:
             count_cbfs(3, 30000, bad)
         assert str(info.value) == f"families must be distinct letters of 'ABC', got {bad!r}", bad
-    # a bad domain wins over bad families, as in cbfs_groups
+    # a bad domain wins over bad families, as in motzkin.cbfs_shapes
     for q, n in ((2, 5), (3, 2)):
         with pytest.raises(ValueError, match="construction needs"):
             count_cbfs(q, n, "D")
@@ -310,12 +309,12 @@ def test_domain_errors():
 
 
 def test_union_overlap_is_a_value_error(monkeypatch):
-    import crossbifix.cbfs as cbfs
+    from crossbifix import motzkin
 
     # Family C is given family A's shape, so both would claim every word
     # of A; the walk must refuse before it yields anything.
-    shapes = cbfs._shapes
-    monkeypatch.setattr(cbfs, "_shapes", lambda n: {**shapes(n), "C": shapes(n)["A"]})
+    shapes = motzkin._shapes
+    monkeypatch.setattr(motzkin, "_shapes", lambda n: {**shapes(n), "C": shapes(n)["A"]})
     with pytest.raises(ValueError, match="shapes 0 and 2 both end at height 0"):
         construct_cbfs(3, 5)
     with pytest.raises(ValueError, match="shapes 0 and 2 both end at height 0"):

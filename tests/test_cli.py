@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, walk, wordlist
 from crossbifix.baseline import s_max, s_star
-from crossbifix.cbfs import cbfs_shapes, construct_cbfs, iter_cbfs
 from crossbifix.cli import main
-from crossbifix.codeset import CodeSet
+from crossbifix.codeset import CodeSet, construct_cbfs, iter_cbfs
 from crossbifix.counting import count_cbfs, motzkin_count
 from crossbifix.sizes import size_table
 from crossbifix.words import format_symbols
@@ -358,7 +357,7 @@ def test_gen_file_holds_the_bytes_of_stdout(tmp_path, capsys):
 def walk_of(q, n, families="ABC", cap=None):
     """The state table of CBFS(q, n), or of the named families, with the
     lines of a block set to ``cap``."""
-    table = motzkin.StateTable(q, n, cbfs_shapes(q, n, families))
+    table = motzkin.StateTable(q, n, motzkin.cbfs_shapes(q, n, families))
     if cap is not None:
         table.cap = cap  # before any state is counted
     return table
@@ -506,7 +505,7 @@ def test_baseline_gen_writes_the_code_set_without_building_it(tmp_path, capsys, 
     cases = [(2, 3, 4), (2, 3, 7), (1, 2, 6), (1, 3, 5), (3, 4, 8), (2, 10, 5), (2, 11, 5), (1, 12, 4)]
     expected = {}
     for k, q, n in cases:
-        code_set = baseline.construct_baseline_set(k, q, n)
+        code_set = codeset.construct_baseline_set(k, q, n)
         expected[k, q, n] = {"text": code_set.to_text(), "json": code_set.to_json()}
 
     def refuse(self):

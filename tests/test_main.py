@@ -117,6 +117,33 @@ def test_out_writes_its_file_with_stdout_closed(name, tmp_path):
     assert target.read_bytes() == crossbifix(*TO_STDOUT[name]).stdout != b""
 
 
+def closed_stdin(*argv):
+    """``python -m crossbifix`` run with its standard input closed, as by
+    the shell's ``<&-``."""
+    return crossbifix(*argv, preexec_fn=lambda: os.close(0))
+
+
+@pytest.mark.parametrize("mode", ["set", "nonexpandable"])
+def test_verify_of_a_closed_stdin_is_one_error(mode):
+    done = closed_stdin("verify", "--in", "-", "--q", "3", "--mode", mode)
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"error: stdin is closed\n")
+
+
+def test_verify_reads_its_file_with_stdin_closed(tmp_path):
+    words = tmp_path / "words"
+    words.write_bytes(crossbifix("gen", "--q", "3", "--n", "9").stdout)
+    done = closed_stdin("verify", "--in", str(words), "--q", "3", "--mode", "nonexpandable")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert b'\n  "ok": true,\n' in done.stdout
+
+
+@pytest.mark.parametrize("name", ["count", "gen", "baseline-gen", "table"])
+def test_commands_that_read_no_input_run_with_stdin_closed(name):
+    done = closed_stdin(*TO_STDOUT[name])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == crossbifix(*TO_STDOUT[name]).stdout != b""
+
+
 def test_atexit_handlers_run_before_the_process_ends(tmp_path):
     # a handler that site registers, writing to the buffered stdout after
     # the command's own output

@@ -7,10 +7,9 @@ from math import comb
 import pytest
 
 from crossbifix import counting, motzkin, walk
-from crossbifix.cbfs import _shapes, iter_cbfs
-from crossbifix.codeset import Word, generate_elevated, generate_motzkin
+from crossbifix.codeset import Word, generate_elevated, generate_motzkin, iter_cbfs
 from crossbifix.counting import motzkin_count, motzkin_counts
-from crossbifix.motzkin import StateTable, ZeroRunTable, motzkin_shapes
+from crossbifix.motzkin import StateTable, ZeroRunTable, _shapes, motzkin_shapes
 from crossbifix.oracle import has_ground_elevated_factor, is_elevated, is_motzkin_word
 from test_baseline import brute_baseline_words
 

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from crossbifix.cbfs import construct_cbfs
-from crossbifix.codeset import CodeSet, Word
+from crossbifix.codeset import CodeSet, Word, construct_cbfs
 from crossbifix.counting import count_cbfs
 from crossbifix.oracle import (
     brute_count_words_avoiding_zero_run,

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from crossbifix import cli
-from crossbifix.cbfs import construct_cbfs
+from crossbifix.codeset import construct_cbfs
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 ENV = {
@@ -26,17 +26,17 @@ ENV = {
 CBFS_3_6 = construct_cbfs(3, 6).to_text()
 
 # Each command, its stdin and the package modules it loads besides
-# crossbifix.cli. Counting (count, table) loads neither the walk (cbfs,
-# motzkin) nor words; verify loads neither counting nor the walk; only gen
+# crossbifix.cli. Counting (count, table) loads neither the walk (motzkin,
+# walk) nor words; verify loads neither counting nor the walk; only gen
 # and baseline-gen load the word-list writer and the walk, whose state table
 # of S(k, q, n) lives in motzkin; only the JSON forms and verify
 # load the JSON writer, and no command loads the API edge (codeset) or the
 # brute-force references (oracle).
 SIZES = {"crossbifix.sizes", "crossbifix.counting"}
 WORDLIST = {"crossbifix.wordlist", "crossbifix.words", "crossbifix.counting"}
-WALK = {"crossbifix.cbfs", "crossbifix.motzkin", "crossbifix.walk"} | WORDLIST
+WALK = {"crossbifix.motzkin", "crossbifix.walk"} | WORDLIST
 BIFIX_FREE = {"crossbifix.bifixfree"} | WORDLIST
-BASELINE = {"crossbifix.baseline"} | WALK - {"crossbifix.cbfs"}
+BASELINE = {"crossbifix.baseline"} | WALK
 VERIFY = {"crossbifix.verify", "crossbifix.bifixfree", "crossbifix.codes", "crossbifix.words", "crossbifix.jsontext"}
 JSON = {"crossbifix.jsontext"}
 COMMANDS = {
@@ -49,9 +49,9 @@ COMMANDS = {
     "gen-motzkin": (
         ["gen", "--q", "3", "--n", "6", "--set", "motzkin", "--format", "json"],
         None,
-        WALK - {"crossbifix.cbfs"} | JSON,
+        WALK | JSON,
     ),
-    "gen-elevated": (["gen", "--q", "3", "--n", "6", "--set", "elevated"], None, WALK - {"crossbifix.cbfs"}),
+    "gen-elevated": (["gen", "--q", "3", "--n", "6", "--set", "elevated"], None, WALK),
     "gen-bifixfree": (["gen", "--q", "3", "--n", "6", "--set", "bifixfree"], None, BIFIX_FREE),
     "gen-bifixfree-json": (
         ["gen", "--q", "3", "--n", "6", "--set", "bifixfree", "--format", "json"],
@@ -239,7 +239,7 @@ def test_iter_cbfs_streams_its_first_words_far_past_the_listing_range():
     # words of CBFS(3, 60) wait for no subtree to be listed
     script = (
         "from itertools import islice\n"
-        "from crossbifix.cbfs import iter_cbfs\n"
+        "from crossbifix.codeset import iter_cbfs\n"
         "print(sum(1 for _ in islice(iter_cbfs(3, 60), 1000)))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=30)

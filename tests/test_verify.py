@@ -20,9 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossbifix import bifixfree, cli, codes, codeset, oracle, sizes, verify, wordlist, words
-from crossbifix.cbfs import construct_cbfs
 from crossbifix.cli import main
-from crossbifix.codeset import CodeSet, Word, cross_bifix
+from crossbifix.codeset import CodeSet, Word, construct_cbfs, cross_bifix
 from crossbifix.words import symbols_of
 
 PAIRWISE_SIZES = [(3, n) for n in range(3, 10)] + [(4, n) for n in range(3, 8)]
@@ -56,17 +55,17 @@ def unblocked_only(data):
 def assert_same_non_expandable_reports(code_set):
     """Both report modes against the oracle; returns the default report."""
     brute = comparable(oracle.verify_non_expandable(code_set))
-    every = verify.verify_non_expandable(code_set, all_witnesses=True)
+    every = codeset.verify_non_expandable(code_set, all_witnesses=True)
     assert comparable(every) == brute
     if brute["error"] is None:
         assert len(every.witnesses) == every.stats["candidates_checked"]
-    fast = verify.verify_non_expandable(code_set)
+    fast = codeset.verify_non_expandable(code_set)
     assert comparable(fast) == unblocked_only(brute)
     return fast
 
 
 def assert_same_reports(code_set):
-    fast = verify.verify_cross_bifix_free_set(code_set)
+    fast = codeset.verify_cross_bifix_free_set(code_set)
     assert comparable(fast) == comparable(oracle.verify_cross_bifix_free_set(code_set))
     assert_same_non_expandable_reports(code_set)
 
@@ -78,7 +77,7 @@ def code_set_of(texts, q):
 @pytest.mark.parametrize("q, n", PAIRWISE_SIZES)
 def test_pairwise_matches_oracle_on_cbfs(q, n):
     code_set = construct_cbfs(q, n)
-    fast = verify.verify_cross_bifix_free_set(code_set)
+    fast = codeset.verify_cross_bifix_free_set(code_set)
     assert comparable(fast) == comparable(oracle.verify_cross_bifix_free_set(code_set))
     assert fast.ok
 
@@ -118,7 +117,7 @@ def test_empty_set_matches_oracle():
 def test_domain_errors_match_oracle():
     for bad in (CodeSet(1, 3, (), ()), CodeSet(3, 0, (), ())):
         messages = []
-        for module in (verify, oracle):
+        for module in (codeset, oracle):
             with pytest.raises(ValueError) as err:
                 module.verify_non_expandable(bad)
             messages.append(str(err.value))
@@ -126,7 +125,7 @@ def test_domain_errors_match_oracle():
 
 
 def test_space_guard_matches_oracle():
-    for module in (verify, oracle):
+    for module in (codeset, oracle):
         with pytest.raises(ValueError, match="above the cap of 10"):
             module.verify_non_expandable(construct_cbfs(3, 4), max_space=10)
 
@@ -134,10 +133,10 @@ def test_space_guard_matches_oracle():
 def test_space_guard_caps_the_candidates_not_the_word_space():
     # CBFS(3, 9) leaves U_3(9) - |S| = 10499 candidates in a space of 3^9 = 19683
     cbfs = construct_cbfs(3, 9)
-    report = verify.verify_non_expandable(cbfs, max_space=10499)
+    report = codeset.verify_non_expandable(cbfs, max_space=10499)
     assert report.ok and report.stats["candidates_checked"] == 10499
     with pytest.raises(ValueError, match="10499 candidates, above the cap of 10498"):
-        verify.verify_non_expandable(cbfs, max_space=10498)
+        codeset.verify_non_expandable(cbfs, max_space=10498)
 
 
 def test_cli_limit_caps_the_candidates_not_the_word_space(tmp_path, capsys):
@@ -159,10 +158,10 @@ def test_space_guard_comes_before_the_preconditions(tmp_path, capsys, monkeypatc
     def late(*args):
         raise AssertionError("a precondition ran before the cap")
 
-    monkeypatch.setattr(verify, "verify_cross_bifix_free_set", late)
+    monkeypatch.setattr(codeset, "verify_cross_bifix_free_set", late)
     monkeypatch.setattr(verify, "_shared_borders", late)  # both preconditions' scan
     with pytest.raises(ValueError, match="10499 candidates, above the cap of 10$"):
-        verify.verify_non_expandable(cbfs, max_space=10)
+        codeset.verify_non_expandable(cbfs, max_space=10)
     assert main(["verify", "--in", str(path), "--q", "3", "--mode", "nonexpandable", "--limit", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith("10499 candidates, above the cap of 10\n")
@@ -201,29 +200,29 @@ def test_random_small_sets_match_oracle(code_set):
 
 def test_fast_path_past_the_oracle_range():
     cbfs = construct_cbfs(3, 10)
-    report = verify.verify_non_expandable(cbfs, all_witnesses=True)
+    report = codeset.verify_non_expandable(cbfs, all_witnesses=True)
     assert report.ok and report.error is None
     assert len(report.witnesses) == report.stats["candidates_checked"]
     dropped = cbfs.words[len(cbfs) // 2]
-    report = verify.verify_non_expandable(cbfs.without(dropped), all_witnesses=True)
+    report = codeset.verify_non_expandable(cbfs.without(dropped), all_witnesses=True)
     assert not report.ok and report.error is None
     assert dropped.to_text() in [w["candidate"] for w in report.witnesses if w["blocking"] is None]
 
     for q, n in [(3, 10), (3, 12), (4, 10)]:
         cbfs = construct_cbfs(q, n)
         candidates = bifixfree.count_bifix_free(q, n) - len(cbfs)
-        report = verify.verify_non_expandable(cbfs)
+        report = codeset.verify_non_expandable(cbfs)
         assert report.ok and report.error is None and report.witnesses == ()
         assert report.stats["candidates_checked"] == candidates
         dropped = cbfs.words[len(cbfs) // 3]
-        report = verify.verify_non_expandable(cbfs.without(dropped))
+        report = codeset.verify_non_expandable(cbfs.without(dropped))
         assert not report.ok and report.error is None
         assert all(w["blocking"] is None for w in report.witnesses)
         assert dropped.to_text() in [w["candidate"] for w in report.witnesses]
         assert report.stats["candidates_checked"] == candidates + 1
 
     big = construct_cbfs(4, 10)
-    report = verify.verify_cross_bifix_free_set(big)
+    report = codeset.verify_cross_bifix_free_set(big)
     assert report.ok and report.witnesses == ()
     assert report.stats["pairs_checked"] == len(big) * (len(big) - 1) // 2
 
