@@ -59,8 +59,8 @@ class StateTable:
     of them, the one it ends at; otherwise ValueError is raised.
 
     A state at position p is (height, last visit to height 0, mask of the
-    shapes still possible). ``children`` gives a state's children, fall,
-    rise, then each level color, each a (symbol, state) pair, the first
+    shapes still possible). ``children`` gives a state's edges, one
+    (symbols, child) pair per step class, fall, rise and level, the first
     time the state is met. A child at height h1 and position p + 1 keeps a
     live shape when h1 is within the shape's floor and can still reach its
     final height in the steps left, when the steps since height 0 plus the
@@ -74,11 +74,10 @@ class StateTable:
     ends at. Every table is keyed by position, since equal tuples at two
     positions are two states.
 
-    ``size`` counts a state's completions once, from those of its children,
-    and stops at ``cap + 1``, where ``cap`` is the lines of a block:
-    ``BLOCK_SIZE // (n + 1)``. ``count`` counts the words exactly, by the
-    transfer-matrix method: the prefixes that reach each state. ``walk``
-    walks the table in lexicographic order.
+    ``size`` counts a state's completions once, from its children's times
+    their edges' symbols, and stops at ``cap + 1``, where ``cap`` is the
+    lines of a block: ``BLOCK_SIZE // (n + 1)``. ``count`` is that walk with
+    no cap. ``walk`` walks the table in lexicographic order.
     """
 
     def __init__(self, q: int, n: int, shapes: Sequence[tuple]) -> None:
@@ -100,8 +99,9 @@ class StateTable:
         self.kept = sum(1 << j for j, (_, arch, _) in enumerate(shapes) if arch is not None)
 
     def children(self, p: int, state: tuple) -> list:
-        """The (symbol, child state) pairs of ``state`` at position p, in
-        symbol order; made once per state."""
+        """The (symbols, child state) edges of ``state`` at position p, one
+        per step class, in symbol order: ``(FALL,)``, ``(RISE,)`` and the
+        level colors ``range(2, q)``, which share one child; made once."""
         kids = self.edges[p].get(state)
         if kids is None:
             kids = self.edges[p][state] = []
@@ -120,19 +120,19 @@ class StateTable:
                             and not (first and skip == np)
                         ):
                             mask |= bit
-                    if mask:
-                        # a child at height 0 is a visit at np
-                        child = (h1, g if h1 and (not g or mask & self.kept) else np, mask)
-                        kids += [(symbol, child) for symbol in symbols]
+                    if mask and symbols:  # q = 2 has no level step; a child at height 0 is a visit at np
+                        kids.append((symbols, (h1, g if h1 and (not g or mask & self.kept) else np, mask)))
         return kids
 
-    def size(self, p: int, state: tuple) -> int:
+    def size(self, p: int, state: tuple, exact: list | None = None) -> int:
         """The completions of ``state`` at position p, or ``cap + 1`` if
-        there are more. Each state is counted once, from its children's
-        counts, by a walk that keeps a stack of states rather than
-        recursing, and leaves a state as soon as its count passes ``cap``,
-        so that the first words of a long walk wait for no full count."""
-        n, cap, sizes, children = self.n, self.cap, self.sizes, self.children
+        there are more; with ``exact``, a memo of its own, their exact
+        number. Each state is counted once, from its children's counts times
+        their edges' symbols, on a stack rather than by recursion, and left
+        as soon as its count passes ``cap``, so that the first words of a
+        long walk wait for no full count."""
+        n, children = self.n, self.children
+        cap, sizes = (self.cap, self.sizes) if exact is None else (float("inf"), exact)
         stack = [(p, state, 0, 0)]
         while stack:
             at, s, i, total = stack.pop()
@@ -147,40 +147,33 @@ class StateTable:
                 if k is None:
                     stack += ((at, s, i, total), (at + 1, kids[i][1], 0, 0))
                     break
-                total += k
+                total += k * len(kids[i][0])
                 i += 1
             else:
                 sizes[at][s] = min(total, cap + 1)
         return sizes[p][state]
 
     def count(self) -> int:
-        """The number of words, exactly, by one forward pass: the number of
-        prefixes that reach each state, position by position."""
-        layer = {self.root: 1} if self.root[2] else {}
-        for p in range(self.n):
-            ahead = {}
-            for state, ways in layer.items():
-                for _, child in self.children(p, state):
-                    ahead[child] = ahead.get(child, 0) + ways
-            layer = ahead
-        return sum(layer.values())
+        """The number of words, exactly: ``size`` of the root, with no cap."""
+        return self.size(0, self.root, [{} for _ in range(self.n + 1)])
 
 
 class ZeroRunTable(StateTable):
     """The words of the baseline S(k, q, n), 1 <= k <= n - 2, as a
     ``StateTable`` of one shape: k zeros, a non-zero symbol, an interior with
     no run of k zeros and a non-zero last symbol. A state is (run, 0, 1),
-    where run counts the zeros that end the interior so far, so ``size``,
-    ``count`` and the walk take it as they take a state of the shapes."""
+    where run counts the zeros that end the interior so far, with the step
+    classes ``(0,)`` and ``range(1, q)``, so ``size``, ``count`` and the
+    walk take it as they take a state of the shapes."""
 
     def __init__(self, k: int, q: int, n: int) -> None:
         self.k, self.q, self.n, self.root, self.cap = k, q, n, (0, 0, 1), BLOCK_SIZE // (n + 1)
         self.sizes = [{} for _ in range(n + 1)]
-        self.zero = [(0, self.root)]
-        self.nonzero = [(symbol, self.root) for symbol in range(1, q)]
-        # the children of an interior state by its run: a zero while the run
+        self.zero = [((0,), self.root)]
+        self.nonzero = [(range(1, q), self.root)]
+        # the edges of an interior state by its run: a zero while the run
         # stays below k, then the non-zero symbols, which end the run
-        self.interior = [[(0, (run, 0, 1)), *self.nonzero] for run in range(1, k)] + [self.nonzero]
+        self.interior = [[((0,), (run, 0, 1)), *self.nonzero] for run in range(1, k)] + [self.nonzero]
 
     def children(self, p: int, state: tuple) -> list:
         if p < self.k:

@@ -14,6 +14,10 @@ from __future__ import annotations
 from .cli import _FAMILIES, _output
 from .counting import count_cbfs, family_sizes, motzkin_count
 
+# The most digits a `table` may print. As no cell exceeds q^n, len(q) * len(n) * (n_max * d + 1),
+# for a q_max of d digits, bounds them: 1.44e8 for `table --q 3..6 --n 3..6000`.
+TABLE_DIGITS = 2 * 10**8
+
 
 def _check_length(n: int, limit: int) -> None:
     if n > limit:
@@ -62,14 +66,17 @@ def size_table(q_values, n_values, compare: str, bold: bool) -> tuple[list[str],
 
 
 def _cmd_table(args) -> int:
-    _check_length(args.n[-1], args.limit)  # the largest n of an increasing range
-    names, rows = size_table(args.q, args.n, args.compare, args.bold)
+    q, n = args.q, args.n
+    _check_length(n[-1], args.limit)  # the largest n of an increasing range
+    if (digits := len(q) * len(n) * (n[-1] * len(str(q[-1])) + 1)) > TABLE_DIGITS:
+        raise ValueError(f"a table of {len(q)} q and {len(n)} n values may print {digits} digits, above {TABLE_DIGITS}")
+    names, rows = size_table(q, n, args.compare, args.bold)
     with _output(args.out) as fh:
         if args.format == "json":
             from .jsontext import ITEM, text, write_object
 
             rows = (ITEM + text(dict(zip(names, row)), "    ").encode() for row in rows)
-            write_object(fh, [("compare", args.compare), ("q_values", args.q), ("n_values", args.n), ("rows", rows)])
+            write_object(fh, [("compare", args.compare), ("q_values", q), ("n_values", n), ("rows", rows)])
         else:
             # no cell or name needs CSV quoting: cells are integers or None
             fh.write((",".join(names) + "\n").encode())

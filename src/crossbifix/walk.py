@@ -8,7 +8,8 @@ from its children's, and kept for the walk: the lines of its completions
 their tails (``words``). Each frontier node then makes one block from its
 children's material and its prefix, which is not kept. So the Python work
 of a walk is per state and per frontier node, not per word, but for the
-one tuple concatenation of each of its ``words``.
+one tuple concatenation of each of its ``words``. An edge of the table is a
+step class, (symbols, child): the walk places each of its symbols.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ def frontier(table, cap: int) -> Iterator[tuple]:
     # (position, symbol placed at position - 1, state); the root's symbol
     # goes to buf[-1], which no prefix reads
     stack = [(0, 0, table.root)]
-    pop, push = stack.pop, stack.append
     while stack:
-        p, symbol, state = pop()
+        p, symbol, state = stack.pop()
         buf[p - 1] = symbol
         lines = size(p, state)
         if not lines:
@@ -37,8 +37,8 @@ def frontier(table, cap: int) -> Iterator[tuple]:
         if lines <= cap or p >= n - 1:
             yield tuple(buf[:p]), p, state
             continue
-        for symbol, child in reversed(children(p, state)):
-            push((p + 1, symbol, child))
+        kids = reversed(children(p, state))
+        stack += [(p + 1, symbol, child) for symbols, child in kids for symbol in reversed(symbols)]
 
 
 def blocks(table, leaf, build, cap: int) -> Iterator:
@@ -69,14 +69,15 @@ def blocks(table, leaf, build, cap: int) -> Iterator:
                 if todo:
                     stack += todo
                 else:
-                    memo[at][s] = build(at, [(symbol, below[child]) for symbol, child in kids])
+                    memo[at][s] = build(at, [(symbol, below[child]) for symbols, child in kids for symbol in symbols])
         return memo[p][state]
 
     for prefix, p, state in frontier(table, cap):
         if p == n:
             yield leaf(state)
         else:
-            yield build(p, [(symbol, material(p + 1, child)) for symbol, child in children(p, state)], prefix)
+            kids = children(p, state)
+            yield build(p, [(symbol, material(p + 1, child)) for symbols, child in kids for symbol in symbols], prefix)
 
 
 def words(table, tags: Sequence) -> Iterator[tuple]:

@@ -818,6 +818,30 @@ def test_table_refuses_lengths_above_the_limit(tmp_path, capsys, monkeypatch):
             assert not target.exists()
 
 
+def test_table_refuses_a_table_too_large_to_print(tmp_path, capsys, monkeypatch):
+    # a hundred million q values, and a range of lengths whose text grows as
+    # its square, are refused from the two ranges before any count
+    refuse_counting(monkeypatch)
+    for args, digits in (
+        (("--q", "3..100000000", "--n", "3..3"), 99999998 * 1 * (3 * 9 + 1)),
+        (("--q", "3..6", "--n", "3..100000"), 4 * 99998 * (100000 + 1)),
+    ):
+        for fmt in ("csv", "json"):
+            target = tmp_path / f"table.{fmt}"
+            code, out, err = run(capsys, "table", *args, "--format", fmt, "--out", str(target))
+            assert (code, out) == (2, "") and err.count("\n") == 1, args
+            assert err.startswith("error: ") and err.endswith(f" {digits} digits, above {sizes.TABLE_DIGITS}\n"), err
+            assert not target.exists()
+    # the bound is read off the ranges, and a table at it is printed
+    monkeypatch.undo()
+    monkeypatch.setattr(sizes, "TABLE_DIGITS", 2 * 6 * (8 * 1 + 1))
+    assert run(capsys, "table", "--q", "3..4", "--n", "3..8")[0] == 0
+    monkeypatch.setattr(sizes, "TABLE_DIGITS", sizes.TABLE_DIGITS - 1)
+    assert run(capsys, "table", "--q", "3..4", "--n", "3..8")[0] == 2
+    monkeypatch.setattr(sizes, "TABLE_DIGITS", 1 * 1 * (110 * 41 + 1))
+    assert run(capsys, "table", "--q", str(10**40), "--n", "110")[0] == 0
+
+
 def test_table_domain_refusal_writes_no_file(tmp_path, capsys):
     for fmt in ("csv", "json"):
         target = tmp_path / f"table.{fmt}"

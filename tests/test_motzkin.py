@@ -2,14 +2,16 @@
 
 import itertools
 import tracemalloc
+from bisect import bisect_left
 from math import comb
+from operator import lt
 
 import pytest
 
-from crossbifix import counting, motzkin, walk
+from crossbifix import baseline, counting, motzkin, walk
 from crossbifix.codeset import Word, generate_elevated, generate_motzkin, iter_cbfs
 from crossbifix.counting import motzkin_count, motzkin_counts
-from crossbifix.motzkin import StateTable, ZeroRunTable, _shapes, motzkin_shapes
+from crossbifix.motzkin import StateTable, ZeroRunTable, _shapes, cbfs_shapes, motzkin_shapes
 from crossbifix.oracle import has_ground_elevated_factor, is_elevated, is_motzkin_word
 from test_baseline import brute_baseline_words
 
@@ -207,12 +209,14 @@ def case_shapes(n):
     ]
 
 
-def checked_walk(make, tags):
+def checked_walk(make, tags, caps=(None, 0, 1, 5, 40)):
     """The words of the walk of the table ``make()`` builds, with their
-    tags, after checking that every block size, from one line up, walks the
-    same words, and that the counts agree with them."""
+    tags, after checking that every block size of ``caps`` (None for the
+    table's own), from one line up, walks the same words, and that the
+    counts agree with them: the table's, and the exact and the capped count
+    of the state of each node of the frontier."""
     runs = []
-    for cap in (None, 0, 1, 5, 40):
+    for cap in caps:
         table = make()
         n, where = table.n, (table.q, table.n, cap)
         if cap is not None:
@@ -220,12 +224,18 @@ def checked_walk(make, tags):
         words = list(walk.words(table, tags))
         assert table.count() == len(words), where
         assert table.size(0, table.root) == min(len(words), table.cap + 1), where
+        keys = [symbols for symbols, _ in words]
+        assert all(map(lt, keys, keys[1:])), where  # in order, each once
         # the frontier: nodes in order, each fits in a block or is at n - 1
-        # or later, and the nodes above it do not fit
+        # or later, and the nodes above it do not fit; the uncapped count of
+        # a node's state is the number of walked words with its prefix
         nodes = list(walk.frontier(table, table.cap))
         assert [prefix for prefix, _, _ in nodes] == sorted({prefix for prefix, _, _ in nodes}), where
-        for prefix, p, state in nodes:
-            assert len(prefix) == p and (table.size(p, state) <= table.cap or p >= n - 1), where
+        exact = [{} for _ in range(n + 1)]
+        counts = [(len(prefix), table.size(p, state), table.size(p, state, exact)) for prefix, p, state in nodes]
+        assert all(lines <= table.cap or p >= n - 1 for p, lines, _ in counts), where
+        walked = [bisect_left(keys, prefix + (table.q,)) - bisect_left(keys, prefix) for prefix, _, _ in nodes]
+        assert counts == [(p, min(k, table.cap + 1), k) for (_, p, _), k in zip(nodes, walked)], where
         runs.append(words)
     assert all(run == runs[0] for run in runs), where[:2]
     return runs[0]
@@ -279,6 +289,31 @@ def test_walk_matches_its_definition():
             StateTable(3, len(shapes[0][0]) - 1, shapes)
 
 
+def test_each_frontier_state_counts_the_words_walked_below_it():
+    # checked_walk holds each frontier node's exact and capped counts to the
+    # walked words with its prefix; q = 12 is walked to n = 5, 13,552 words,
+    # as its sets at n = 10 hold about 2 * 10^9
+    for q in (3, 4, 12):
+        for n in range(3, 11 if q < 12 else 6):
+            for families in ("A", "B", "C", "AB", "AC", "BC", "ABC"):
+                words = checked_walk(lambda: StateTable(q, n, cbfs_shapes(q, n, families)), families, (0, 1, 7, 100))
+                assert len(words) == counting.count_cbfs(q, n, families), (q, n, families)
+
+
+def test_a_state_has_one_edge_per_step_class():
+    # fall, rise and level, however many level colors there are
+    table = StateTable(1000, 60, cbfs_shapes(1000, 60))
+    assert table.count() == counting.count_cbfs(1000, 60)
+    assert max(len(kids) for memo in table.edges for kids in memo.values()) == 3
+    zero_run = ZeroRunTable(2, 1000, 8)
+    layer = {zero_run.root}
+    for p in range(8):
+        edges = [zero_run.children(p, state) for state in layer]
+        assert edges and all(1 <= len(kids) <= 3 for kids in edges), p
+        layer = {child for kids in edges for _, child in kids}
+    assert zero_run.count() == 999**2 * baseline.f_count(2, 1000, 4)
+
+
 def test_state_tables_share_no_state():
     # interleaved walks, two of them alike, give what each gives alone
     shapes = _shapes(10)
@@ -301,10 +336,10 @@ def test_state_tables_share_no_state():
 
 
 def test_the_count_of_the_walk_matches_the_closed_forms():
-    # the forward pass over the walk's states shares no algebra with the
-    # closed forms of count_cbfs and motzkin_count
-    for q in (3, 4, 7):
-        for n in [*range(3, 31), 40, 60]:
+    # the uncapped backward walk over the table's states shares no algebra
+    # with the closed forms of count_cbfs and motzkin_count
+    for q in (3, 4, 7, 100, 1000):
+        for n in [*range(3, 31), 40, 60] if q < 100 else range(3, 31):
             shapes = _shapes(n)
             for families in ("A", "B", "C", "AB", "AC", "BC", "ABC"):
                 table = StateTable(q, n, [shapes[name] for name in families])

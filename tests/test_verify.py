@@ -158,7 +158,8 @@ def test_space_guard_comes_before_the_preconditions(tmp_path, capsys, monkeypatc
     def late(*args):
         raise AssertionError("a precondition ran before the cap")
 
-    monkeypatch.setattr(codeset, "verify_cross_bifix_free_set", late)
+    # a refused set builds no index, and so scans for no precondition
+    monkeypatch.setattr(verify, "_index", late)
     monkeypatch.setattr(verify, "_shared_borders", late)  # both preconditions' scan
     with pytest.raises(ValueError, match="10499 candidates, above the cap of 10$"):
         codeset.verify_non_expandable(cbfs, max_space=10)
