@@ -4,18 +4,21 @@ The package constructs the non-expandable cross-bifix-free sets CBFS(q, n),
 counts them exactly, generates the classic zero-run baseline sets they are
 compared against, and verifies every claimed property. Every exported name
 that takes or returns a ``Word`` or ``CodeSet`` comes from ``codeset``, the
-API edge: the typed words and sets, the paper's bifix predicates on them,
-the constructions (``construct_cbfs``, ``iter_cbfs``,
+API edge: the typed words and sets (frozen dataclasses, as is the
+verification report), the paper's bifix predicates on them, the
+constructions (``construct_cbfs``, ``iter_cbfs``,
 ``construct_baseline_set``, ``generate_motzkin``, ``generate_elevated``)
-and the verifiers, which hand a set's codes to ``verify``. That module
-joins prefix and suffix indexes and walks prefixes with ``bifixfree``,
-whose walk also streams the bifix-free words that ``gen --set bifixfree``
+and the verifiers, which hand a set's codes to ``verify`` and wrap the
+report dict it returns in a ``VerificationReport``. That module joins
+prefix and suffix indexes and walks prefixes with ``bifixfree``, whose
+walk also streams the bifix-free words that ``gen --set bifixfree``
 writes. The counts come from ``counting`` and ``baseline``.
 The root exports nothing from ``oracle``: its path predicates
 (``is_motzkin_word``, ``is_elevated``, ...) and independent brute-force
 scans are the reference the tests hold the fast paths to, and import from
-``crossbifix.oracle``. The commands handle symbol tuples and base-q codes,
-so no command loads ``codeset`` or ``oracle``.
+``crossbifix.oracle``. The commands handle symbol tuples, base-q codes and
+plain dicts, so no command loads ``codeset``, ``oracle`` or
+``dataclasses``.
 
 Importing the package loads none of its modules. Each exported name, and
 each module named in ``_EXPORTS``, is imported on first access (PEP 562),
@@ -36,6 +39,7 @@ _EXPORTS = {
     "codeset": (
         "CodeSet",
         "CrossBifix",
+        "VerificationReport",
         "Word",
         "bifixes",
         "construct_baseline_set",
@@ -48,7 +52,6 @@ _EXPORTS = {
         "verify_cross_bifix_free_set",
         "verify_non_expandable",
     ),
-    "codes": ("VerificationReport",),
     "counting": ("count_cbfs", "family_sizes", "motzkin_count", "motzkin_counts"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

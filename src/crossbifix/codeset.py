@@ -4,48 +4,49 @@ bifix predicates on them, and every function that takes or returns one.
 ``Word`` checks its alphabet and symbols, ``CodeSet`` holds a canonically
 ordered set of words with a provenance tag each, and ``cross_bifix``,
 ``bifixes`` and ``is_bifix_free`` state the paper's definitions on words.
-The rest of the library handles symbol tuples and base-q codes, and this
-module wraps it: ``iter_cbfs``, ``construct_cbfs``, ``generate_motzkin``
-and ``generate_elevated`` walk the tables of the shapes in ``motzkin``,
+The records (``Word``, ``CrossBifix``, ``CodeSet`` and
+``VerificationReport``) are frozen dataclasses. The rest of the library
+handles symbol tuples, base-q codes and plain dicts, and this module wraps
+it: ``iter_cbfs``, ``construct_cbfs``, ``generate_motzkin`` and
+``generate_elevated`` walk the tables of the shapes in ``motzkin``,
 ``construct_baseline_set`` walks the table of ``baseline.baseline_table``,
 and ``verify_cross_bifix_free_set`` and ``verify_non_expandable`` hand the
-members' codes to the checks in ``verify``. No command loads this module,
-and no module but ``oracle`` imports it.
+members' codes to the checks in ``verify`` and wrap the report dict each
+returns in a ``VerificationReport``. No command loads this module, so no
+command loads ``dataclasses``, and no module but ``oracle`` imports it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from functools import cached_property, total_ordering
 
 from . import DEFAULT_MAX_SPACE
 from .baseline import baseline_table
-from .codes import Record, VerificationReport, code_of, parse_code, read_codes
+from .jsontext import text
 from .motzkin import StateTable, cbfs_shapes, elevated_shapes, motzkin_shapes
-from .verify import cross_bifix_report, non_expandable_report
+from .verify import code_of, cross_bifix_report, non_expandable_report, parse_code, read_codes
 from .walk import words as walk
 from .words import check_alphabet, format_symbols, symbols_of
 
 
 @total_ordering
-class Word(Record):
-    """Immutable word over {0, ..., q-1}.
+@dataclass(frozen=True, slots=True)
+class Word:
+    """Immutable word over {0, ..., q-1}; any sequence of symbols is held
+    as a tuple.
 
     Equality is element-wise; ordering is lexicographic on the symbol
     integers, which fixes the canonical order used everywhere for
     deterministic generation output.
     """
 
-    __slots__ = _fields = ("symbols", "q")
     symbols: tuple[int, ...]
     q: int
 
-    def __init__(self, symbols: Sequence[int], q: int) -> None:
-        object.__setattr__(self, "symbols", tuple(symbols))
-        object.__setattr__(self, "q", q)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        object.__setattr__(self, "symbols", tuple(self.symbols))
         check_alphabet(self.q)
         q = self.q
         for s in self.symbols:
@@ -86,7 +87,8 @@ class Word(Record):
         return f"Word({self.to_text()!r}, q={self.q})"
 
 
-class CrossBifix(Record):
+@dataclass(frozen=True, slots=True)
+class CrossBifix:
     """A shortest cross-bifix witness.
 
     ``word`` is a strict prefix of one argument and a suffix of the other;
@@ -94,13 +96,8 @@ class CrossBifix(Record):
     ("first" or "second").
     """
 
-    __slots__ = _fields = ("word", "prefix_of")
     word: Word
     prefix_of: str
-
-    def __init__(self, word: Word, prefix_of: str) -> None:
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "prefix_of", prefix_of)
 
 
 def prefix_function(symbols: Sequence[int]) -> list[int]:
@@ -159,22 +156,15 @@ def cross_bifix(first: Word, second: Word) -> CrossBifix | None:
 PROVENANCE_TAGS = ("A", "B", "C", "baseline", "external")
 
 
-class CodeSet(Record):
+@dataclass(frozen=True)  # no slots: _keys is cached in the instance's __dict__
+class CodeSet:
     """A duplicate-free list of equal-length words in strictly increasing
     lexicographic order, with a per-word provenance tag."""
 
-    _fields = ("q", "n", "words", "provenance")
     q: int
     n: int
     words: tuple[Word, ...]
     provenance: tuple[str, ...]
-
-    def __init__(self, q: int, n: int, words: tuple[Word, ...], provenance: tuple[str, ...]) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "provenance", provenance)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.words) != len(self.provenance):
@@ -235,9 +225,47 @@ class CodeSet(Record):
         }
 
     def to_json(self) -> str:
-        import json
+        return text(self.to_json_dict()) + "\n"
 
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+@dataclass(frozen=True, slots=True)
+class VerificationReport:
+    """Outcome of a verification run, with every witness recorded: the
+    report dict of ``verify`` as a record.
+
+    kind is one of "cross-bifix-set", "non-expandable" or "count-agreement".
+    A non-null error marks a failed precondition rather than a verification
+    verdict.
+    """
+
+    kind: str
+    ok: bool
+    witnesses: tuple[dict, ...]
+    stats: dict | None = None
+    error: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.stats is None:
+            object.__setattr__(self, "stats", {})
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "ok": self.ok,
+            "witnesses": [dict(w) for w in self.witnesses],
+            "stats": dict(self.stats),
+            "error": self.error,
+        }
+
+    def to_json(self) -> str:
+        """The text of ``json.dumps(self.to_json_dict(), indent=2)`` and a
+        newline."""
+        return text(self.to_json_dict()) + "\n"
+
+
+def _record(report: dict) -> VerificationReport:
+    """The record of a report dict of ``verify``."""
+    return VerificationReport(**{**report, "witnesses": tuple(report["witnesses"])})
 
 
 def generate_motzkin(colors: int, n: int) -> Iterator[Word]:
@@ -288,7 +316,7 @@ def verify_cross_bifix_free_set(code_set: CodeSet) -> VerificationReport:
     ``pairs_checked`` counts the pairs covered, |S| (|S| - 1) / 2.
     """
     q = code_set.q
-    return cross_bifix_report(q, code_set.n, [code_of(word.symbols, q) for word in code_set.words])
+    return _record(cross_bifix_report(q, code_set.n, [code_of(word.symbols, q) for word in code_set.words]))
 
 
 def verify_non_expandable(
@@ -313,4 +341,4 @@ def verify_non_expandable(
     """
     q = code_set.q
     codes = [code_of(word.symbols, q) for word in code_set.words]
-    return non_expandable_report(q, code_set.n, codes, max_space, all_witnesses)
+    return _record(non_expandable_report(q, code_set.n, codes, max_space, all_witnesses))

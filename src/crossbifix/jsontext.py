@@ -4,9 +4,11 @@ indent=2)`` lays them out, without loading ``json``.
 ``text`` gives the JSON text of a value; ``write_object`` writes an object
 to a binary file, with each list that comes as an iterator written a piece
 at a time, and ``ITEM`` leads each item of such a list. ``gen``,
-``baseline-gen`` and ``table`` write their JSON through ``write_object``,
-and a verification report (``codes.VerificationReport.to_json``) is the
-``text`` of its dict. No other module holds JSON punctuation or layout.
+``baseline-gen`` and ``table`` write their JSON through ``write_object``;
+``verify`` prints the ``text`` of its report dict, and the API edge's
+``codeset.CodeSet.to_json`` and ``codeset.VerificationReport.to_json`` are
+the ``text`` of their dicts. No other module holds JSON punctuation or
+layout, and none imports ``json``.
 """
 
 # What leads each item of a list that write_object streams, whose items

@@ -130,22 +130,25 @@ class StateTable:
         number. Each state is counted once, from its children's counts times
         their edges' symbols, on a stack rather than by recursion, and left
         as soon as its count passes ``cap``, so that the first words of a
-        long walk wait for no full count."""
+        long walk wait for no full count. A frame keeps its state's edges,
+        so ``children`` is called once per state."""
         n, children = self.n, self.children
         cap, sizes = (self.cap, self.sizes) if exact is None else (float("inf"), exact)
-        stack = [(p, state, 0, 0)]
+        stack = [(p, state, None, 0, 0)]
         while stack:
-            at, s, i, total = stack.pop()
-            if s in sizes[at]:
-                continue
-            if at == n:
-                sizes[at][s] = min(s[2], 1)  # a word, but for a dead root at n = 0
-                continue
-            kids, below = children(at, s), sizes[at + 1]
+            at, s, kids, i, total = stack.pop()
+            if kids is None:  # a state met for the first time on this stack
+                if s in sizes[at]:
+                    continue
+                if at == n:
+                    sizes[at][s] = min(s[2], 1)  # a word, but for a dead root at n = 0
+                    continue
+                kids = children(at, s)
+            below = sizes[at + 1]
             while i < len(kids) and total <= cap:
                 k = below.get(kids[i][1])
                 if k is None:
-                    stack += ((at, s, i, total), (at + 1, kids[i][1], 0, 0))
+                    stack += ((at, s, kids, i, total), (at + 1, kids[i][1], None, 0, 0))
                     break
                 total += k * len(kids[i][0])
                 i += 1

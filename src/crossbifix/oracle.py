@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import dataclass
 
 from . import DEFAULT_MAX_SPACE
-from .codes import Record, VerificationReport
-from .codeset import CodeSet, Word, construct_cbfs, cross_bifix, is_bifix_free, prefix_function
+from .codeset import CodeSet, VerificationReport, Word, construct_cbfs, cross_bifix, is_bifix_free, prefix_function
 from .counting import count_cbfs
 from .words import FALL, RISE
 
@@ -205,15 +205,12 @@ def symbol_step(symbol: int) -> int:
     return 0
 
 
-class HeightProfile(Record):
+@dataclass(frozen=True, slots=True)
+class HeightProfile:
     """Partial path heights: heights[j] is the height after the first j
     symbols, so heights[0] == 0 and the final entry is #rises - #falls."""
 
-    __slots__ = _fields = ("heights",)
     heights: tuple[int, ...]
-
-    def __init__(self, heights: tuple[int, ...]) -> None:
-        object.__setattr__(self, "heights", heights)
 
     @property
     def final(self) -> int:

@@ -22,10 +22,17 @@ hand them a set's codes. The reports are the ones the brute scans in
 report lists only unblocked candidates unless every witness is asked for;
 the tests hold the two side by side.
 
+A report is a plain dict, ``{"kind", "ok", "witnesses", "stats",
+"error"}``: kind is "cross-bifix-set" or "non-expandable", and a non-null
+error marks a failed precondition rather than a verdict. The ``verify``
+command prints it as the ``jsontext.text`` of the dict, and ``codeset``
+wraps it in a ``VerificationReport`` at the API edge. The reader of
+word-per-line text into base-q codes (``read_codes``) is here too.
+
 The ``verify`` command's handler lives here. A ``verify`` process loads
-this module, ``bifixfree`` (the index and the walk), ``codes`` (the parser
-and the report), ``words`` and ``jsontext`` (which lays out the report's
-JSON) besides ``cli``: no ``json``, and nothing of counting or of the other
+this module, ``bifixfree`` (the index and the walk), ``words`` and
+``jsontext`` (which lays out the report's JSON) besides ``cli``: no
+``json``, no ``dataclasses``, and nothing of counting or of the other
 commands.
 """
 
@@ -34,12 +41,13 @@ from __future__ import annotations
 import sys
 import time
 from bisect import bisect_left
+from collections.abc import Iterable
 from contextlib import nullcontext
 from functools import cache
 
 from . import DEFAULT_MAX_SPACE
 from .bifixfree import _index, _walk, count_bifix_free
-from .codes import VerificationReport, read_codes
+from .jsontext import text as json_text
 from .words import check_alphabet, format_symbols, symbols_of
 
 
@@ -54,8 +62,59 @@ def _cmd_verify(args) -> int:
         report = cross_bifix_report(args.q, n, codes)
     else:
         report = non_expandable_report(args.q, n, codes, args.limit, args.all_witnesses)
-    sys.stdout.write(report.to_json())
-    return 2 if report.error is not None else 0 if report.ok else 1
+    sys.stdout.write(json_text(report) + "\n")
+    return 2 if report["error"] is not None else 0 if report["ok"] else 1
+
+
+def code_of(symbols: Iterable[int], q: int) -> int:
+    """The base-q code of a word; a symbol of q or above raises ValueError."""
+    code = 0
+    for s in symbols:
+        if s >= q:
+            raise ValueError(f"symbol {s!r} outside alphabet of size {q}")
+        code = code * q + s
+    return code
+
+
+def parse_code(text: str, q: int, line: int = 0) -> tuple[int, int]:
+    """``(code, length)`` of a word's text less outer whitespace: ASCII
+    digits for q <= 10, else ASCII decimal integers between commas;
+    ``(0, 0)`` if blank. Other text raises ValueError, naming ``line``."""
+    text = text.strip()
+    if q <= 10 and text.isascii() and text.isdigit():
+        try:
+            return int(text, q), len(text)
+        except ValueError:  # a digit >= q, or past int's digit cap
+            return code_of(map(int, text), q), len(text)
+    parts = text.split(",")
+    if q > 10 and text.isascii() and all(map(str.isdigit, parts)):
+        return code_of(map(int, parts), q), len(parts)
+    if not text:
+        return 0, 0
+    form = "contiguous digits" if q <= 10 else "comma-separated integers"
+    where = f"line {line}: " if line else ""
+    raise ValueError(f"{where}cannot read {text!r} as a word; expected {form} 0..{q - 1}")
+
+
+def read_codes(text: str, q: int, n: int | None = None) -> tuple[int, list[int]]:
+    """``(n, codes)`` of word-per-line text: the word length, given or the
+    first word's, and the distinct codes in increasing order. A given
+    length below 1 raises ValueError, whatever the text."""
+    if n is not None and n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
+    codes = set()
+    for number, line in enumerate(text.splitlines(), 1):
+        code, length = parse_code(line, q, number)
+        if not length:
+            continue
+        if n is None:
+            n = length
+        if length != n:
+            raise ValueError(f"word {format_symbols(symbols_of(code, q, length), q)!r} does not live in Z_{q}^{n}")
+        codes.add(code)
+    if n is None:
+        raise ValueError("cannot infer word length from an empty list")
+    return n, sorted(codes)
 
 
 def _shared_borders(codes: list[int], q: int, n: int, index=None) -> tuple[list[tuple[int, int]], int]:
@@ -123,18 +182,18 @@ def _cross_bifix_text(a: int, b: int, q: int, n: int) -> tuple[str, str]:
     return _text(prefix, q, length), prefix_of
 
 
-def _report(kind: str, t0: float, ok: bool, witnesses, members: int, candidates: int, error=None):
-    """The VerificationReport of a check of ``kind`` begun at ``t0``, whose
-    stats count the |S| (|S| - 1) / 2 pairs of its ``members`` members."""
+def _report(kind: str, t0: float, ok: bool, witnesses: list, members: int, candidates: int, error=None) -> dict:
+    """The report of a check of ``kind`` begun at ``t0``, whose stats count
+    the |S| (|S| - 1) / 2 pairs of its ``members`` members."""
     stats = {
         "pairs_checked": members * (members - 1) // 2,
         "candidates_checked": candidates,
         "wall_time_s": time.perf_counter() - t0,
     }
-    return VerificationReport(kind, ok, tuple(witnesses), stats, error)
+    return {"kind": kind, "ok": ok, "witnesses": witnesses, "stats": stats, "error": error}
 
 
-def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
+def cross_bifix_report(q: int, n: int, codes: list[int]) -> dict:
     """``codeset.verify_cross_bifix_free_set`` on the increasing base-q codes of
     the members of a set in Z_q^n."""
     t0 = time.perf_counter()
@@ -154,7 +213,7 @@ def cross_bifix_report(q: int, n: int, codes: list[int]) -> VerificationReport:
 
 def non_expandable_report(
     q: int, n: int, codes: list[int], max_space: int = DEFAULT_MAX_SPACE, all_witnesses: bool = False
-) -> VerificationReport:
+) -> dict:
     """``codeset.verify_non_expandable`` on the increasing base-q codes of the
     members of a set in Z_q^n."""
     t0 = time.perf_counter()

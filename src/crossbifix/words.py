@@ -4,8 +4,8 @@ Words over the alphabet {0, ..., q-1} double as lattice paths: symbol 0 is a
 fall step (1, -1), symbol 1 a rise step (1, 1), and symbols 2..q-1 are level
 steps (1, 0) in q-2 colors. Everything here is a pure function on immutable
 values. This is what every command that writes or reads words shares; the
-reading of word text into base-q codes and the report records are in
-``codes``, which only ``verify`` and the API edge load.
+reading of word text into base-q codes is in ``verify``, and the records
+(``Word`` among them) are in the API edge, ``codeset``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def format_symbols(symbols: Sequence[int], q: int) -> str:
 
 def symbols_of(code: int, q: int, n: int) -> tuple[int, ...]:
     """The length-n word with base-q code ``code``; the inverse of
-    ``codes.code_of``."""
+    ``verify.code_of``."""
     symbols = [0] * n
     for i in range(n - 1, -1, -1):
         code, symbols[i] = divmod(code, q)

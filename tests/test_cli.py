@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix import baseline, bifixfree, cli, codes, codeset, counting, motzkin, oracle, sizes, walk, wordlist
+from crossbifix import baseline, bifixfree, cli, codeset, counting, motzkin, oracle, sizes, verify, walk, wordlist
 from crossbifix.baseline import s_max, s_star
 from crossbifix.cli import main
 from crossbifix.codeset import CodeSet, construct_cbfs, iter_cbfs
@@ -601,7 +601,7 @@ def test_verify_parse_errors_name_the_line_and_the_form(capsys, monkeypatch):
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             assert run(capsys, "verify", "--in", "-", "--q", str(q), "--mode", mode) == (2, "", f"error: {message}\n")
     with pytest.raises(ValueError, match="^line 2: cannot read '1a' as a word; expected contiguous digits 0..2$"):
-        codes.read_codes("12\n1a\n", 3)
+        verify.read_codes("12\n1a\n", 3)
 
 
 def test_verify_refuses_lengths_below_one(capsys, monkeypatch):

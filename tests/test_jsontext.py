@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from test_words import AWKWARD
 
 from crossbifix import jsontext
+from crossbifix.codeset import construct_cbfs
 from crossbifix.jsontext import ITEM, text, write_object
 
 TEXTS = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD)), max_size=8)
@@ -124,7 +125,22 @@ def layout_constants(path):
 def test_only_jsontext_lays_out_json():
     package = os.path.dirname(jsontext.__file__)
     modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
-    assert {"codes.py", "sizes.py", "wordlist.py", "jsontext.py"} <= set(modules)
+    assert {"codeset.py", "sizes.py", "verify.py", "wordlist.py", "jsontext.py"} <= set(modules)
     found = {name: layout_constants(os.path.join(package, name)) for name in modules}
     assert found.pop("jsontext.py")  # the scan sees the layout where it is
     assert {name: constants for name, constants in found.items() if constants} == {}
+
+
+def test_no_module_imports_json():
+    # jsontext is the one writer: the API edge's to_json as much as the commands
+    package = os.path.dirname(jsontext.__file__)
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "codeset.py" in modules
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+        assert not [module for module in imported if module.split(".")[0] == "json"], name
+    code_set = construct_cbfs(12, 4)
+    assert code_set.to_json() == json.dumps(code_set.to_json_dict(), indent=2) + "\n"

@@ -214,14 +214,19 @@ def checked_walk(make, tags, caps=(None, 0, 1, 5, 40)):
     tags, after checking that every block size of ``caps`` (None for the
     table's own), from one line up, walks the same words, and that the
     counts agree with them: the table's, and the exact and the capped count
-    of the state of each node of the frontier."""
-    runs = []
+    of the state of each node of the frontier. ``walk.words`` cuts its
+    frontier at ``table.cap // 8``, so the words are walked once for each
+    distinct such cut; the counts and the frontier are checked at every
+    cap."""
+    runs = {}
     for cap in caps:
         table = make()
         n, where = table.n, (table.q, table.n, cap)
         if cap is not None:
             table.cap = cap  # before any state is counted
-        words = list(walk.words(table, tags))
+        if table.cap // 8 not in runs:
+            runs[table.cap // 8] = list(walk.words(table, tags))
+        words = runs[table.cap // 8]
         assert table.count() == len(words), where
         assert table.size(0, table.root) == min(len(words), table.cap + 1), where
         keys = [symbols for symbols, _ in words]
@@ -236,9 +241,9 @@ def checked_walk(make, tags, caps=(None, 0, 1, 5, 40)):
         assert all(lines <= table.cap or p >= n - 1 for p, lines, _ in counts), where
         walked = [bisect_left(keys, prefix + (table.q,)) - bisect_left(keys, prefix) for prefix, _, _ in nodes]
         assert counts == [(p, min(k, table.cap + 1), k) for (_, p, _), k in zip(nodes, walked)], where
-        runs.append(words)
-    assert all(run == runs[0] for run in runs), where[:2]
-    return runs[0]
+    first, *others = runs.values()
+    assert all(run == first for run in others), where[:2]
+    return first
 
 
 def checked_words(q, shapes):
@@ -298,6 +303,21 @@ def test_each_frontier_state_counts_the_words_walked_below_it():
             for families in ("A", "B", "C", "AB", "AC", "BC", "ABC"):
                 words = checked_walk(lambda: StateTable(q, n, cbfs_shapes(q, n, families)), families, (0, 1, 7, 100))
                 assert len(words) == counting.count_cbfs(q, n, families), (q, n, families)
+
+
+def test_counting_asks_each_state_for_its_edges_once():
+    # a frame on the stack keeps its state's edges while a child is counted
+    table = StateTable(3, 60, cbfs_shapes(3, 60))
+    calls = []
+    children = table.children
+
+    def spy(p, state):
+        calls.append((p, state))
+        return children(p, state)
+
+    table.children = spy
+    assert table.count() == counting.count_cbfs(3, 60)
+    assert len(calls) == sum(map(len, table.edges)) == len(set(calls))
 
 
 def test_a_state_has_one_edge_per_step_class():

@@ -37,7 +37,7 @@ WORDLIST = {"crossbifix.wordlist", "crossbifix.words", "crossbifix.counting"}
 WALK = {"crossbifix.motzkin", "crossbifix.walk"} | WORDLIST
 BIFIX_FREE = {"crossbifix.bifixfree"} | WORDLIST
 BASELINE = {"crossbifix.baseline"} | WALK
-VERIFY = {"crossbifix.verify", "crossbifix.bifixfree", "crossbifix.codes", "crossbifix.words", "crossbifix.jsontext"}
+VERIFY = {"crossbifix.verify", "crossbifix.bifixfree", "crossbifix.words", "crossbifix.jsontext"}
 JSON = {"crossbifix.jsontext"}
 COMMANDS = {
     "count": (["count", "--q", "3", "--n", "9"], None, SIZES),

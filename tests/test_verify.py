@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix import bifixfree, cli, codes, codeset, oracle, sizes, verify, wordlist, words
+from crossbifix import bifixfree, cli, codeset, oracle, sizes, verify, wordlist, words
 from crossbifix.cli import main
 from crossbifix.codeset import CodeSet, Word, construct_cbfs, cross_bifix
 from crossbifix.words import symbols_of
@@ -389,7 +389,7 @@ def test_oracle_does_not_use_the_fast_path():
 
 
 def test_production_does_not_use_the_oracle():
-    for module in (bifixfree, cli, codes, sizes, verify, wordlist, words):
+    for module in (bifixfree, cli, sizes, verify, wordlist, words):
         names = []
         for node in ast.walk(ast.parse(inspect.getsource(module))):
             if isinstance(node, ast.ImportFrom):

@@ -5,15 +5,16 @@ import itertools
 import json
 import pickle
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbifix.codeset import CodeSet, CrossBifix, Word, bifixes, cross_bifix, is_bifix_free
+from crossbifix.codeset import CodeSet, CrossBifix, VerificationReport, Word, bifixes, cross_bifix, is_bifix_free
 from crossbifix.oracle import HeightProfile, height_profile, is_elevated, is_motzkin_word, symbol_step
+from crossbifix.verify import read_codes
 from crossbifix.wordlist import _lines
-from crossbifix.codes import VerificationReport, read_codes
 from crossbifix.words import symbols_of
 
 
@@ -257,13 +258,13 @@ def test_records_equal_hash_order_and_print_as_frozen_dataclasses_did():
     for text, (record, same, other) in records.items():
         assert repr(record) == text
         assert record == same and not record != same
-        assert record != other and record != record._values()
+        assert record != other and record != tuple(getattr(record, field.name) for field in fields(record))
         assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
-        for field in record._fields:
+        for field in fields(record):
             with pytest.raises(AttributeError):
-                setattr(record, field, None)
+                setattr(record, field.name, None)
             with pytest.raises(AttributeError):
-                delattr(record, field)
+                delattr(record, field.name)
         if isinstance(record, VerificationReport):
             with pytest.raises(TypeError):
                 hash(record)  # its stats are a dict
